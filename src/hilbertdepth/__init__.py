@@ -2,7 +2,7 @@
 monomial ideals, with brute-force oracles and an identity verifier catalog.
 """
 
-from .exactalg import IntPolynomial, binomial, poly_eval_at_one, poly_mul
+from .exactalg import IntPolynomial, binomial
 from .ideals import (
     DepthReport,
     GeneratedHatPower,

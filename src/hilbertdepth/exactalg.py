@@ -15,8 +15,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "binomial",
     "IntPolynomial",
-    "poly_mul",
-    "poly_eval_at_one",
     "one_minus_t_power",
 ]
 
@@ -185,16 +183,6 @@ class IntPolynomial:
         for p in parts[1:]:
             out += f" {p}"
         return out
-
-
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Exact product of two integer polynomials."""
-    return p * q
-
-
-def poly_eval_at_one(p: IntPolynomial) -> int:
-    """Sum of all coefficients of p (detects (1 - T) factors)."""
-    return p.eval_at_one()
 
 
 def one_minus_t_power(exp: int) -> IntPolynomial:

@@ -12,6 +12,12 @@ Hilbert functions here count monomials):
   * GeneratedHatPower(n, t, s): the ideal the previous one generates in
     the full ring; x^a belongs iff the first n-t+1 exponents sum to >= s.
 
+The last three are one object: the s-th power of the maximal ideal in
+span = n-t+1 variables (t = 1 for MaxPower), whose series is
+max_power_series(span, s), shifted by (1-T)^-(t-1) when generated in the
+full ring.  Each spec class carries its family's behaviour, and FAMILIES
+lists the classes by CLI name.
+
 Every constructor assembles the exact numerator polynomial first and then
 canonicalizes; nothing is expanded coefficient-wise.
 """
@@ -26,6 +32,7 @@ from .series import (
     RationalFunctionSeries,
     canonicalize,
     hilbert_depth,
+    mul_power_one_minus_t,
 )
 
 __all__ = [
@@ -34,10 +41,9 @@ __all__ = [
     "HatPower",
     "GeneratedHatPower",
     "IdealSpec",
+    "FAMILIES",
     "DepthReport",
-    "ambient_variables",
     "series_for",
-    "closed_form_depth",
     "depth_report",
     "veronese_series",
     "veronese_series_alt",
@@ -63,24 +69,69 @@ class Veronese:
         if not 1 <= self.d <= self.n:
             raise ValueError("generator degree d must satisfy 1 <= d <= n")
 
+    @property
+    def ambient(self) -> int:
+        """Number of variables of the ring the ideal lives in."""
+        return self.n
 
-@dataclass(frozen=True)
-class MaxPower:
-    """s-th power of the maximal ideal in n variables; requires s >= 1."""
+    def series(self) -> RationalFunctionSeries:
+        return veronese_series(self.n, self.d)
 
-    n: int
-    s: int
-    family: ClassVar[str] = "max-power"
+    def closed_depth(self) -> int:
+        return closed_depth_veronese(self.n, self.d)
+
+    def member(self, alpha: tuple[int, ...]) -> bool:
+        return sum(1 for a in alpha if a > 0) >= self.d
+
+
+class _PowerFamily:
+    """The s-th power of the maximal ideal of the first span = n-t+1
+    variables, in a ring of `ambient` variables.
+
+    Its series is the max-power series in span variables times
+    (1-T)^-(ambient-span), which raises the depth by exactly ambient-span.
+    """
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("variable count n must be >= 1")
+        if not 1 <= self.t <= self.n:
+            raise ValueError("cut parameter t must satisfy 1 <= t <= n")
         if self.s < 1:
             raise ValueError("power s must be >= 1")
 
+    @property
+    def span(self) -> int:
+        return self.n - self.t + 1
+
+    @property
+    def ambient(self) -> int:
+        """Number of variables of the ring the ideal lives in."""
+        return self.n
+
+    def series(self) -> RationalFunctionSeries:
+        return mul_power_one_minus_t(max_power_series(self.span, self.s),
+                                     self.span - self.ambient)
+
+    def closed_depth(self) -> int:
+        return closed_depth_max_power(self.span, self.s) + self.ambient - self.span
+
+    def member(self, alpha: tuple[int, ...]) -> bool:
+        return sum(alpha[: self.span]) >= self.s
+
 
 @dataclass(frozen=True)
-class HatPower:
+class MaxPower(_PowerFamily):
+    """s-th power of the maximal ideal in n variables; requires s >= 1."""
+
+    n: int
+    s: int
+    t: ClassVar[int] = 1
+    family: ClassVar[str] = "max-power"
+
+
+@dataclass(frozen=True)
+class HatPower(_PowerFamily):
     """s-th maximal-ideal power of the subring in the first n-t+1 variables."""
 
     n: int
@@ -88,17 +139,13 @@ class HatPower:
     s: int
     family: ClassVar[str] = "hat-power"
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("variable count n must be >= 1")
-        if not 1 <= self.t <= self.n:
-            raise ValueError("cut parameter t must satisfy 1 <= t <= n")
-        if self.s < 1:
-            raise ValueError("power s must be >= 1")
+    @property
+    def ambient(self) -> int:
+        return self.span
 
 
 @dataclass(frozen=True)
-class GeneratedHatPower:
+class GeneratedHatPower(_PowerFamily):
     """Ideal of the full ring generated by the corresponding HatPower."""
 
     n: int
@@ -106,16 +153,12 @@ class GeneratedHatPower:
     s: int
     family: ClassVar[str] = "generated-hat-power"
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("variable count n must be >= 1")
-        if not 1 <= self.t <= self.n:
-            raise ValueError("cut parameter t must satisfy 1 <= t <= n")
-        if self.s < 1:
-            raise ValueError("power s must be >= 1")
-
 
 IdealSpec = Union[Veronese, MaxPower, HatPower, GeneratedHatPower]
+
+FAMILIES: dict[str, type] = {
+    cls.family: cls for cls in (Veronese, MaxPower, HatPower, GeneratedHatPower)
+}
 
 
 @dataclass(frozen=True)
@@ -131,13 +174,6 @@ class DepthReport:
     def __post_init__(self) -> None:
         if self.agree != (self.computed_depth == self.closed_form_depth):
             raise ValueError("agree flag inconsistent with depths")
-
-
-def ambient_variables(spec: IdealSpec) -> int:
-    """Number of variables of the ring the ideal lives in."""
-    if isinstance(spec, HatPower):
-        return spec.n - spec.t + 1
-    return spec.n
 
 
 def veronese_series(n: int, d: int) -> RationalFunctionSeries:
@@ -178,27 +214,14 @@ def max_power_series(n: int, s: int) -> RationalFunctionSeries:
 
 
 def hat_power_series(n: int, t: int, s: int) -> RationalFunctionSeries:
-    """Coarse Hilbert series of HatPower(n, t, s), in n-t+1 variables.
-
-    H = (1-T)^(-(n-t+1)) - sum_{k<s} C(n-t+k,k) T^k.
-    """
-    HatPower(n, t, s)
-    vars_ = n - t + 1
-    low = IntPolynomial(tuple(binomial(n - t + k, k) for k in range(s)))
-    numer = IntPolynomial.one() - low * one_minus_t_power(vars_)
-    return canonicalize(numer, vars_)
+    """Coarse Hilbert series of HatPower(n, t, s): max_power_series(n-t+1, s)."""
+    return HatPower(n, t, s).series()
 
 
 def generated_hat_power_series(n: int, t: int, s: int) -> RationalFunctionSeries:
-    """Coarse Hilbert series of GeneratedHatPower(n, t, s), in n variables.
-
-    H = (1-T)^(-n) - (1-T)^(-t+1) sum_{k<s} C(n-t+k,k) T^k; over the common
-    denominator (1-T)^n the numerator is 1 - (1-T)^(n-t+1) * (that sum).
-    """
-    GeneratedHatPower(n, t, s)
-    low = IntPolynomial(tuple(binomial(n - t + k, k) for k in range(s)))
-    numer = IntPolynomial.one() - low * one_minus_t_power(n - t + 1)
-    return canonicalize(numer, n)
+    """Coarse Hilbert series of GeneratedHatPower(n, t, s), in n variables:
+    (1-T)^-(t-1) * max_power_series(n-t+1, s)."""
+    return GeneratedHatPower(n, t, s).series()
 
 
 def closed_depth_veronese(n: int, d: int) -> int:
@@ -230,40 +253,14 @@ def closed_depth_max_power(n: int, s: int) -> int:
 
 def series_for(spec: IdealSpec) -> RationalFunctionSeries:
     """Coarse Hilbert series of any of the four families."""
-    if isinstance(spec, Veronese):
-        return veronese_series(spec.n, spec.d)
-    if isinstance(spec, MaxPower):
-        return max_power_series(spec.n, spec.s)
-    if isinstance(spec, HatPower):
-        return hat_power_series(spec.n, spec.t, spec.s)
-    if isinstance(spec, GeneratedHatPower):
-        return generated_hat_power_series(spec.n, spec.t, spec.s)
-    raise TypeError(f"not an ideal spec: {spec!r}")
-
-
-def closed_form_depth(spec: IdealSpec) -> int:
-    """Closed-form depth for any family.
-
-    The hat power is a maximal-ideal power in n-t+1 variables; generating it
-    in the full ring multiplies the series by (1-T)^(-(t-1)), which raises
-    the depth by exactly t-1.
-    """
-    if isinstance(spec, Veronese):
-        return closed_depth_veronese(spec.n, spec.d)
-    if isinstance(spec, MaxPower):
-        return closed_depth_max_power(spec.n, spec.s)
-    if isinstance(spec, HatPower):
-        return closed_depth_max_power(spec.n - spec.t + 1, spec.s)
-    if isinstance(spec, GeneratedHatPower):
-        return closed_depth_max_power(spec.n - spec.t + 1, spec.s) + spec.t - 1
-    raise TypeError(f"not an ideal spec: {spec!r}")
+    return spec.series()
 
 
 def depth_report(spec: IdealSpec) -> DepthReport:
     """Compute the series, scan its depth, and compare with the closed form."""
-    h = series_for(spec)
+    h = spec.series()
     computed = hilbert_depth(h)
-    closed = closed_form_depth(spec)
+    closed = spec.closed_depth()
     return DepthReport(
         spec=spec,
         series=h,

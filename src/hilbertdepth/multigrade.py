@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterator
 
-from .ideals import (
-    GeneratedHatPower,
-    HatPower,
-    IdealSpec,
-    MaxPower,
-    Veronese,
-    ambient_variables,
-)
+from .ideals import IdealSpec, Veronese
 
 __all__ = [
     "ExponentVector",
@@ -105,20 +98,13 @@ def membership(spec: IdealSpec, alpha: ExponentVector) -> int:
     alpha must have the ideal's ambient length (n-t+1 for HatPower, n
     otherwise) and non-negative entries.
     """
-    if len(alpha) != ambient_variables(spec):
+    if len(alpha) != spec.ambient:
         raise ValueError(
-            f"exponent vector has length {len(alpha)}, "
-            f"expected {ambient_variables(spec)}"
+            f"exponent vector has length {len(alpha)}, expected {spec.ambient}"
         )
     if any(a < 0 for a in alpha):
         raise ValueError("exponents must be non-negative")
-    if isinstance(spec, Veronese):
-        return 1 if sum(1 for a in alpha if a > 0) >= spec.d else 0
-    if isinstance(spec, (MaxPower, HatPower)):
-        return 1 if sum(alpha) >= spec.s else 0
-    if isinstance(spec, GeneratedHatPower):
-        return 1 if sum(alpha[: spec.n - spec.t + 1]) >= spec.s else 0
-    raise TypeError(f"not an ideal spec: {spec!r}")
+    return 1 if spec.member(alpha) else 0
 
 
 def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
@@ -135,7 +121,7 @@ def hilbert_function_oracle(spec: IdealSpec, k: int) -> int:
     """Count of degree-k monomials in the ideal, by direct enumeration."""
     if k < 0:
         raise ValueError("degree must be non-negative")
-    vars_ = ambient_variables(spec)
+    vars_ = spec.ambient
     if math.comb(k + vars_ - 1, vars_ - 1) > MAX_ENUMERATION:
         raise ValueError("degree too large to enumerate")
     return sum(membership(spec, alpha) for alpha in degree_compositions(k, vars_))
@@ -208,18 +194,17 @@ class _BoxPoly:
         )
 
 
-def _check_fine_guard(num_vars: int, box: int) -> None:
+def check_fine_guard(num_vars: int, box: int) -> None:
+    """Reject fine-series work beyond MAX_FINE_VARS variables or box MAX_FINE_BOX."""
     if num_vars > MAX_FINE_VARS:
         raise ValueError(f"fine series limited to {MAX_FINE_VARS} variables")
     if box > MAX_FINE_BOX or box < 0:
         raise ValueError(f"box bound must lie in 0..{MAX_FINE_BOX}")
 
 
-def _low_degree_part(num_vars: int, box: int, upto: int,
-                     embed_vars: int | None = None) -> _BoxPoly:
-    """Sum of all monomials of total degree < upto in the first embed_vars
-    variables (default: all of them)."""
-    used = num_vars if embed_vars is None else embed_vars
+def _low_degree_part(num_vars: int, box: int, upto: int, used: int) -> _BoxPoly:
+    """Sum of all monomials of total degree < upto in the first `used`
+    variables."""
     acc = _BoxPoly(num_vars, box)
     pad = num_vars - used
     for k in range(upto):
@@ -233,12 +218,12 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
 
     Veronese: product of the truncated geometric series of every variable
     times sum over subsets S of >= d variables of T^S * prod_{j not in S}
-    (1 - T_j).  Power families: the full truncated geometric product minus
-    the monomials of total degree < s (in the first n-t+1 variables for the
-    generated hat power).
+    (1 - T_j).  Power families: the truncated geometric product over the
+    first span = n-t+1 variables minus the monomials of total degree < s in
+    them, times the truncated geometric product over the remaining ones.
     """
-    vars_ = ambient_variables(spec)
-    _check_fine_guard(vars_, box)
+    vars_ = spec.ambient
+    check_fine_guard(vars_, box)
     if isinstance(spec, Veronese):
         n, d = spec.n, spec.d
         acc = _BoxPoly(n, box)
@@ -259,26 +244,18 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
         for i in range(n):
             acc = acc * _BoxPoly.geometric(n, box, i)
         return acc.to_multiseries()
-    if isinstance(spec, (MaxPower, HatPower)):
-        full = _BoxPoly.constant(vars_, box, 1)
-        for i in range(vars_):
-            full = full * _BoxPoly.geometric(vars_, box, i)
-        return (full - _low_degree_part(vars_, box, spec.s)).to_multiseries()
-    if isinstance(spec, GeneratedHatPower):
-        n, t, s = spec.n, spec.t, spec.s
-        hat_vars = n - t + 1
-        hat = _BoxPoly.constant(n, box, 1)
-        for i in range(hat_vars):
-            hat = hat * _BoxPoly.geometric(n, box, i)
-        hat = hat - _low_degree_part(n, box, s, embed_vars=hat_vars)
-        for i in range(hat_vars, n):
-            hat = hat * _BoxPoly.geometric(n, box, i)
-        return hat.to_multiseries()
-    raise TypeError(f"not an ideal spec: {spec!r}")
+    span = spec.span
+    acc = _BoxPoly.constant(vars_, box, 1)
+    for i in range(span):
+        acc = acc * _BoxPoly.geometric(vars_, box, i)
+    acc = acc - _low_degree_part(vars_, box, spec.s, span)
+    for i in range(span, vars_):
+        acc = acc * _BoxPoly.geometric(vars_, box, i)
+    return acc.to_multiseries()
 
 
 def fine_series_oracle(spec: IdealSpec, box: int) -> MultiSeries:
     """Fine series by pointwise membership over the box."""
-    vars_ = ambient_variables(spec)
-    _check_fine_guard(vars_, box)
+    vars_ = spec.ambient
+    check_fine_guard(vars_, box)
     return MultiSeries.from_function(vars_, box, lambda alpha: membership(spec, alpha))

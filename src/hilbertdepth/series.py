@@ -69,10 +69,7 @@ class RationalFunctionSeries:
     def __sub__(self, other: RationalFunctionSeries) -> RationalFunctionSeries:
         if not isinstance(other, RationalFunctionSeries):
             return NotImplemented
-        m = max(self.den_pow, other.den_pow)
-        p = (self.numer * one_minus_t_power(m - self.den_pow)
-             - other.numer * one_minus_t_power(m - other.den_pow))
-        return canonicalize(p, m)
+        return self + RationalFunctionSeries(-other.numer, other.den_pow)
 
     def __str__(self) -> str:
         if self.den_pow == 0:
@@ -84,9 +81,10 @@ class RationalFunctionSeries:
 class EventualPolynomial:
     """Polynomial q with q(k) = coefficient(H, k) for every k >= threshold.
 
-    coeffs are rational, lowest power of k first; threshold is the degree
-    of H's numerator.  For H = P/(1-T)^m the degree of q is m - 1 and its
-    leading coefficient is P(1) / (m-1)!.
+    coeffs are rational, lowest power of k first.  For H = P/(1-T)^m with
+    m >= 1, threshold is deg P, the degree of q is m - 1 and its leading
+    coefficient is P(1) / (m-1)!.  For a polynomial H (m = 0), q is the zero
+    polynomial (coeffs empty, degree -1) and threshold is deg P + 1.
     """
 
     threshold: int
@@ -98,7 +96,7 @@ class EventualPolynomial:
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __call__(self, k: int) -> Fraction:
         acc = Fraction(0)
@@ -154,15 +152,16 @@ def coefficient(h: RationalFunctionSeries, k: int) -> int:
 
 def eventual_polynomial(h: RationalFunctionSeries) -> EventualPolynomial:
     """Closed form of coefficient(H, k) as a polynomial in k, valid for
-    k >= deg(numer).
+    k >= threshold.
 
     Expands sum_j P_j * C(k-j+m-1, m-1) symbolically: each binomial is the
-    product (k-j+1)...(k-j+m-1) / (m-1)!.  Rejects den_pow = 0, where the
-    expansion is finitely supported and no eventual polynomial is needed.
+    product (k-j+1)...(k-j+m-1) / (m-1)!.  For den_pow = 0 the expansion is
+    finitely supported, so the form is the zero polynomial from deg P + 1
+    on: the Hilbert polynomial of a module of finite length.
     """
     m = h.den_pow
     if m == 0:
-        raise ValueError("series is a polynomial; no eventual form")
+        return EventualPolynomial(threshold=len(h.numer.coefficients), coeffs=())
     acc = IntPolynomial()
     for j, pj in enumerate(h.numer.coefficients):
         if pj == 0:
@@ -173,8 +172,6 @@ def eventual_polynomial(h: RationalFunctionSeries) -> EventualPolynomial:
         acc = acc + pj * prod
     denom = factorial(m - 1)
     coeffs = tuple(Fraction(c, denom) for c in acc.coefficients)
-    if not coeffs:
-        coeffs = (Fraction(0),)
     return EventualPolynomial(threshold=int(h.numer.degree), coeffs=coeffs)
 
 

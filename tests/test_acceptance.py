@@ -162,8 +162,7 @@ def test_criterion_6_coarse_oracle_equivalence():
 
 def test_criterion_7_fine_oracle_equivalence():
     failures = []
-    specs = [s for s in _oracle_specs()
-             if (s.n - s.t + 1 if isinstance(s, HatPower) else s.n) <= FINE_VARS]
+    specs = [s for s in _oracle_specs() if s.ambient <= FINE_VARS]
     for spec in specs:
         for box in range(1, FINE_BOX + 1):
             formula = fine_series_formula(spec, box)

@@ -9,10 +9,8 @@ from hilbertdepth.ideals import (
     HatPower,
     MaxPower,
     Veronese,
-    ambient_variables,
     closed_depth_max_power,
     closed_depth_veronese,
-    closed_form_depth,
     depth_report,
     generated_hat_power_series,
     hat_power_series,
@@ -50,10 +48,10 @@ class TestSpecValidation:
             GeneratedHatPower(3, 0, 1)
 
     def test_ambient_variables(self):
-        assert ambient_variables(Veronese(5, 2)) == 5
-        assert ambient_variables(MaxPower(5, 2)) == 5
-        assert ambient_variables(HatPower(5, 3, 2)) == 3
-        assert ambient_variables(GeneratedHatPower(5, 3, 2)) == 5
+        assert Veronese(5, 2).ambient == 5
+        assert MaxPower(5, 2).ambient == 5
+        assert HatPower(5, 3, 2).ambient == 3
+        assert GeneratedHatPower(5, 3, 2).ambient == 5
 
 
 class TestVeroneseSeries:
@@ -205,7 +203,7 @@ class TestDepthReport:
             rep = depth_report(spec)
             assert rep.agree
             assert equals(rep.series, series_for(spec))
-            assert rep.closed_form_depth == closed_form_depth(spec)
+            assert rep.closed_form_depth == spec.closed_depth()
 
     def test_generated_depth_shifts_hat_depth(self):
         for n in range(1, 10):
@@ -214,7 +212,7 @@ class TestDepthReport:
                     hat = hilbert_depth(hat_power_series(n, t, s))
                     gen = hilbert_depth(generated_hat_power_series(n, t, s))
                     assert gen == hat + t - 1
-                    assert closed_form_depth(GeneratedHatPower(n, t, s)) == gen
+                    assert GeneratedHatPower(n, t, s).closed_depth() == gen
 
     def test_inconsistent_report_rejected(self):
         h = canonicalize(IntPolynomial((1,)), 2)

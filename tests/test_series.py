@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hilbertdepth.exactalg import IntPolynomial, binomial, one_minus_t_power
@@ -139,6 +139,7 @@ class TestCoefficient:
         total = h1 + h2
         for k in range(25):
             assert coefficient(total, k) == coefficient(h1, k) + coefficient(h2, k)
+            assert coefficient(h1 - h2, k) == coefficient(h1, k) - coefficient(h2, k)
 
 
 class TestEventualPolynomial:
@@ -161,11 +162,13 @@ class TestEventualPolynomial:
         assert q.threshold == 2
         assert q.coeffs == (Fraction(-1), Fraction(1))
 
-    def test_rejects_polynomial_series(self):
-        with pytest.raises(ValueError):
-            eventual_polynomial(rfs((1, 2), 0))
+    def test_polynomial_series_has_zero_eventual_form(self):
+        q = eventual_polynomial(rfs((1, 2), 0))
+        assert q.threshold == 2 and q.coeffs == () and q.degree == -1
+        assert q(2) == q(7) == q.leading_coefficient == 0
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8), st.integers(1, 6))
+    @example(coeffs=[1, -1], den_pow=1)  # (1-T)/(1-T) canonicalizes to den_pow 0
     def test_agrees_with_coefficient_beyond_threshold(self, coeffs, den_pow):
         h = rfs(coeffs, den_pow)
         if h.numer.is_zero():
