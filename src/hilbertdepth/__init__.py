@@ -42,7 +42,6 @@ from .series import (
     RationalFunctionSeries,
     canonicalize,
     coefficient,
-    equals,
     eventual_polynomial,
     hilbert_depth,
     is_nonnegative,

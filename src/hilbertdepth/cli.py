@@ -15,13 +15,11 @@ import json
 import sys
 from dataclasses import asdict, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Optional
 
 from .ideals import (
     FAMILIES,
-    GeneratedHatPower,
-    HatPower,
     IdealSpec,
     MaxPower,
     Veronese,
@@ -242,6 +240,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     identity = args.identity
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
+    if args.k_max is not None and args.k_max < 0:
+        raise ValueError("--k-max must be non-negative")
     scope, cases, failure = _VERIFIERS[identity](args.n_max, args.k_max)
     passed = failure is None
     tag = identity.replace("-", "_").replace(".", "_")
@@ -312,20 +312,17 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _oracle_specs(n_max: int, s_max: int) -> dict[str, list[IdealSpec]]:
-    return {
-        "veronese": [Veronese(n, d)
-                     for n in range(1, n_max + 1) for d in range(1, n + 1)],
-        "max-power": [MaxPower(n, s)
-                      for n in range(1, n_max + 1) for s in range(1, s_max + 1)],
-        "hat-power": [HatPower(n, t, s)
-                      for n in range(1, n_max + 1)
-                      for t in range(1, n + 1)
-                      for s in range(1, s_max + 1)],
-        "generated-hat-power": [GeneratedHatPower(n, t, s)
-                                for n in range(1, n_max + 1)
-                                for t in range(1, n + 1)
-                                for s in range(1, s_max + 1)],
-    }
+    """Every spec of every family with n <= n_max: each parameter after n
+    runs over 1..n, except the power s, which runs over 1..s_max."""
+    specs = {}
+    for family, cls in FAMILIES.items():
+        specs[family] = [
+            cls(n, *values)
+            for n in range(1, n_max + 1)
+            for values in product(*(range(1, (s_max if f.name == "s" else n) + 1)
+                                    for f in fields(cls)[1:]))
+        ]
+    return specs
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -1,11 +1,15 @@
 """Mechanical verifiers for the library's identity catalog.
 
 Each verifier recomputes both sides of an identity through independent
-pipelines and returns a structured pass/fail result carrying the first
-counterexample in lexicographic sweep order.  The `perturb` / `perturb_at`
-keywords are a self-test seam: they add an offset to the right-hand side of
-the matching check point, which must turn the result into a failure (the
-identities themselves are exact).
+pipelines, as a lazy sequence of check points (label, lhs, rhs) whose sides
+are integers or canonical series.  One driver compares the sides point by
+point in lexicographic sweep order and returns a structured pass/fail
+result carrying the first counterexample; work behind later points is
+never done.  A series mismatch is reported at the label extended by the
+first coefficient index where the expansions differ.  The `perturb` /
+`perturb_at` keywords are a self-test seam: the driver adds the offset to
+the right-hand side of the matching check point, which must turn the
+result into a failure (the identities themselves are exact).
 
 Catalog tags and statements:
 
@@ -30,10 +34,11 @@ Catalog tags and statements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .exactalg import IntPolynomial, binomial, one_minus_t_power
 from .ideals import (
+    closed_depth_max_power,
     closed_depth_veronese,
     generated_hat_power_series,
     hat_power_series,
@@ -45,7 +50,6 @@ from .series import (
     RationalFunctionSeries,
     canonicalize,
     coefficient,
-    equals,
     hilbert_depth,
     mul_power_one_minus_t,
 )
@@ -60,6 +64,10 @@ __all__ = [
     "verify_theorem_1_4",
     "verify_theorem_1_3",
 ]
+
+# (label, lhs, rhs): one comparison, its sides integers or canonical series
+CheckPoint = tuple[tuple, Union[int, RationalFunctionSeries],
+                   Union[int, RationalFunctionSeries]]
 
 
 @dataclass(frozen=True)
@@ -83,17 +91,6 @@ class VerificationResult:
             raise ValueError("passed flag inconsistent with counterexample")
 
 
-def _result(identity_id: str, params: str,
-            ce: Optional[Counterexample] = None) -> VerificationResult:
-    return VerificationResult(identity_id, params, ce is None, ce)
-
-
-def _applies(perturb: int, perturb_at: Optional[tuple], point: tuple) -> int:
-    if perturb and (perturb_at is None or perturb_at == point):
-        return perturb
-    return 0
-
-
 def _first_series_difference(
     lhs: RationalFunctionSeries, rhs: RationalFunctionSeries
 ) -> tuple[int, int, int]:
@@ -108,19 +105,40 @@ def _first_series_difference(
     raise AssertionError("canonical forms differ but expansions agree")
 
 
-def _first_poly_difference(lhs: IntPolynomial, rhs: IntPolynomial) -> tuple[int, int, int]:
-    top = max(len(lhs.coefficients), len(rhs.coefficients))
-    for j in range(top):
-        a, b = lhs.coefficient(j), rhs.coefficient(j)
-        if a != b:
-            return j, a, b
-    raise AssertionError("polynomials differ but coefficients agree")
+def _check(identity_id: str, params: str, points: Iterable[CheckPoint],
+           perturb: int, perturb_at: Optional[tuple]) -> VerificationResult:
+    """Compare both sides of each check point in order, stopping at the
+    first that differ.
+
+    `perturb` is added to the right-hand side of every point equal to
+    `perturb_at` (of every point when it is None).  A series mismatch is
+    reported at point + (k,), k the first coefficient where the expansions
+    differ, with those two coefficients as the values.
+    """
+    for point, lhs, rhs in points:
+        if perturb and (perturb_at is None or perturb_at == point):
+            if isinstance(rhs, RationalFunctionSeries):
+                rhs = rhs + canonicalize(IntPolynomial((perturb,)), 0)
+            else:
+                rhs = rhs + perturb
+        if lhs != rhs:
+            if isinstance(lhs, RationalFunctionSeries):
+                k, lhs, rhs = _first_series_difference(lhs, rhs)
+                point = point + (k,)
+            return VerificationResult(identity_id, params, False,
+                                      Counterexample(point, lhs, rhs))
+    return VerificationResult(identity_id, params, True, None)
 
 
-def _perturbed_series(h: RationalFunctionSeries, offset: int) -> RationalFunctionSeries:
-    if offset == 0:
-        return h
-    return h + canonicalize(IntPolynomial((offset,)), 0)
+def _convolution_points(n: int, d: int, k_max: int,
+                        label: tuple) -> Iterator[CheckPoint]:
+    """C(n+k, k+d) against sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k) at
+    points label + (k,) for k = 0..k_max."""
+    for k in range(k_max + 1):
+        yield label + (k,), binomial(n + k, k + d), sum(
+            binomial(i, d - 1) * binomial(n - i + k - 1, k)
+            for i in range(d - 1, n)
+        )
 
 
 def verify_lemma_2_2(n: int, d: int, *, perturb: int = 0,
@@ -129,17 +147,14 @@ def verify_lemma_2_2(n: int, d: int, *, perturb: int = 0,
 
     Check points are (i,).
     """
-    params = f"n={n} d={d} i in 0..{n - d}"
-    for i in range(n - d + 1):
-        lhs = binomial(i + d - 1, i)
-        rhs = sum(
-            binomial(n, i - l) * (-1) ** l * binomial(n - d - i + l, l)
-            for l in range(i + 1)
-        )
-        rhs += _applies(perturb, perturb_at, (i,))
-        if lhs != rhs:
-            return _result("lemma_2_2", params, Counterexample((i,), lhs, rhs))
-    return _result("lemma_2_2", params)
+    points = (
+        ((i,), binomial(i + d - 1, i),
+         sum(binomial(n, i - l) * (-1) ** l * binomial(n - d - i + l, l)
+             for l in range(i + 1)))
+        for i in range(n - d + 1)
+    )
+    return _check("lemma_2_2", f"n={n} d={d} i in 0..{n - d}", points,
+                  perturb, perturb_at)
 
 
 def verify_prop_2_3(n: int, d: int, *, perturb: int = 0,
@@ -149,28 +164,19 @@ def verify_prop_2_3(n: int, d: int, *, perturb: int = 0,
 
     Check points are ("series",) and ("numerator",).
     """
-    params = f"n={n} d={d}"
-    lhs_series = veronese_series(n, d)
-    rhs_series = _perturbed_series(
-        veronese_series_alt(n, d), _applies(perturb, perturb_at, ("series",))
-    )
-    if not equals(lhs_series, rhs_series):
-        k, a, b = _first_series_difference(lhs_series, rhs_series)
-        return _result("prop_2_3", params, Counterexample(("series", k), a, b))
+    def points() -> Iterator[CheckPoint]:
+        yield ("series",), veronese_series(n, d), veronese_series_alt(n, d)
+        lhs = IntPolynomial()
+        for k in range(n - d + 1):
+            lhs = lhs + binomial(n, k + d) * (
+                IntPolynomial.monomial(1, k) * one_minus_t_power(n - k - d)
+            )
+        rhs = IntPolynomial()
+        for i in range(n - d + 1):
+            rhs = rhs + binomial(i + d - 1, d - 1) * one_minus_t_power(i)
+        yield ("numerator",), canonicalize(lhs, 0), canonicalize(rhs, 0)
 
-    lhs_poly = IntPolynomial()
-    for k in range(n - d + 1):
-        lhs_poly = lhs_poly + binomial(n, k + d) * (
-            IntPolynomial.monomial(1, k) * one_minus_t_power(n - k - d)
-        )
-    rhs_poly = IntPolynomial()
-    for i in range(n - d + 1):
-        rhs_poly = rhs_poly + binomial(i + d - 1, d - 1) * one_minus_t_power(i)
-    rhs_poly = rhs_poly + IntPolynomial((_applies(perturb, perturb_at, ("numerator",)),))
-    if lhs_poly != rhs_poly:
-        j, a, b = _first_poly_difference(lhs_poly, rhs_poly)
-        return _result("prop_2_3", params, Counterexample(("numerator", j), a, b))
-    return _result("prop_2_3", params)
+    return _check("prop_2_3", f"n={n} d={d}", points(), perturb, perturb_at)
 
 
 def verify_lemma_4_1(n: int, d: int, k_max: int, *, perturb: int = 0,
@@ -179,17 +185,8 @@ def verify_lemma_4_1(n: int, d: int, k_max: int, *, perturb: int = 0,
 
     Check points are (k,).
     """
-    params = f"n={n} d={d} k in 0..{k_max}"
-    for k in range(k_max + 1):
-        lhs = binomial(n + k, k + d)
-        rhs = sum(
-            binomial(i, d - 1) * binomial(n - i + k - 1, k)
-            for i in range(d - 1, n)
-        )
-        rhs += _applies(perturb, perturb_at, (k,))
-        if lhs != rhs:
-            return _result("lemma_4_1", params, Counterexample((k,), lhs, rhs))
-    return _result("lemma_4_1", params)
+    return _check("lemma_4_1", f"n={n} d={d} k in 0..{k_max}",
+                  _convolution_points(n, d, k_max, ()), perturb, perturb_at)
 
 
 def verify_eq_chain(n: int, d: int, k_max: int, *, perturb: int = 0,
@@ -212,42 +209,20 @@ def verify_eq_chain(n: int, d: int, k_max: int, *, perturb: int = 0,
     finite check window is the executable witness, with the closed-form
     convolution identity covering all k.
     """
-    params = f"n={n} d={d} k in 0..{k_max}"
+    def points() -> Iterator[CheckPoint]:
+        yield ("rational",), veronese_series(n, d), generated_hat_power_series(n, d, d)
+        for k in range(k_max + 1):
+            if k < d:
+                yield ("shifted", k), 0, 0
+            else:
+                yield ("shifted", k), sum(
+                    binomial(i, d - 1) * binomial(n - i + k - d - 1, k - d)
+                    for i in range(d - 1, n)
+                ), binomial(n - d + k, k)
+        yield from _convolution_points(n, d, k_max, ("unshifted",))
 
-    lhs_rat = veronese_series(n, d)
-    rhs_rat = _perturbed_series(
-        generated_hat_power_series(n, d, d),
-        _applies(perturb, perturb_at, ("rational",)),
-    )
-    if not equals(lhs_rat, rhs_rat):
-        k, a, b = _first_series_difference(lhs_rat, rhs_rat)
-        return _result("eq_chain", params, Counterexample(("rational", k), a, b))
-
-    for k in range(k_max + 1):
-        if k < d:
-            lhs = 0
-            rhs = 0
-        else:
-            lhs = sum(
-                binomial(i, d - 1) * binomial(n - i + k - d - 1, k - d)
-                for i in range(d - 1, n)
-            )
-            rhs = binomial(n - d + k, k)
-        rhs += _applies(perturb, perturb_at, ("shifted", k))
-        if lhs != rhs:
-            return _result("eq_chain", params, Counterexample(("shifted", k), lhs, rhs))
-
-    for k in range(k_max + 1):
-        lhs = sum(
-            binomial(i, d - 1) * binomial(n - i + k - 1, k)
-            for i in range(d - 1, n)
-        )
-        rhs = binomial(n + k, k + d)
-        rhs += _applies(perturb, perturb_at, ("unshifted", k))
-        if lhs != rhs:
-            return _result("eq_chain", params, Counterexample(("unshifted", k), lhs, rhs))
-
-    return _result("eq_chain", params)
+    return _check("eq_chain", f"n={n} d={d} k in 0..{k_max}", points(),
+                  perturb, perturb_at)
 
 
 def verify_theorem_1_4(n: int, d: int, *, perturb: int = 0,
@@ -258,24 +233,13 @@ def verify_theorem_1_4(n: int, d: int, *, perturb: int = 0,
     veronese(n, d) = (1-T)^(-(d-1)) * hat(n, d, d), and ("depth",) for
     depth(veronese) = depth(hat) + d - 1.
     """
-    params = f"n={n} d={d}"
-    lhs_series = veronese_series(n, d)
-    hat = hat_power_series(n, d, d)
-    rhs_series = _perturbed_series(
-        mul_power_one_minus_t(hat, -(d - 1)),
-        _applies(perturb, perturb_at, ("series",)),
-    )
-    if not equals(lhs_series, rhs_series):
-        k, a, b = _first_series_difference(lhs_series, rhs_series)
-        return _result("theorem_1_4", params, Counterexample(("series", k), a, b))
+    def points() -> Iterator[CheckPoint]:
+        veronese = veronese_series(n, d)
+        hat = hat_power_series(n, d, d)
+        yield ("series",), veronese, mul_power_one_minus_t(hat, -(d - 1))
+        yield ("depth",), hilbert_depth(veronese), hilbert_depth(hat) + d - 1
 
-    lhs_depth = hilbert_depth(lhs_series)
-    rhs_depth = hilbert_depth(hat) + d - 1
-    rhs_depth += _applies(perturb, perturb_at, ("depth",))
-    if lhs_depth != rhs_depth:
-        return _result("theorem_1_4", params,
-                       Counterexample(("depth",), lhs_depth, rhs_depth))
-    return _result("theorem_1_4", params)
+    return _check("theorem_1_4", f"n={n} d={d}", points(), perturb, perturb_at)
 
 
 def verify_theorem_1_3(n_max: int, *, perturb: int = 0,
@@ -292,27 +256,18 @@ def verify_theorem_1_3(n_max: int, *, perturb: int = 0,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    params = f"1 <= s,d <= n <= {n_max}"
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            lhs = hilbert_depth(max_power_series(n, s))
-            rhs = -(-n // (s + 1)) + _applies(perturb, perturb_at, ("max_power", n, s))
-            if lhs != rhs:
-                return _result("theorem_1_3", params,
-                               Counterexample(("max_power", n, s), lhs, rhs))
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            lhs = hilbert_depth(veronese_series(n, d))
-            rhs = closed_depth_veronese(n, d) + _applies(perturb, perturb_at, ("veronese", n, d))
-            if lhs != rhs:
-                return _result("theorem_1_3", params,
-                               Counterexample(("veronese", n, d), lhs, rhs))
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            lhs = closed_depth_veronese(n + s - 1, s)
-            rhs = s - 1 + -(-n // (s + 1))
-            rhs += _applies(perturb, perturb_at, ("substitution", n, s))
-            if lhs != rhs:
-                return _result("theorem_1_3", params,
-                               Counterexample(("substitution", n, s), lhs, rhs))
-    return _result("theorem_1_3", params)
+    pairs = [(n, s) for n in range(1, n_max + 1) for s in range(1, n + 1)]
+
+    def points() -> Iterator[CheckPoint]:
+        for n, s in pairs:
+            yield (("max_power", n, s), hilbert_depth(max_power_series(n, s)),
+                   closed_depth_max_power(n, s))
+        for n, d in pairs:
+            yield (("veronese", n, d), hilbert_depth(veronese_series(n, d)),
+                   closed_depth_veronese(n, d))
+        for n, s in pairs:
+            yield (("substitution", n, s), closed_depth_veronese(n + s - 1, s),
+                   s - 1 + closed_depth_max_power(n, s))
+
+    return _check("theorem_1_3", f"1 <= s,d <= n <= {n_max}", points(),
+                  perturb, perturb_at)

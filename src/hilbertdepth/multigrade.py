@@ -127,73 +127,6 @@ def hilbert_function_oracle(spec: IdealSpec, k: int) -> int:
     return sum(membership(spec, alpha) for alpha in degree_compositions(k, vars_))
 
 
-class _BoxPoly:
-    """Multivariate polynomial truncated to the exponent box; internal."""
-
-    __slots__ = ("num_vars", "box", "terms")
-
-    def __init__(self, num_vars: int, box: int, terms: dict[ExponentVector, int] | None = None):
-        self.num_vars = num_vars
-        self.box = box
-        self.terms = terms or {}
-
-    @classmethod
-    def constant(cls, num_vars: int, box: int, value: int) -> _BoxPoly:
-        if value == 0:
-            return cls(num_vars, box)
-        return cls(num_vars, box, {(0,) * num_vars: value})
-
-    @classmethod
-    def monomial(cls, num_vars: int, box: int, alpha: ExponentVector, value: int = 1) -> _BoxPoly:
-        if any(a > box for a in alpha):
-            return cls(num_vars, box)
-        return cls(num_vars, box, {tuple(alpha): value})
-
-    @classmethod
-    def geometric(cls, num_vars: int, box: int, var: int) -> _BoxPoly:
-        """Truncation of 1 / (1 - T_var): sum of T_var^e for e = 0..box."""
-        terms = {}
-        for e in range(box + 1):
-            alpha = [0] * num_vars
-            alpha[var] = e
-            terms[tuple(alpha)] = 1
-        return cls(num_vars, box, terms)
-
-    def __add__(self, other: _BoxPoly) -> _BoxPoly:
-        out = dict(self.terms)
-        for alpha, c in other.terms.items():
-            v = out.get(alpha, 0) + c
-            if v:
-                out[alpha] = v
-            else:
-                out.pop(alpha, None)
-        return _BoxPoly(self.num_vars, self.box, out)
-
-    def __sub__(self, other: _BoxPoly) -> _BoxPoly:
-        return self + _BoxPoly(other.num_vars, other.box,
-                               {a: -c for a, c in other.terms.items()})
-
-    def __mul__(self, other: _BoxPoly) -> _BoxPoly:
-        out: dict[ExponentVector, int] = {}
-        box = self.box
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                merged = tuple(x + y for x, y in zip(a1, a2))
-                if any(x > box for x in merged):
-                    continue
-                v = out.get(merged, 0) + c1 * c2
-                if v:
-                    out[merged] = v
-                else:
-                    out.pop(merged, None)
-        return _BoxPoly(self.num_vars, self.box, out)
-
-    def to_multiseries(self) -> MultiSeries:
-        return MultiSeries.from_function(
-            self.num_vars, self.box, lambda alpha: self.terms.get(alpha, 0)
-        )
-
-
 def check_fine_guard(num_vars: int, box: int) -> None:
     """Reject fine-series work beyond MAX_FINE_VARS variables or box MAX_FINE_BOX."""
     if num_vars > MAX_FINE_VARS:
@@ -202,15 +135,20 @@ def check_fine_guard(num_vars: int, box: int) -> None:
         raise ValueError(f"box bound must lie in 0..{MAX_FINE_BOX}")
 
 
-def _low_degree_part(num_vars: int, box: int, upto: int, used: int) -> _BoxPoly:
-    """Sum of all monomials of total degree < upto in the first `used`
-    variables."""
-    acc = _BoxPoly(num_vars, box)
-    pad = num_vars - used
-    for k in range(upto):
-        for alpha in degree_compositions(k, used):
-            acc = acc + _BoxPoly.monomial(num_vars, box, alpha + (0,) * pad)
-    return acc
+def _prefix_sum(coeffs: list[int], side: int, stride: int) -> None:
+    """Multiply a flat box array in place by the truncated 1 / (1 - T_i),
+    where axis i has the given stride: prefix sums along that axis."""
+    for idx in range(len(coeffs)):
+        if idx // stride % side:
+            coeffs[idx] += coeffs[idx - stride]
+
+
+def _difference(coeffs: list[int], side: int, stride: int) -> None:
+    """Multiply a flat box array in place by (1 - T_j), where axis j has the
+    given stride: backward differences along that axis."""
+    for idx in reversed(range(len(coeffs))):
+        if idx // stride % side:
+            coeffs[idx] -= coeffs[idx - stride]
 
 
 def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
@@ -221,37 +159,41 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     (1 - T_j).  Power families: the truncated geometric product over the
     first span = n-t+1 variables minus the monomials of total degree < s in
     them, times the truncated geometric product over the remaining ones.
+
+    The expansion runs on the dense coefficient array: each geometric factor
+    is a prefix sum along its axis and each (1 - T_j) a backward difference.
+    Membership is never consulted, so fine_series_oracle stays an
+    independent check.
     """
     vars_ = spec.ambient
     check_fine_guard(vars_, box)
+    side = box + 1
+    strides = [side ** (vars_ - 1 - i) for i in range(vars_)]
+    coeffs = [0] * side ** vars_
     if isinstance(spec, Veronese):
-        n, d = spec.n, spec.d
-        acc = _BoxPoly(n, box)
-        for size in range(d, n + 1):
-            for subset in combinations(range(n), size):
-                term = _BoxPoly.constant(n, box, 1)
-                for i in subset:
-                    alpha = [0] * n
-                    alpha[i] = 1
-                    term = term * _BoxPoly.monomial(n, box, tuple(alpha))
-                for j in range(n):
+        # every T^S has S nonempty, so box 0 truncates the whole sum away
+        for size in range(spec.d, vars_ + 1) if box else ():
+            for subset in combinations(range(vars_), size):
+                term = [0] * len(coeffs)
+                term[sum(strides[i] for i in subset)] = 1
+                for j in range(vars_):
                     if j not in subset:
-                        alpha = [0] * n
-                        alpha[j] = 1
-                        term = term * (_BoxPoly.constant(n, box, 1)
-                                       - _BoxPoly.monomial(n, box, tuple(alpha)))
-                acc = acc + term
-        for i in range(n):
-            acc = acc * _BoxPoly.geometric(n, box, i)
-        return acc.to_multiseries()
+                        _difference(term, side, strides[j])
+                coeffs = [a + b for a, b in zip(coeffs, term)]
+        for stride in strides:
+            _prefix_sum(coeffs, side, stride)
+        return MultiSeries(vars_, box, tuple(coeffs))
     span = spec.span
-    acc = _BoxPoly.constant(vars_, box, 1)
-    for i in range(span):
-        acc = acc * _BoxPoly.geometric(vars_, box, i)
-    acc = acc - _low_degree_part(vars_, box, spec.s, span)
-    for i in range(span, vars_):
-        acc = acc * _BoxPoly.geometric(vars_, box, i)
-    return acc.to_multiseries()
+    coeffs[0] = 1
+    for stride in strides[:span]:
+        _prefix_sum(coeffs, side, stride)
+    for k in range(spec.s):
+        for alpha in degree_compositions(k, span):
+            if max(alpha) <= box:
+                coeffs[sum(a * stride for a, stride in zip(alpha, strides))] -= 1
+    for stride in strides[span:]:
+        _prefix_sum(coeffs, side, stride)
+    return MultiSeries(vars_, box, tuple(coeffs))
 
 
 def fine_series_oracle(spec: IdealSpec, box: int) -> MultiSeries:

@@ -32,7 +32,6 @@ __all__ = [
     "eventual_polynomial",
     "is_nonnegative",
     "hilbert_depth",
-    "equals",
 ]
 
 
@@ -237,7 +236,3 @@ def hilbert_depth(h: RationalFunctionSeries) -> int:
         r += 1
     return r
 
-
-def equals(h1: RationalFunctionSeries, h2: RationalFunctionSeries) -> bool:
-    """Exact equality of two canonical series (structural comparison)."""
-    return h1.numer == h2.numer and h1.den_pow == h2.den_pow

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -144,6 +145,13 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "lemma-9.9"], capsys)
         assert code == 2
 
+    def test_negative_k_max_rejected(self, capsys):
+        code, out, err = run_cli(["verify", "lemma-4.1", "--n-max", "3",
+                                  "--k-max", "-5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --k-max must be non-negative\n"
+
 
 class TestTableCommand:
     def test_csv_schema(self, capsys):
@@ -216,9 +224,11 @@ class TestContract:
         assert quiet in loud
 
     def test_module_entry_point(self):
+        # the child imports the package under test, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "hilbertdepth", "depth", "--ideal", "veronese",
              "--n", "3", "--d", "2", "--format", "json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["depth"] == 2

@@ -22,7 +22,6 @@ from hilbertdepth.ideals import (
 from hilbertdepth.series import (
     canonicalize,
     coefficient,
-    equals,
     hilbert_depth,
     is_nonnegative,
     mul_power_one_minus_t,
@@ -81,7 +80,7 @@ class TestVeroneseSeries:
     def test_alt_presentation_agrees(self):
         for n in range(1, 13):
             for d in range(1, n + 1):
-                assert equals(veronese_series(n, d), veronese_series_alt(n, d))
+                assert veronese_series(n, d) == veronese_series_alt(n, d)
 
     def test_alt_principal_single_term(self):
         h = veronese_series_alt(4, 4)
@@ -95,7 +94,7 @@ class TestMaxPowerSeries:
         assert coefficient(h, 2) == 6  # C(4, 2)
 
     def test_power_one_is_whole_ideal(self):
-        assert equals(max_power_series(2, 1), veronese_series(2, 1))
+        assert max_power_series(2, 1) == veronese_series(2, 1)
 
     def test_coefficients_are_truncated_free_module(self):
         for n in range(1, 6):
@@ -118,7 +117,7 @@ class TestHatPowerSeries:
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
             for s in range(1, 4):
-                assert equals(hat_power_series(n, 1, s), max_power_series(n, s))
+                assert hat_power_series(n, 1, s) == max_power_series(n, s)
 
     def test_single_variable(self):
         for n in range(1, 6):
@@ -130,34 +129,31 @@ class TestHatPowerSeries:
         for n in range(1, 31):
             for t in range(1, n + 1):
                 for s in (1, 2, 3):
-                    assert equals(hat_power_series(n, t, s),
-                                  max_power_series(n - t + 1, s))
+                    assert hat_power_series(n, t, s) == max_power_series(n - t + 1, s)
 
 
 class TestGeneratedHatPowerSeries:
     def test_hand_expansion(self):
         h = generated_hat_power_series(3, 2, 2)
         assert h.numer == IntPolynomial((0, 0, 3, -2)) and h.den_pow == 3
-        assert equals(h, veronese_series(3, 2))
+        assert h == veronese_series(3, 2)
 
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
             for s in range(1, 4):
-                assert equals(generated_hat_power_series(n, 1, s),
-                              max_power_series(n, s))
+                assert generated_hat_power_series(n, 1, s) == max_power_series(n, s)
 
     def test_matches_transformed_hat_series(self):
         for n in range(1, 12):
             for t in range(1, n + 1):
                 for s in (1, 2, 3):
                     want = mul_power_one_minus_t(hat_power_series(n, t, s), -(t - 1))
-                    assert equals(generated_hat_power_series(n, t, s), want)
+                    assert generated_hat_power_series(n, t, s) == want
 
     def test_veronese_link_over_sweep(self):
         for n in range(1, 16):
             for d in range(1, n + 1):
-                assert equals(generated_hat_power_series(n, d, d),
-                              veronese_series(n, d))
+                assert generated_hat_power_series(n, d, d) == veronese_series(n, d)
 
 
 class TestClosedDepthFormulas:
@@ -202,7 +198,7 @@ class TestDepthReport:
                      GeneratedHatPower(5, 2, 2)):
             rep = depth_report(spec)
             assert rep.agree
-            assert equals(rep.series, series_for(spec))
+            assert rep.series == series_for(spec)
             assert rep.closed_form_depth == spec.closed_depth()
 
     def test_generated_depth_shifts_hat_depth(self):

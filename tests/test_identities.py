@@ -56,7 +56,7 @@ class TestProp23:
     def test_perturbed_numerator_check(self):
         res = verify_prop_2_3(3, 2, perturb=-2, perturb_at=("numerator",))
         assert not res.passed
-        assert res.counterexample.params[0] == "numerator"
+        assert res.counterexample == Counterexample(("numerator", 0), 3, 1)
 
 
 class TestLemma41:

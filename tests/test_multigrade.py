@@ -129,7 +129,7 @@ class TestFineSeries:
 
     def test_formula_matches_oracle_everywhere(self):
         for spec in all_specs(3, 3):
-            for box in (1, 2, 3):
+            for box in (0, 1, 2, 3):
                 assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
 
     def test_generated_hat_is_hat_times_geometric_tail(self):
