@@ -13,10 +13,7 @@ from .ideals import (
     closed_depth_max_power,
     closed_depth_veronese,
     depth_report,
-    generated_hat_power_series,
-    hat_power_series,
     max_power_series,
-    series_for,
     veronese_series,
     veronese_series_alt,
 )

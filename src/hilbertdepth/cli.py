@@ -16,16 +16,9 @@ import sys
 from dataclasses import asdict, fields
 from functools import partial
 from itertools import chain, product
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from .ideals import (
-    FAMILIES,
-    IdealSpec,
-    MaxPower,
-    Veronese,
-    depth_report,
-    series_for,
-)
+from .ideals import FAMILIES, IdealSpec, depth_report
 from .identities import (
     VerificationResult,
     verify_eq_chain,
@@ -47,8 +40,6 @@ __all__ = ["main", "build_parser"]
 
 _JSON_INT_LIMIT = 2 ** 53
 
-_FAMILIES = tuple(FAMILIES)
-
 _TABLE_HEADER = ("family", "n", "param", "numer_degree", "den_pow",
                  "depth", "closed_form", "agree")
 
@@ -65,19 +56,38 @@ def _json_safe(value):
     return value
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(_json_safe(doc), indent=2))
+def _cell(value: object) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _emit_csv(header: tuple[str, ...], rows: list[tuple]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(args: argparse.Namespace, params: dict, body: dict,
+          rows: Iterable[tuple], lines: Iterable[str],
+          title: Optional[str] = None) -> None:
+    """Write one command's result in the format args asks for.
+
+    json: {"command", "params", **body}; csv: `rows`, header first; plain:
+    `lines` under a "# command title" banner (dropped by --quiet), the
+    title defaulting to the params as key=value words.  Only the chosen
+    representation is consumed, so `rows` and `lines` may be lazy.
+    """
+    if args.format == "json":
+        doc = {"command": args.command, "params": params, **body}
+        print(json.dumps(_json_safe(doc), indent=2))
+    elif args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        if not args.quiet:
+            if title is None:
+                title = " ".join(f"{k}={v}" for k, v in params.items())
+            print(f"# {args.command} {title}")
+        for line in lines:
+            print(line)
 
 
-def _banner(args: argparse.Namespace, text: str) -> None:
-    if args.format == "plain" and not args.quiet:
-        print(f"# {text}")
+def _require(value: int, flag: str, low: int) -> None:
+    if value < low:
+        bound = "non-negative" if low == 0 else f">= {low}"
+        raise ValueError(f"{flag} must be {bound}")
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -106,20 +116,17 @@ def _spec_params(spec: IdealSpec) -> dict:
     return {"ideal": spec.family, **asdict(spec)}
 
 
-def _param_label(spec: IdealSpec) -> object:
-    params = list(asdict(spec).items())[1:]
-    if len(params) == 1:
-        return params[0][1]
-    return ",".join(f"{k}={v}" for k, v in params)
-
-
 def _report_row(spec: IdealSpec) -> dict:
+    """One depth-report row, keyed by _TABLE_HEADER in order.  The param of
+    a one-parameter family is its value, of the others "t=..,s=.."."""
     rep = depth_report(spec)
     deg = rep.series.numer.degree
+    params = list(asdict(spec).items())[1:]
     return {
         "family": spec.family,
         "n": spec.n,
-        "param": _param_label(spec),
+        "param": params[0][1] if len(params) == 1
+                 else ",".join(f"{k}={v}" for k, v in params),
         "numer_degree": int(deg) if deg != float("-inf") else -1,
         "den_pow": rep.series.den_pow,
         "depth": rep.computed_depth,
@@ -128,97 +135,51 @@ def _report_row(spec: IdealSpec) -> dict:
     }
 
 
-def _row_tuple(row: dict) -> tuple:
-    return tuple(row[k] for k in _TABLE_HEADER)
-
-
 def cmd_series(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    if args.upto < 0:
-        raise ValueError("--upto must be non-negative")
-    h = series_for(spec)
+    _require(args.upto, "--upto", 0)
+    h = spec.series()
     numer = list(h.numer.coefficients)
     coeffs = [coefficient(h, k) for k in range(args.upto + 1)]
-    params = _spec_params(spec)
-    if args.format == "json":
-        _emit_json({
-            "command": "series",
-            "params": {**params, "upto": args.upto},
-            "numerator": numer,
-            "den_pow": h.den_pow,
-            "coefficients": coeffs,
-            "results": [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)],
-        })
-    elif args.format == "csv":
-        rows = [("numer", j, c) for j, c in enumerate(numer)]
-        rows.append(("den_pow", "", h.den_pow))
-        rows.extend(("coefficient", k, c) for k, c in enumerate(coeffs))
-        _emit_csv(("field", "index", "value"), rows)
-    else:
-        label = " ".join(f"{k}={v}" for k, v in params.items())
-        _banner(args, f"series {label} upto={args.upto}")
-        print(f"numerator: {numer}")
-        print(f"den_pow: {h.den_pow}")
-        print(f"coefficients: {coeffs}")
+    _emit(args, {**_spec_params(spec), "upto": args.upto},
+          {"numerator": numer, "den_pow": h.den_pow, "coefficients": coeffs,
+           "results": [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)]},
+          chain([("field", "index", "value")],
+                (("numer", j, c) for j, c in enumerate(numer)),
+                [("den_pow", "", h.den_pow)],
+                (("coefficient", k, c) for k, c in enumerate(coeffs))),
+          (f"{key}: {value}" for key, value in
+           (("numerator", numer), ("den_pow", h.den_pow), ("coefficients", coeffs))))
     return 0
 
 
 def cmd_depth(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     row = _report_row(spec)
-    params = _spec_params(spec)
-    if args.format == "json":
-        _emit_json({
-            "command": "depth",
-            "params": params,
-            "depth": row["depth"],
-            "closed_form": row["closed_form"],
-            "agree": row["agree"],
-            "results": [row],
-        })
-    elif args.format == "csv":
-        _emit_csv(_TABLE_HEADER, [_row_tuple(row)])
-    else:
-        label = " ".join(f"{k}={v}" for k, v in params.items())
-        _banner(args, f"depth {label}")
-        for key in _TABLE_HEADER:
-            value = row[key]
-            print(f"{key}: {str(value).lower() if isinstance(value, bool) else value}")
+    _emit(args, _spec_params(spec),
+          {"depth": row["depth"], "closed_form": row["closed_form"],
+           "agree": row["agree"], "results": [row]},
+          [_TABLE_HEADER, tuple(row.values())],
+          (f"{key}: {_cell(value)}" for key, value in row.items()))
     return 0 if row["agree"] else 1
 
 
 def _sweep_pairs(verify: Callable[..., VerificationResult], n_max: int,
-                 k_max: Optional[int]) -> tuple[str, int, Optional[dict]]:
+                 k_max: Optional[int]) -> tuple[str, int, Optional[VerificationResult]]:
     """Run verify(n, d, k) over 1 <= d <= n <= n_max, k defaulting to n + 10.
 
-    Returns (range description, case count, first failure info or None);
+    Returns (range description, case count, first failing result or None);
     cases count verifier invocations.
     """
-    cases = 0
-    failure: Optional[dict] = None
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            res = verify(n, d, k_max if k_max is not None else n + 10)
-            cases += 1
-            if not res.passed and failure is None:
-                failure = _failure_info(res)
-    return f"1 <= d <= n <= {n_max}", cases, failure
+    results = [verify(n, d, k_max if k_max is not None else n + 10)
+               for n in range(1, n_max + 1) for d in range(1, n + 1)]
+    return (f"1 <= d <= n <= {n_max}", len(results),
+            next((res for res in results if not res.passed), None))
 
 
-def _failure_info(res: VerificationResult) -> dict:
-    ce = res.counterexample
-    return {
-        "at": res.params,
-        "point": list(ce.params),
-        "lhs": ce.lhs,
-        "rhs": ce.rhs,
-    }
-
-
-def _sweep_theorem_1_3(n_max: int, k_max: Optional[int]) -> tuple[str, int, Optional[dict]]:
+def _sweep_theorem_1_3(n_max: int, k_max: Optional[int]) -> tuple[str, int, Optional[VerificationResult]]:
     res = verify_theorem_1_3(n_max)
-    cases = 3 * n_max * (n_max + 1) // 2
-    return res.params, cases, None if res.passed else _failure_info(res)
+    return res.params, 3 * n_max * (n_max + 1) // 2, None if res.passed else res
 
 
 # Identity name -> sweep(n_max, k_max).  The lambdas look verifiers up by
@@ -233,82 +194,56 @@ _VERIFIERS = {
     "theorem-1.3": _sweep_theorem_1_3,
 }
 
-_IDENTITIES = tuple(_VERIFIERS)
-
 
 def cmd_verify(args: argparse.Namespace) -> int:
     identity = args.identity
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
-    if args.k_max is not None and args.k_max < 0:
-        raise ValueError("--k-max must be non-negative")
-    scope, cases, failure = _VERIFIERS[identity](args.n_max, args.k_max)
-    passed = failure is None
+    _require(args.n_max, "--n-max", 1)
+    if args.k_max is not None:
+        _require(args.k_max, "--k-max", 0)
+    scope, cases, failed = _VERIFIERS[identity](args.n_max, args.k_max)
     tag = identity.replace("-", "_").replace(".", "_")
-    row = {
-        "identity": tag,
-        "params": scope,
-        "cases": cases,
-        "passed": passed,
-        "counterexample": failure,
-    }
-    if args.format == "json":
-        _emit_json({
-            "command": "verify",
-            "params": {"identity": identity, "n_max": args.n_max, "k_max": args.k_max},
-            "results": [row],
-            "pass": passed,
-        })
-    elif args.format == "csv":
-        ce = failure or {}
-        _emit_csv(
-            ("identity", "params", "cases", "passed", "ce_at", "ce_point", "ce_lhs", "ce_rhs"),
-            [(tag, scope, cases, passed,
-              ce.get("at", ""), ";".join(str(p) for p in ce.get("point", [])),
-              ce.get("lhs", ""), ce.get("rhs", ""))],
-        )
-    else:
-        _banner(args, f"verify {identity} n_max={args.n_max}")
-        if passed:
-            print(f"PASS {tag}: {cases} cases over {scope}")
-        else:
-            print(f"FAIL {tag}: first counterexample at {failure['at']} "
-                  f"point={tuple(failure['point'])} lhs={failure['lhs']} rhs={failure['rhs']}")
+    passed = failed is None
+    failure = None
+    if not passed:
+        ce = failed.counterexample
+        failure = {"at": failed.params, "point": list(ce.params),
+                   "lhs": ce.lhs, "rhs": ce.rhs}
+    # a passing run leaves the counterexample cells empty
+    cells = failure or dict.fromkeys(("at", "point", "lhs", "rhs"), "")
+    _emit(args, {"identity": identity, "n_max": args.n_max, "k_max": args.k_max},
+          {"results": [{"identity": tag, "params": scope, "cases": cases,
+                        "passed": passed, "counterexample": failure}],
+           "pass": passed},
+          [("identity", "params", "cases", "passed",
+            "ce_at", "ce_point", "ce_lhs", "ce_rhs"),
+           (tag, scope, cases, passed, cells["at"],
+            ";".join(str(p) for p in cells["point"]), cells["lhs"], cells["rhs"])],
+          [f"PASS {tag}: {cases} cases over {scope}" if passed else
+           f"FAIL {tag}: first counterexample at {cells['at']} "
+           f"point={tuple(cells['point'])} lhs={cells['lhs']} rhs={cells['rhs']}"],
+          title=f"{identity} n_max={args.n_max}")
     return 0 if passed else 1
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     n_lo, n_hi = parse_range(args.n)
+    cls = FAMILIES[args.ideal]
+    name = fields(cls)[1].name
+    text = getattr(args, name)
     rows = []
     for n in range(n_lo, n_hi + 1):
-        if args.ideal == "veronese":
-            p_lo, p_hi = parse_range(args.d) if args.d else (1, n)
-            p_lo, p_hi = max(p_lo, 1), min(p_hi, n)
-            specs = [Veronese(n, d) for d in range(p_lo, p_hi + 1)]
-        else:
-            p_lo, p_hi = parse_range(args.s) if args.s else (1, n)
-            p_lo = max(p_lo, 1)
-            specs = [MaxPower(n, s) for s in range(p_lo, p_hi + 1)]
-        rows.extend(_report_row(spec) for spec in specs)
-    all_agree = all(r["agree"] for r in rows)
-    if args.format == "json":
-        _emit_json({
-            "command": "table",
-            "params": {"ideal": args.ideal, "n": args.n,
-                       "d": args.d, "s": args.s},
-            "results": rows,
-        })
-    elif args.format == "csv":
-        _emit_csv(_TABLE_HEADER, [_row_tuple(r) for r in rows])
-    else:
-        _banner(args, f"table {args.ideal} n={args.n}")
-        widths = [max(len(h), 12) for h in _TABLE_HEADER]
-        print("  ".join(h.ljust(w) for h, w in zip(_TABLE_HEADER, widths)))
-        for r in rows:
-            cells = [str(r[k]).lower() if isinstance(r[k], bool) else str(r[k])
-                     for k in _TABLE_HEADER]
-            print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-    return 0 if all_agree else 1
+        lo, hi = parse_range(text) if text else (1, n)
+        if name != "s":  # every parameter but the power s is at most n
+            hi = min(hi, n)
+        rows.extend(_report_row(cls(n, p)) for p in range(lo, hi + 1))
+    widths = [max(len(h), 12) for h in _TABLE_HEADER]
+    _emit(args, {"ideal": args.ideal, "n": args.n, "d": args.d, "s": args.s},
+          {"results": rows},
+          chain([_TABLE_HEADER], (tuple(r.values()) for r in rows)),
+          ("  ".join(_cell(c).ljust(w) for c, w in zip(cells, widths))
+           for cells in chain([_TABLE_HEADER], (r.values() for r in rows))),
+          title=f"{args.ideal} n={args.n}")
+    return 0 if all(r["agree"] for r in rows) else 1
 
 
 def _oracle_specs(n_max: int, s_max: int) -> dict[str, list[IdealSpec]]:
@@ -326,61 +261,40 @@ def _oracle_specs(n_max: int, s_max: int) -> dict[str, list[IdealSpec]]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.n_max < 1 or args.k_max < 0 or args.s_max < 1 or args.box < 0:
-        raise ValueError("oracle bounds must be positive")
+    _require(args.n_max, "--n-max", 1)
+    _require(args.k_max, "--k-max", 0)
+    _require(args.s_max, "--s-max", 1)
+    _require(args.box, "--box", 0)
     specs = _oracle_specs(args.n_max, args.s_max)
     for spec in chain.from_iterable(specs.values()):
         check_fine_guard(spec.ambient, args.box)  # fail before the coarse pass
-    rows = []
+    coarse, fine = [], []
     for family, family_specs in specs.items():
-        cases = 0
-        ok = True
+        coarse_ok = fine_ok = True
+        fine_cases = 0
         for spec in family_specs:
-            h = series_for(spec)
-            for k in range(args.k_max + 1):
-                cases += 1
-                if hilbert_function_oracle(spec, k) != coefficient(h, k):
-                    ok = False
-        rows.append({"check": "coarse", "family": family,
-                     "specs": len(family_specs), "cases": cases, "passed": ok})
-    for family, family_specs in specs.items():
-        cases = 0
-        ok = True
-        for spec in family_specs:
+            h = spec.series()
+            coarse_ok &= all(hilbert_function_oracle(spec, k) == coefficient(h, k)
+                             for k in range(args.k_max + 1))
             formula = fine_series_formula(spec, args.box)
             oracle = fine_series_oracle(spec, args.box)
-            cases += len(formula.coeffs)
-            if formula != oracle:
-                ok = False
-            h = series_for(spec)
             sums = oracle.coarse_sums(args.box)
-            for k in range(args.box + 1):
-                cases += 1
-                if sums[k] != coefficient(h, k):
-                    ok = False
-        rows.append({"check": "fine", "family": family,
-                     "specs": len(family_specs), "cases": cases, "passed": ok})
+            fine_ok &= formula == oracle and all(
+                sums[k] == coefficient(h, k) for k in range(args.box + 1))
+            fine_cases += len(formula.coeffs) + args.box + 1
+        coarse.append({"check": "coarse", "family": family, "specs": len(family_specs),
+                       "cases": len(family_specs) * (args.k_max + 1), "passed": coarse_ok})
+        fine.append({"check": "fine", "family": family, "specs": len(family_specs),
+                     "cases": fine_cases, "passed": fine_ok})
+    rows = coarse + fine
     all_ok = all(r["passed"] for r in rows)
-    if args.format == "json":
-        _emit_json({
-            "command": "oracle",
-            "params": {"n_max": args.n_max, "k_max": args.k_max,
-                       "s_max": args.s_max, "box": args.box},
-            "results": rows,
-            "pass": all_ok,
-        })
-    elif args.format == "csv":
-        _emit_csv(("check", "family", "specs", "cases", "passed"),
-                  [(r["check"], r["family"], r["specs"], r["cases"], r["passed"])
-                   for r in rows])
-    else:
-        _banner(args, f"oracle n_max={args.n_max} k_max={args.k_max} "
-                      f"s_max={args.s_max} box={args.box}")
-        for r in rows:
-            word = "PASS" if r["passed"] else "FAIL"
-            print(f"{word} {r['check']} {r['family']}: "
-                  f"{r['specs']} specs, {r['cases']} cases")
-        print("OVERALL " + ("PASS" if all_ok else "FAIL"))
+    _emit(args, {"n_max": args.n_max, "k_max": args.k_max,
+                 "s_max": args.s_max, "box": args.box},
+          {"results": rows, "pass": all_ok},
+          chain([tuple(rows[0])], (tuple(r.values()) for r in rows)),
+          chain((f"{'PASS' if r['passed'] else 'FAIL'} {r['check']} {r['family']}: "
+                 f"{r['specs']} specs, {r['cases']} cases" for r in rows),
+                ["OVERALL " + ("PASS" if all_ok else "FAIL")]))
     return 0 if all_ok else 1
 
 
@@ -392,7 +306,7 @@ def _add_format_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_ideal_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ideal", required=True, choices=_FAMILIES)
+    sp.add_argument("--ideal", required=True, choices=list(FAMILIES))
     sp.add_argument("--n", type=int, required=True, help="number of variables")
     sp.add_argument("--d", type=int, help="generator degree (veronese)")
     sp.add_argument("--s", type=int, help="ideal power (power families)")
@@ -420,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_depth)
 
     sp = sub.add_parser("verify", help="run one identity verifier over a range")
-    sp.add_argument("identity", choices=_IDENTITIES)
+    sp.add_argument("identity", choices=list(_VERIFIERS))
     sp.add_argument("--n-max", type=int, default=10)
     sp.add_argument("--k-max", type=int, default=None,
                     help="coefficient window for series identities (default n+10)")
@@ -428,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("table", help="sweep a parameter grid of depth reports")
-    sp.add_argument("--ideal", required=True, choices=["veronese", "max-power"])
+    # the one-parameter families; their parameter is --d or --s
+    sp.add_argument("--ideal", required=True, choices=[
+        name for name, cls in FAMILIES.items() if len(fields(cls)) == 2])
     sp.add_argument("--n", required=True, help="range of n, e.g. 1..20 or 6")
     sp.add_argument("--d", help="range of d, clipped per n (default 1..n)")
     sp.add_argument("--s", help="range of s (default 1..n)")

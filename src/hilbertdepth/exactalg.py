@@ -52,10 +52,6 @@ class IntPolynomial:
         self._coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls) -> IntPolynomial:
-        return cls()
-
-    @classmethod
     def one(cls) -> IntPolynomial:
         return cls((1,))
 
@@ -77,12 +73,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def coefficient(self, exp: int) -> int:
-        """Coefficient of T^exp (0 beyond the support)."""
-        if exp < 0:
-            raise ValueError("exponent must be non-negative")
-        return self._coeffs[exp] if exp < len(self._coeffs) else 0
 
     def eval_at_one(self) -> int:
         """Value at T = 1, i.e. the sum of all coefficients."""
@@ -178,11 +168,8 @@ class IntPolynomial:
                 sign = "-" if c < 0 else ""
                 term = f"{mag}T" if exp == 1 else f"{mag}T^{exp}"
                 parts.append(f"{sign}{term}" if not parts else f"{'- ' if c < 0 else '+ '}{term}")
-        # join with spaces; signs already embedded for trailing terms
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" {p}"
-        return out
+        # signs are already embedded in the terms after the first
+        return " ".join(parts)
 
 
 def one_minus_t_power(exp: int) -> IntPolynomial:

@@ -43,13 +43,10 @@ __all__ = [
     "IdealSpec",
     "FAMILIES",
     "DepthReport",
-    "series_for",
     "depth_report",
     "veronese_series",
     "veronese_series_alt",
     "max_power_series",
-    "hat_power_series",
-    "generated_hat_power_series",
     "closed_depth_veronese",
     "closed_depth_max_power",
 ]
@@ -179,12 +176,18 @@ class DepthReport:
 def veronese_series(n: int, d: int) -> RationalFunctionSeries:
     """Coarse Hilbert series of Veronese(n, d).
 
-    Numerator sum_{k=d..n} C(n,k) T^k (1-T)^(n-k) over (1-T)^n.
+    Numerator sum_{k=d..n} C(n,k) T^k (1-T)^(n-k) over (1-T)^n.  Its T^j
+    coefficient is C(n,j) sum_{k=d..j} (-1)^(j-k) C(j,k), and the alternating
+    sum telescopes, so the numerator is built from the closed form
+
+        P_j = (-1)^(j-d) C(n,j) C(j-1,d-1)    for d <= j <= n
+
+    (and 0 below d) rather than from n - d + 1 dense products.
     """
     Veronese(n, d)
-    numer = IntPolynomial()
-    for k in range(d, n + 1):
-        numer = numer + binomial(n, k) * (IntPolynomial.monomial(1, k) * one_minus_t_power(n - k))
+    numer = IntPolynomial((0,) * d + tuple(
+        (-1) ** (j - d) * binomial(n, j) * binomial(j - 1, d - 1)
+        for j in range(d, n + 1)))
     return canonicalize(numer, n)
 
 
@@ -213,17 +216,6 @@ def max_power_series(n: int, s: int) -> RationalFunctionSeries:
     return canonicalize(numer, n)
 
 
-def hat_power_series(n: int, t: int, s: int) -> RationalFunctionSeries:
-    """Coarse Hilbert series of HatPower(n, t, s): max_power_series(n-t+1, s)."""
-    return HatPower(n, t, s).series()
-
-
-def generated_hat_power_series(n: int, t: int, s: int) -> RationalFunctionSeries:
-    """Coarse Hilbert series of GeneratedHatPower(n, t, s), in n variables:
-    (1-T)^-(t-1) * max_power_series(n-t+1, s)."""
-    return GeneratedHatPower(n, t, s).series()
-
-
 def closed_depth_veronese(n: int, d: int) -> int:
     """Closed-form depth of Veronese(n, d), checked in all three spellings:
 
@@ -249,11 +241,6 @@ def closed_depth_max_power(n: int, s: int) -> int:
     """Closed-form depth of MaxPower(n, s): ceil(n / (s+1))."""
     MaxPower(n, s)
     return -(-n // (s + 1))
-
-
-def series_for(spec: IdealSpec) -> RationalFunctionSeries:
-    """Coarse Hilbert series of any of the four families."""
-    return spec.series()
 
 
 def depth_report(spec: IdealSpec) -> DepthReport:

@@ -38,10 +38,10 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .exactalg import IntPolynomial, binomial, one_minus_t_power
 from .ideals import (
+    GeneratedHatPower,
+    HatPower,
     closed_depth_max_power,
     closed_depth_veronese,
-    generated_hat_power_series,
-    hat_power_series,
     max_power_series,
     veronese_series,
     veronese_series_alt,
@@ -210,7 +210,7 @@ def verify_eq_chain(n: int, d: int, k_max: int, *, perturb: int = 0,
     convolution identity covering all k.
     """
     def points() -> Iterator[CheckPoint]:
-        yield ("rational",), veronese_series(n, d), generated_hat_power_series(n, d, d)
+        yield ("rational",), veronese_series(n, d), GeneratedHatPower(n, d, d).series()
         for k in range(k_max + 1):
             if k < d:
                 yield ("shifted", k), 0, 0
@@ -235,7 +235,7 @@ def verify_theorem_1_4(n: int, d: int, *, perturb: int = 0,
     """
     def points() -> Iterator[CheckPoint]:
         veronese = veronese_series(n, d)
-        hat = hat_power_series(n, d, d)
+        hat = HatPower(n, d, d).series()
         yield ("series",), veronese, mul_power_one_minus_t(hat, -(d - 1))
         yield ("depth",), hilbert_depth(veronese), hilbert_depth(hat) + d - 1
 

@@ -17,10 +17,7 @@ from hilbertdepth.ideals import (
     Veronese,
     closed_depth_max_power,
     closed_depth_veronese,
-    generated_hat_power_series,
-    hat_power_series,
     max_power_series,
-    series_for,
     veronese_series,
     veronese_series_alt,
 )
@@ -104,7 +101,7 @@ def test_criterion_3_family_link(veronese_depths):
     failures = []
     for n in range(1, N_SWEEP + 1):
         for d in range(1, n + 1):
-            hat = hat_power_series(n, d, d)
+            hat = HatPower(n, d, d).series()
             if veronese_series(n, d) != mul_power_one_minus_t(hat, -(d - 1)):
                 failures.append((n, d, "series"))
             if veronese_depths[(n, d)] != hilbert_depth(hat) + d - 1:
@@ -152,7 +149,7 @@ def _oracle_specs():
 def test_criterion_6_coarse_oracle_equivalence():
     failures = []
     for spec in _oracle_specs():
-        h = series_for(spec)
+        h = spec.series()
         for k in range(ORACLE_K + 1):
             if hilbert_function_oracle(spec, k) != coefficient(h, k):
                 failures.append((spec, k))
@@ -170,7 +167,7 @@ def test_criterion_7_fine_oracle_equivalence():
                 failures.append((spec, box, "formula"))
                 continue
             sums = formula.coarse_sums(box)
-            h = series_for(spec)
+            h = spec.series()
             for k in range(box + 1):
                 if sums[k] != hilbert_function_oracle(spec, k):
                     failures.append((spec, box, k, "oracle sum"))
@@ -198,7 +195,7 @@ def test_criterion_8_property_suite():
     # non-negativity is monotone in r across randomized family probes
     rng = random.Random(96833)
     for _ in range(PROBES):
-        h = series_for(_random_spec(rng))
+        h = _random_spec(rng).series()
         r = rng.randint(1, h.den_pow + 1)
         if is_nonnegative(mul_power_one_minus_t(h, r)):
             if not is_nonnegative(mul_power_one_minus_t(h, r - 1)):
@@ -223,7 +220,7 @@ def test_criterion_8_property_suite():
         specs += [HatPower(n, t, 2) for t in range(1, n + 1)]
         specs += [GeneratedHatPower(n, t, 2) for t in range(1, n + 1)]
         for spec in specs:
-            h = series_for(spec)
+            h = spec.series()
             if h.den_pow == 0:
                 continue
             q = eventual_polynomial(h)

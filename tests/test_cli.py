@@ -130,16 +130,28 @@ class TestVerifyCommand:
             doc = json.loads(out)
             assert doc["pass"] is True and doc["results"][0]["passed"] is True
 
-    def test_failure_exit_code(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_failure_exit_code(self, capsys, monkeypatch, fmt):
         broken = VerificationResult(
-            "theorem_1_4", "n=2 d=1", False, Counterexample(("depth",), 1, 2))
+            "theorem_1_4", "n=2 d=1", False, Counterexample(("depth", 4), 1, 2))
         monkeypatch.setattr(cli, "verify_theorem_1_4", lambda n, d: broken)
         code, out, _ = run_cli(["verify", "theorem-1.4", "--n-max", "3",
-                                "--format", "json"], capsys)
+                                "--format", fmt], capsys)
         assert code == 1
-        doc = json.loads(out)
-        assert doc["pass"] is False
-        assert doc["results"][0]["counterexample"]["lhs"] == 1
+        if fmt == "plain":
+            assert out.splitlines()[1:] == [
+                "FAIL theorem_1_4: first counterexample at n=2 d=1 "
+                "point=('depth', 4) lhs=1 rhs=2"]
+        elif fmt == "csv":
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert len(rows) == 1 and rows[0]["passed"] == "False"
+            assert {k: v for k, v in rows[0].items() if k.startswith("ce_")} == {
+                "ce_at": "n=2 d=1", "ce_point": "depth;4", "ce_lhs": "1", "ce_rhs": "2"}
+        else:
+            doc = json.loads(out)
+            assert doc["pass"] is False
+            assert doc["results"][0]["counterexample"] == {
+                "at": "n=2 d=1", "point": ["depth", 4], "lhs": 1, "rhs": 2}
 
     def test_unknown_identity_rejected(self, capsys):
         code, _, _ = run_cli(["verify", "lemma-9.9"], capsys)
@@ -195,6 +207,13 @@ class TestOracleCommand:
         code, _, err = run_cli(["oracle", "--n-max", "8", "--box", "2"], capsys)
         assert code == 2
         assert "error" in err
+
+    def test_bounds_rejected_by_name(self, capsys):
+        code, out, err = run_cli(["oracle", "--n-max", "3", "--k-max", "-1"], capsys)
+        assert (code, out, err) == (2, "", "error: --k-max must be non-negative\n")
+        code, out, _ = run_cli(["oracle", "--n-max", "2", "--k-max", "0",
+                                "--box", "0", "--quiet"], capsys)
+        assert code == 0 and out.endswith("OVERALL PASS\n")
 
 
 class TestContract:

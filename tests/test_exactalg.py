@@ -73,7 +73,7 @@ class TestIntPolynomial:
     def test_product_identity_and_annihilator(self):
         p = IntPolynomial((2, -1, 4))
         assert p * IntPolynomial.one() == p
-        assert (p * IntPolynomial.zero()).is_zero()
+        assert (p * IntPolynomial()).is_zero()
 
     def test_degree_adds_under_product(self):
         p = IntPolynomial((1, 1))

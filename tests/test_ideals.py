@@ -12,10 +12,7 @@ from hilbertdepth.ideals import (
     closed_depth_max_power,
     closed_depth_veronese,
     depth_report,
-    generated_hat_power_series,
-    hat_power_series,
     max_power_series,
-    series_for,
     veronese_series,
     veronese_series_alt,
 )
@@ -111,49 +108,49 @@ class TestMaxPowerSeries:
 
 class TestHatPowerSeries:
     def test_hand_expansion(self):
-        h = hat_power_series(3, 2, 2)
+        h = HatPower(3, 2, 2).series()
         assert h.numer == IntPolynomial((0, 0, 3, -2)) and h.den_pow == 2
 
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
             for s in range(1, 4):
-                assert hat_power_series(n, 1, s) == max_power_series(n, s)
+                assert HatPower(n, 1, s).series() == max_power_series(n, s)
 
     def test_single_variable(self):
         for n in range(1, 6):
             for s in range(1, 5):
-                h = hat_power_series(n, n, s)
+                h = HatPower(n, n, s).series()
                 assert h.numer == IntPolynomial.monomial(1, s) and h.den_pow == 1
 
     def test_family_coherence(self):
         for n in range(1, 31):
             for t in range(1, n + 1):
                 for s in (1, 2, 3):
-                    assert hat_power_series(n, t, s) == max_power_series(n - t + 1, s)
+                    assert HatPower(n, t, s).series() == max_power_series(n - t + 1, s)
 
 
 class TestGeneratedHatPowerSeries:
     def test_hand_expansion(self):
-        h = generated_hat_power_series(3, 2, 2)
+        h = GeneratedHatPower(3, 2, 2).series()
         assert h.numer == IntPolynomial((0, 0, 3, -2)) and h.den_pow == 3
         assert h == veronese_series(3, 2)
 
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
             for s in range(1, 4):
-                assert generated_hat_power_series(n, 1, s) == max_power_series(n, s)
+                assert GeneratedHatPower(n, 1, s).series() == max_power_series(n, s)
 
     def test_matches_transformed_hat_series(self):
         for n in range(1, 12):
             for t in range(1, n + 1):
                 for s in (1, 2, 3):
-                    want = mul_power_one_minus_t(hat_power_series(n, t, s), -(t - 1))
-                    assert generated_hat_power_series(n, t, s) == want
+                    want = mul_power_one_minus_t(HatPower(n, t, s).series(), -(t - 1))
+                    assert GeneratedHatPower(n, t, s).series() == want
 
     def test_veronese_link_over_sweep(self):
         for n in range(1, 16):
             for d in range(1, n + 1):
-                assert generated_hat_power_series(n, d, d) == veronese_series(n, d)
+                assert GeneratedHatPower(n, d, d).series() == veronese_series(n, d)
 
 
 class TestClosedDepthFormulas:
@@ -184,8 +181,8 @@ class TestClosedDepthFormulas:
             for s in (1, 2, 3):
                 assert is_nonnegative(max_power_series(n, s))
                 for t in range(1, n + 1):
-                    assert is_nonnegative(hat_power_series(n, t, s))
-                    assert is_nonnegative(generated_hat_power_series(n, t, s))
+                    assert is_nonnegative(HatPower(n, t, s).series())
+                    assert is_nonnegative(GeneratedHatPower(n, t, s).series())
 
 
 class TestDepthReport:
@@ -198,15 +195,15 @@ class TestDepthReport:
                      GeneratedHatPower(5, 2, 2)):
             rep = depth_report(spec)
             assert rep.agree
-            assert rep.series == series_for(spec)
+            assert rep.series == spec.series()
             assert rep.closed_form_depth == spec.closed_depth()
 
     def test_generated_depth_shifts_hat_depth(self):
         for n in range(1, 10):
             for t in range(1, n + 1):
                 for s in (1, 2):
-                    hat = hilbert_depth(hat_power_series(n, t, s))
-                    gen = hilbert_depth(generated_hat_power_series(n, t, s))
+                    hat = hilbert_depth(HatPower(n, t, s).series())
+                    gen = hilbert_depth(GeneratedHatPower(n, t, s).series())
                     assert gen == hat + t - 1
                     assert GeneratedHatPower(n, t, s).closed_depth() == gen
 

@@ -7,7 +7,6 @@ from hilbertdepth.ideals import (
     HatPower,
     MaxPower,
     Veronese,
-    series_for,
 )
 from hilbertdepth.multigrade import (
     MultiSeries,
@@ -89,7 +88,7 @@ class TestHilbertFunctionOracle:
 
     def test_matches_coarse_coefficients(self):
         for spec in all_specs(4, 3):
-            h = series_for(spec)
+            h = spec.series()
             for k in range(9):
                 assert hilbert_function_oracle(spec, k) == coefficient(h, k), (spec, k)
 
@@ -154,7 +153,7 @@ class TestFineSeries:
             for box in (1, 2, 3):
                 ms = fine_series_oracle(spec, box)
                 sums = ms.coarse_sums(box)
-                h = series_for(spec)
+                h = spec.series()
                 for k in range(box + 1):
                     assert sums[k] == hilbert_function_oracle(spec, k)
                     assert sums[k] == coefficient(h, k)
