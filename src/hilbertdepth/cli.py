@@ -92,19 +92,29 @@ def _require(value: int, flag: str, low: int) -> None:
 
 def parse_range(text: str) -> tuple[int, int]:
     """Inclusive range: '5' or '1..20'."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    except ValueError:
+        raise ValueError(f"invalid range {text!r}: need N or LO..HI") from None
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid range {text!r}: need 1 <= lo <= hi")
     return lo, hi
 
 
+def _family_fields(args: argparse.Namespace) -> list[str]:
+    """Fields after n of the chosen family; rejects another family's flag."""
+    names = [f.name for f in fields(FAMILIES[args.ideal])][1:]
+    for cls in FAMILIES.values():
+        for f in fields(cls)[1:]:
+            if f.name not in names and getattr(args, f.name, None) is not None:
+                raise ValueError(f"{args.ideal} does not take --{f.name}")
+    return names
+
+
 def _spec_from_args(args: argparse.Namespace) -> IdealSpec:
     cls = FAMILIES[args.ideal]
-    names = [f.name for f in fields(cls)][1:]
+    names = _family_fields(args)
     values = [getattr(args, name) for name in names]
     if None in values:
         flags = " and ".join(f"--{name}" for name in names)
@@ -120,14 +130,13 @@ def _report_row(spec: IdealSpec) -> dict:
     """One depth-report row, keyed by _TABLE_HEADER in order.  The param of
     a one-parameter family is its value, of the others "t=..,s=.."."""
     rep = depth_report(spec)
-    deg = rep.series.numer.degree
     params = list(asdict(spec).items())[1:]
     return {
         "family": spec.family,
         "n": spec.n,
         "param": params[0][1] if len(params) == 1
                  else ",".join(f"{k}={v}" for k, v in params),
-        "numer_degree": int(deg) if deg != float("-inf") else -1,
+        "numer_degree": rep.series.numer.degree,
         "den_pow": rep.series.den_pow,
         "depth": rep.computed_depth,
         "closed_form": rep.closed_form_depth,
@@ -226,9 +235,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    (name,) = _family_fields(args)
     n_lo, n_hi = parse_range(args.n)
     cls = FAMILIES[args.ideal]
-    name = fields(cls)[1].name
     text = getattr(args, name)
     rows = []
     for n in range(n_lo, n_hi + 1):

@@ -39,7 +39,7 @@ def binomial(a: int, b: int) -> int:
 class IntPolynomial:
     """Dense integer-coefficient polynomial in one formal variable T.
 
-    The zero polynomial has empty support and degree float('-inf').
+    The zero polynomial has empty support and degree -1.
     Instances are immutable; arithmetic returns new objects.
     """
 
@@ -67,9 +67,9 @@ class IntPolynomial:
         return self._coeffs
 
     @property
-    def degree(self) -> int | float:
-        """Degree of the polynomial; float('-inf') for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else float("-inf")
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self._coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self._coeffs

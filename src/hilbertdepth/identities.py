@@ -95,8 +95,7 @@ def _first_series_difference(
     lhs: RationalFunctionSeries, rhs: RationalFunctionSeries
 ) -> tuple[int, int, int]:
     """First k where the expansions differ; the forms are known unequal."""
-    d1 = max(int(lhs.numer.degree) if not lhs.numer.is_zero() else 0, 0)
-    d2 = max(int(rhs.numer.degree) if not rhs.numer.is_zero() else 0, 0)
+    d1, d2 = max(lhs.numer.degree, 0), max(rhs.numer.degree, 0)
     limit = max(d1 + rhs.den_pow, d2 + lhs.den_pow) + 1
     for k in range(limit + 1):
         a, b = coefficient(lhs, k), coefficient(rhs, k)

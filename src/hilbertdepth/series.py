@@ -9,16 +9,18 @@ representation sit three decisions, all exact:
     (1 - T)^(-m), whose k-th coefficient is C(m-1+k, m-1);
   * non-negativity of the entire (infinite) coefficient sequence, decided in
     finite time because the sequence agrees with a polynomial in k once k
-    exceeds the numerator degree;
+    exceeds the numerator degree; the prefix-sum passes that expand the head
+    also yield that polynomial's forward-difference table;
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
-    found by a linear scan that is valid because multiplying a non-negative
-    series by 1/(1 - T) takes prefix sums.
+    found by a linear scan of the same decision on the numerator, valid
+    because multiplying a non-negative series by 1/(1 - T) takes prefix sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from .exactalg import IntPolynomial, binomial, one_minus_t_power
@@ -171,42 +173,19 @@ def eventual_polynomial(h: RationalFunctionSeries) -> EventualPolynomial:
         acc = acc + pj * prod
     denom = factorial(m - 1)
     coeffs = tuple(Fraction(c, denom) for c in acc.coefficients)
-    return EventualPolynomial(threshold=int(h.numer.degree), coeffs=coeffs)
+    return EventualPolynomial(threshold=h.numer.degree, coeffs=coeffs)
 
 
-def is_nonnegative(h: RationalFunctionSeries) -> bool:
-    """True iff every power-series coefficient of H is >= 0, decided exactly.
-
-    Procedure: expand the coefficients c_0..c_{D+m-1} (D = numerator degree)
-    by m-fold prefix summing and check them directly.  Beyond D the sequence
-    agrees with a polynomial q of degree m-1 whose leading coefficient is
-    numer(1)/(m-1)!; reject if numer(1) < 0 (eventually negative).  Otherwise
-    walk the forward-difference table of q from base D: Newton's expansion
-    q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that once every
-    difference is >= 0 at some k0 the whole tail is >= 0, and each difference
-    is itself eventually non-negative because its leading term is positive,
-    so the walk terminates.
-    """
-    numer, m = h.numer, h.den_pow
-    if numer.is_zero():
-        return True
-    if m == 0:
-        return all(c >= 0 for c in numer.coefficients)
-    d = int(numer.degree)
-    e = m - 1
-    row = list(numer.coefficients) + [0] * e
+def _nonnegative(numer: tuple[int, ...], m: int) -> bool:
+    """is_nonnegative for numer(T) / (1 - T)^m; numer nonzero when m >= 1."""
+    row = list(numer) + [0] * (m - 1)
+    diffs = []
     for _ in range(m):
-        for i in range(1, len(row)):
-            row[i] += row[i - 1]
-    if any(c < 0 for c in row[: d + 1]):
+        row = list(accumulate(row))
+        diffs.insert(0, row.pop())  # q's forward differences at D, P(1) last
+    if any(c < 0 for c in row) or diffs and min(diffs[0], diffs[-1]) < 0:
         return False
-    # forward differences of the coefficient polynomial, based at k = D
-    diffs = row[d:]
-    for j in range(1, e + 1):
-        for i in range(e, j - 1, -1):
-            diffs[i] -= diffs[i - 1]
-    if diffs[e] < 0:  # equals numer(1): the eventual leading sign
-        return False
+    e = m - 1
     while True:
         if all(x >= 0 for x in diffs):
             return True
@@ -214,6 +193,25 @@ def is_nonnegative(h: RationalFunctionSeries) -> bool:
             diffs[j] += diffs[j + 1]
         if diffs[0] < 0:
             return False
+
+
+def is_nonnegative(h: RationalFunctionSeries) -> bool:
+    """True iff every power-series coefficient of H is >= 0, decided exactly.
+
+    Procedure: m passes of prefix summing over P padded to D + m entries
+    (D = numerator degree), each popping its row's last entry; with m = 0
+    the row is P.  Beyond D the sequence agrees with a polynomial q of degree
+    m-1 whose leading coefficient is numer(1)/(m-1)!.  The j-fold sums
+    differenced once are the (j-1)-fold sums shifted by one, so the popped
+    entries, reversed, are the forward-difference table of q at base D, from
+    q(D) to numer(1).  Reject if q(D), numer(1) (eventually negative) or a
+    remaining c_0..c_{D-1} is negative.  Otherwise walk the table: Newton's
+    expansion q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that
+    once every difference is >= 0 at some k0 the whole tail is >= 0, and each
+    difference is itself eventually non-negative because its leading term is
+    positive, so the walk terminates.
+    """
+    return _nonnegative(h.numer.coefficients, h.den_pow)
 
 
 def hilbert_depth(h: RationalFunctionSeries) -> int:
@@ -225,14 +223,15 @@ def hilbert_depth(h: RationalFunctionSeries) -> int:
     non-negative sequence are non-negative).  It never exceeds den_pow:
     for r > den_pow the transform is a nonzero polynomial with a
     (1 - T) factor, whose coefficients sum to 0 and hence cannot all be
-    non-negative.
+    non-negative.  For r <= den_pow the transform is the canonical
+    numer / (1 - T)^(den_pow - r), since numer(1) != 0.
     """
     if h.numer.is_zero():
         raise ValueError("depth is undefined for the zero series")
-    if not is_nonnegative(h):
+    numer, m = h.numer.coefficients, h.den_pow
+    if not _nonnegative(numer, m):
         raise ValueError("series has a negative coefficient; not a Hilbert series")
     r = 0
-    while r < h.den_pow and is_nonnegative(mul_power_one_minus_t(h, r + 1)):
+    while r < m and _nonnegative(numer, m - r - 1):
         r += 1
     return r
-

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -32,6 +33,11 @@ class TestParseRange:
             parse_range("5..3")
         with pytest.raises(ValueError):
             parse_range("0..3")
+
+    @pytest.mark.parametrize("text", ["1..", "x", "1...3", "..4"])
+    def test_malformed_text_named(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"invalid range {text!r}")):
+            parse_range(text)
 
 
 class TestSeriesCommand:
@@ -114,6 +120,17 @@ class TestDepthCommand:
         assert int(by_col["closed_form"]) == doc["closed_form"] == 3
         assert "depth: 3" in plain_out and "closed_form: 3" in plain_out
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--ideal", "veronese", "--n", "3", "--d", "2", "--t", "5"], "veronese does not take --t"),
+        (["--ideal", "max-power", "--n", "3", "--s", "2", "--d", "1"], "max-power does not take --d"),
+        (["--ideal", "hat-power", "--n", "3", "--t", "1", "--s", "2", "--d", "1"],
+         "hat-power does not take --d"),
+    ], ids=["veronese-t", "max-power-d", "hat-power-d"])
+    def test_flag_of_other_family_rejected(self, capsys, args, flag):
+        for command in ("depth", "series"):
+            code, out, err = run_cli([command, *args], capsys)
+            assert (code, out, err) == (2, "", f"error: {flag}\n")
+
 
 class TestVerifyCommand:
     def test_pass_summary(self, capsys):
@@ -191,6 +208,15 @@ class TestTableCommand:
         doc = json.loads(out)
         assert [r["param"] for r in doc["results"]] == [1, 2, 3, 4, 5]
         assert all(r["agree"] for r in doc["results"])
+
+    @pytest.mark.parametrize("args, message", [
+        (["--ideal", "max-power", "--n", "1..4", "--d", "2..3"], "max-power does not take --d"),
+        (["--ideal", "veronese", "--n", "1..4", "--s", "2"], "veronese does not take --s"),
+        (["--ideal", "veronese", "--n", "1.."], "invalid range '1..': need N or LO..HI"),
+    ], ids=["max-power-d", "veronese-s", "open-range"])
+    def test_bad_arguments_rejected_by_name(self, capsys, args, message):
+        code, out, err = run_cli(["table", *args], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestOracleCommand:

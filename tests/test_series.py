@@ -1,9 +1,10 @@
 """Canonical rational series: expansion, non-negativity, and depth."""
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertdepth.exactalg import IntPolynomial, binomial, one_minus_t_power
@@ -26,6 +27,20 @@ def expand_by_prefix_sums(numer_coeffs, den_pow, upto):
         for i in range(1, len(row)):
             row[i] += row[i - 1]
     return row
+
+
+def reference_nonnegative(h):
+    """Brute-force decision, complete both ways: P(1) < 0 makes the tail
+    negative; otherwise every real root of the eventual polynomial q lies
+    below its Cauchy bound, past which q > 0, so expanding up to threshold
+    plus that bound settles every coefficient."""
+    q = eventual_polynomial(h)
+    lead = q.leading_coefficient
+    if lead < 0:
+        return False
+    bound = 1 + max((abs(c / lead) for c in q.coeffs[:-1]), default=0)
+    upto = q.threshold + ceil(bound)
+    return min(expand_by_prefix_sums(h.numer.coefficients, h.den_pow, upto)) >= 0
 
 
 def rfs(coeffs, den_pow):
@@ -216,6 +231,18 @@ class TestIsNonnegative:
         h = rfs(coeffs, den_pow)
         if is_nonnegative(mul_power_one_minus_t(h, r)):
             assert is_nonnegative(mul_power_one_minus_t(h, r - 1))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(-9, 9), max_size=8), st.integers(0, 6))
+    @example(coeffs=[0, 7, -20, 17], den_pow=3)  # only c_3 = c_D is negative
+    def test_matches_brute_force_reference(self, coeffs, den_pow):
+        h = rfs(coeffs, den_pow)
+        verdict = is_nonnegative(h)
+        assert verdict == reference_nonnegative(h)
+        if verdict and not h.numer.is_zero():
+            assert hilbert_depth(h) == max(
+                r for r in range(h.den_pow + 1)
+                if reference_nonnegative(mul_power_one_minus_t(h, r)))
 
 
 class TestHilbertDepth:
