@@ -191,25 +191,28 @@ def _sweep_theorem_1_3(n_max: int, k_max: Optional[int]) -> tuple[str, int, Opti
     return res.params, 3 * n_max * (n_max + 1) // 2, None if res.passed else res
 
 
-# Identity name -> sweep(n_max, k_max).  The lambdas look verifiers up by
-# name at call time, so a verifier rebound on this module (a test double, a
-# tracing wrapper) is the one that runs.
+# Identity name -> (sweep(n_max, k_max), whether it takes a --k-max window).
+# The lambdas look verifiers up by name at call time, so a verifier rebound
+# on this module (a test double, a tracing wrapper) is the one that runs.
 _VERIFIERS = {
-    "lemma-2.2": partial(_sweep_pairs, lambda n, d, k: verify_lemma_2_2(n, d)),
-    "prop-2.3": partial(_sweep_pairs, lambda n, d, k: verify_prop_2_3(n, d)),
-    "lemma-4.1": partial(_sweep_pairs, lambda n, d, k: verify_lemma_4_1(n, d, k)),
-    "eq-chain": partial(_sweep_pairs, lambda n, d, k: verify_eq_chain(n, d, k)),
-    "theorem-1.4": partial(_sweep_pairs, lambda n, d, k: verify_theorem_1_4(n, d)),
-    "theorem-1.3": _sweep_theorem_1_3,
+    "lemma-2.2": (partial(_sweep_pairs, lambda n, d, k: verify_lemma_2_2(n, d)), False),
+    "prop-2.3": (partial(_sweep_pairs, lambda n, d, k: verify_prop_2_3(n, d)), False),
+    "lemma-4.1": (partial(_sweep_pairs, lambda n, d, k: verify_lemma_4_1(n, d, k)), True),
+    "eq-chain": (partial(_sweep_pairs, lambda n, d, k: verify_eq_chain(n, d, k)), True),
+    "theorem-1.4": (partial(_sweep_pairs, lambda n, d, k: verify_theorem_1_4(n, d)), False),
+    "theorem-1.3": (_sweep_theorem_1_3, False),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     identity = args.identity
     _require(args.n_max, "--n-max", 1)
+    sweep, windowed = _VERIFIERS[identity]
     if args.k_max is not None:
         _require(args.k_max, "--k-max", 0)
-    scope, cases, failed = _VERIFIERS[identity](args.n_max, args.k_max)
+        if not windowed:
+            raise ValueError(f"{identity} does not take --k-max")
+    scope, cases, failed = sweep(args.n_max, args.k_max)
     tag = identity.replace("-", "_").replace(".", "_")
     passed = failed is None
     failure = None

@@ -166,11 +166,10 @@ class DepthReport:
     series: RationalFunctionSeries
     computed_depth: int
     closed_form_depth: int
-    agree: bool
 
-    def __post_init__(self) -> None:
-        if self.agree != (self.computed_depth == self.closed_form_depth):
-            raise ValueError("agree flag inconsistent with depths")
+    @property
+    def agree(self) -> bool:
+        return self.computed_depth == self.closed_form_depth
 
 
 def veronese_series(n: int, d: int) -> RationalFunctionSeries:
@@ -246,12 +245,4 @@ def closed_depth_max_power(n: int, s: int) -> int:
 def depth_report(spec: IdealSpec) -> DepthReport:
     """Compute the series, scan its depth, and compare with the closed form."""
     h = spec.series()
-    computed = hilbert_depth(h)
-    closed = spec.closed_depth()
-    return DepthReport(
-        spec=spec,
-        series=h,
-        computed_depth=computed,
-        closed_form_depth=closed,
-        agree=computed == closed,
-    )
+    return DepthReport(spec, h, hilbert_depth(h), spec.closed_depth())

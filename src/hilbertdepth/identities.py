@@ -6,10 +6,7 @@ are integers or canonical series.  One driver compares the sides point by
 point in lexicographic sweep order and returns a structured pass/fail
 result carrying the first counterexample; work behind later points is
 never done.  A series mismatch is reported at the label extended by the
-first coefficient index where the expansions differ.  The `perturb` /
-`perturb_at` keywords are a self-test seam: the driver adds the offset to
-the right-hand side of the matching check point, which must turn the
-result into a failure (the identities themselves are exact).
+first coefficient index where the expansions differ.
 
 Catalog tags and statements:
 
@@ -83,12 +80,11 @@ class Counterexample:
 class VerificationResult:
     identity_id: str
     params: str
-    passed: bool
     counterexample: Optional[Counterexample]
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.counterexample is None):
-            raise ValueError("passed flag inconsistent with counterexample")
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 def _first_series_difference(
@@ -104,29 +100,22 @@ def _first_series_difference(
     raise AssertionError("canonical forms differ but expansions agree")
 
 
-def _check(identity_id: str, params: str, points: Iterable[CheckPoint],
-           perturb: int, perturb_at: Optional[tuple]) -> VerificationResult:
+def _check(identity_id: str, params: str,
+           points: Iterable[CheckPoint]) -> VerificationResult:
     """Compare both sides of each check point in order, stopping at the
     first that differ.
 
-    `perturb` is added to the right-hand side of every point equal to
-    `perturb_at` (of every point when it is None).  A series mismatch is
-    reported at point + (k,), k the first coefficient where the expansions
-    differ, with those two coefficients as the values.
+    A series mismatch is reported at point + (k,), k the first coefficient
+    where the expansions differ, with those two coefficients as the values.
     """
     for point, lhs, rhs in points:
-        if perturb and (perturb_at is None or perturb_at == point):
-            if isinstance(rhs, RationalFunctionSeries):
-                rhs = rhs + canonicalize(IntPolynomial((perturb,)), 0)
-            else:
-                rhs = rhs + perturb
         if lhs != rhs:
             if isinstance(lhs, RationalFunctionSeries):
                 k, lhs, rhs = _first_series_difference(lhs, rhs)
                 point = point + (k,)
-            return VerificationResult(identity_id, params, False,
+            return VerificationResult(identity_id, params,
                                       Counterexample(point, lhs, rhs))
-    return VerificationResult(identity_id, params, True, None)
+    return VerificationResult(identity_id, params, None)
 
 
 def _convolution_points(n: int, d: int, k_max: int,
@@ -140,8 +129,7 @@ def _convolution_points(n: int, d: int, k_max: int,
         )
 
 
-def verify_lemma_2_2(n: int, d: int, *, perturb: int = 0,
-                     perturb_at: Optional[tuple] = None) -> VerificationResult:
+def verify_lemma_2_2(n: int, d: int) -> VerificationResult:
     """Check the alternating binomial convolution for every i in 0..n-d.
 
     Check points are (i,).
@@ -152,12 +140,10 @@ def verify_lemma_2_2(n: int, d: int, *, perturb: int = 0,
              for l in range(i + 1)))
         for i in range(n - d + 1)
     )
-    return _check("lemma_2_2", f"n={n} d={d} i in 0..{n - d}", points,
-                  perturb, perturb_at)
+    return _check("lemma_2_2", f"n={n} d={d} i in 0..{n - d}", points)
 
 
-def verify_prop_2_3(n: int, d: int, *, perturb: int = 0,
-                    perturb_at: Optional[tuple] = None) -> VerificationResult:
+def verify_prop_2_3(n: int, d: int) -> VerificationResult:
     """Check that the two series presentations agree, then the underlying
     numerator identity divided by T^d as a plain polynomial equality.
 
@@ -175,21 +161,19 @@ def verify_prop_2_3(n: int, d: int, *, perturb: int = 0,
             rhs = rhs + binomial(i + d - 1, d - 1) * one_minus_t_power(i)
         yield ("numerator",), canonicalize(lhs, 0), canonicalize(rhs, 0)
 
-    return _check("prop_2_3", f"n={n} d={d}", points(), perturb, perturb_at)
+    return _check("prop_2_3", f"n={n} d={d}", points())
 
 
-def verify_lemma_4_1(n: int, d: int, k_max: int, *, perturb: int = 0,
-                     perturb_at: Optional[tuple] = None) -> VerificationResult:
+def verify_lemma_4_1(n: int, d: int, k_max: int) -> VerificationResult:
     """Check C(n+k, k+d) against the convolution side for k = 0..k_max.
 
     Check points are (k,).
     """
     return _check("lemma_4_1", f"n={n} d={d} k in 0..{k_max}",
-                  _convolution_points(n, d, k_max, ()), perturb, perturb_at)
+                  _convolution_points(n, d, k_max, ()))
 
 
-def verify_eq_chain(n: int, d: int, k_max: int, *, perturb: int = 0,
-                    perturb_at: Optional[tuple] = None) -> VerificationResult:
+def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
     """Check the three-step chain linking the two ideal families.
 
     Steps and check points:
@@ -220,12 +204,10 @@ def verify_eq_chain(n: int, d: int, k_max: int, *, perturb: int = 0,
                 ), binomial(n - d + k, k)
         yield from _convolution_points(n, d, k_max, ("unshifted",))
 
-    return _check("eq_chain", f"n={n} d={d} k in 0..{k_max}", points(),
-                  perturb, perturb_at)
+    return _check("eq_chain", f"n={n} d={d} k in 0..{k_max}", points())
 
 
-def verify_theorem_1_4(n: int, d: int, *, perturb: int = 0,
-                       perturb_at: Optional[tuple] = None) -> VerificationResult:
+def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
     """Check the series-level and depth-level links between the families.
 
     Check points: ("series",) for the canonical-form equality
@@ -238,11 +220,10 @@ def verify_theorem_1_4(n: int, d: int, *, perturb: int = 0,
         yield ("series",), veronese, mul_power_one_minus_t(hat, -(d - 1))
         yield ("depth",), hilbert_depth(veronese), hilbert_depth(hat) + d - 1
 
-    return _check("theorem_1_4", f"n={n} d={d}", points(), perturb, perturb_at)
+    return _check("theorem_1_4", f"n={n} d={d}", points())
 
 
-def verify_theorem_1_3(n_max: int, *, perturb: int = 0,
-                       perturb_at: Optional[tuple] = None) -> VerificationResult:
+def verify_theorem_1_3(n_max: int) -> VerificationResult:
     """Sweep the closed depth formulas of both families.
 
     Checks, in order, for 1 <= s (or d) <= n <= n_max:
@@ -268,5 +249,4 @@ def verify_theorem_1_3(n_max: int, *, perturb: int = 0,
             yield (("substitution", n, s), closed_depth_veronese(n + s - 1, s),
                    s - 1 + closed_depth_max_power(n, s))
 
-    return _check("theorem_1_3", f"1 <= s,d <= n <= {n_max}", points(),
-                  perturb, perturb_at)
+    return _check("theorem_1_3", f"1 <= s,d <= n <= {n_max}", points())

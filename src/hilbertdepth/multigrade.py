@@ -124,7 +124,7 @@ def hilbert_function_oracle(spec: IdealSpec, k: int) -> int:
     vars_ = spec.ambient
     if math.comb(k + vars_ - 1, vars_ - 1) > MAX_ENUMERATION:
         raise ValueError("degree too large to enumerate")
-    return sum(membership(spec, alpha) for alpha in degree_compositions(k, vars_))
+    return sum(map(spec.member, degree_compositions(k, vars_)))
 
 
 def check_fine_guard(num_vars: int, box: int) -> None:
@@ -200,4 +200,4 @@ def fine_series_oracle(spec: IdealSpec, box: int) -> MultiSeries:
     """Fine series by pointwise membership over the box."""
     vars_ = spec.ambient
     check_fine_guard(vars_, box)
-    return MultiSeries.from_function(vars_, box, lambda alpha: membership(spec, alpha))
+    return MultiSeries.from_function(vars_, box, lambda alpha: int(spec.member(alpha)))

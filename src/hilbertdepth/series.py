@@ -59,19 +59,6 @@ class RationalFunctionSeries:
         elif self.den_pow > 0 and self.numer.eval_at_one() == 0:
             raise ValueError("numerator has a removable (1 - T) factor")
 
-    def __add__(self, other: RationalFunctionSeries) -> RationalFunctionSeries:
-        if not isinstance(other, RationalFunctionSeries):
-            return NotImplemented
-        m = max(self.den_pow, other.den_pow)
-        p = (self.numer * one_minus_t_power(m - self.den_pow)
-             + other.numer * one_minus_t_power(m - other.den_pow))
-        return canonicalize(p, m)
-
-    def __sub__(self, other: RationalFunctionSeries) -> RationalFunctionSeries:
-        if not isinstance(other, RationalFunctionSeries):
-            return NotImplemented
-        return self + RationalFunctionSeries(-other.numer, other.den_pow)
-
     def __str__(self) -> str:
         if self.den_pow == 0:
             return str(self.numer)

@@ -189,7 +189,7 @@ def _random_spec(rng: random.Random):
     return HatPower(n, t, s) if family == 2 else GeneratedHatPower(n, t, s)
 
 
-def test_criterion_8_property_suite():
+def test_criterion_8_property_suite(perturb):
     failures = []
 
     # non-negativity is monotone in r across randomized family probes
@@ -239,14 +239,17 @@ def test_criterion_8_property_suite():
                 failures.append(("sign-law", a, b))
 
     # every verifier reports a counterexample under a deliberate break
-    broken = [
-        verify_lemma_2_2(4, 2, perturb=1, perturb_at=(2,)),
-        verify_prop_2_3(5, 2, perturb=1),
-        verify_lemma_4_1(5, 2, 10, perturb=1, perturb_at=(3,)),
-        verify_eq_chain(5, 2, 10, perturb=1, perturb_at=("unshifted", 3)),
-        verify_theorem_1_4(5, 2, perturb=1, perturb_at=("depth",)),
-        verify_theorem_1_3(5, perturb=1, perturb_at=("veronese", 4, 2)),
-    ]
+    broken = []
+    for verify, args, at in [
+        (verify_lemma_2_2, (4, 2), (2,)),
+        (verify_prop_2_3, (5, 2), None),
+        (verify_lemma_4_1, (5, 2, 10), (3,)),
+        (verify_eq_chain, (5, 2, 10), ("unshifted", 3)),
+        (verify_theorem_1_4, (5, 2), ("depth",)),
+        (verify_theorem_1_3, (5,), ("veronese", 4, 2)),
+    ]:
+        perturb(1, at=at)
+        broken.append(verify(*args))
     for res in broken:
         if res.passed or res.counterexample is None:
             failures.append(("perturbation", res.identity_id))

@@ -150,7 +150,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_failure_exit_code(self, capsys, monkeypatch, fmt):
         broken = VerificationResult(
-            "theorem_1_4", "n=2 d=1", False, Counterexample(("depth", 4), 1, 2))
+            "theorem_1_4", "n=2 d=1", Counterexample(("depth", 4), 1, 2))
         monkeypatch.setattr(cli, "verify_theorem_1_4", lambda n, d: broken)
         code, out, _ = run_cli(["verify", "theorem-1.4", "--n-max", "3",
                                 "--format", fmt], capsys)
@@ -180,6 +180,21 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == "error: --k-max must be non-negative\n"
+
+    @pytest.mark.parametrize("identity", ["lemma-2.2", "prop-2.3", "theorem-1.4",
+                                          "theorem-1.3"])
+    def test_k_max_rejected_without_window(self, capsys, identity):
+        code, out, err = run_cli(["verify", identity, "--n-max", "3",
+                                  "--k-max", "5"], capsys)
+        assert (code, out, err) == (2, "", f"error: {identity} does not take --k-max\n")
+
+    @pytest.mark.parametrize("identity", ["lemma-4.1", "eq-chain"])
+    def test_k_max_window_applied(self, capsys, monkeypatch, identity):
+        name = "verify_" + identity.replace("-", "_").replace(".", "_")
+        verify, windows = getattr(cli, name), []
+        monkeypatch.setattr(cli, name, lambda n, d, k: windows.append(k) or verify(n, d, k))
+        code, _, _ = run_cli(["verify", identity, "--n-max", "3", "--k-max", "5"], capsys)
+        assert code == 0 and windows == [5] * 6
 
 
 class TestTableCommand:

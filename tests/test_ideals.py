@@ -208,6 +208,9 @@ class TestDepthReport:
                     assert GeneratedHatPower(n, t, s).closed_depth() == gen
 
     def test_inconsistent_report_rejected(self):
+        # agree is derived, so a report cannot state it apart from the depths
         h = canonicalize(IntPolynomial((1,)), 2)
-        with pytest.raises(ValueError):
+        assert not DepthReport(Veronese(2, 1), h, 1, 2).agree
+        assert DepthReport(Veronese(2, 1), h, 2, 2).agree
+        with pytest.raises(TypeError):
             DepthReport(Veronese(2, 1), h, 1, 2, agree=True)

@@ -28,13 +28,15 @@ class TestLemma22:
             for d in range(1, n + 1):
                 assert verify_lemma_2_2(n, d).passed
 
-    def test_perturbation_reports_counterexample(self):
-        res = verify_lemma_2_2(4, 2, perturb=1, perturb_at=(2,))
+    def test_perturbation_reports_counterexample(self, perturb):
+        perturb(1, at=(2,))
+        res = verify_lemma_2_2(4, 2)
         assert not res.passed
         assert res.counterexample == Counterexample((2,), 3, 4)
 
-    def test_untargeted_perturbation_fails_at_first_point(self):
-        res = verify_lemma_2_2(4, 2, perturb=1)
+    def test_untargeted_perturbation_fails_at_first_point(self, perturb):
+        perturb(1)
+        res = verify_lemma_2_2(4, 2)
         assert res.counterexample.params == (0,)
 
 
@@ -48,13 +50,15 @@ class TestProp23:
             for d in range(1, n + 1):
                 assert verify_prop_2_3(n, d).passed
 
-    def test_perturbed_series_check(self):
-        res = verify_prop_2_3(3, 2, perturb=1, perturb_at=("series",))
+    def test_perturbed_series_check(self, perturb):
+        perturb(1, at=("series",))
+        res = verify_prop_2_3(3, 2)
         assert not res.passed
         assert res.counterexample.params[0] == "series"
 
-    def test_perturbed_numerator_check(self):
-        res = verify_prop_2_3(3, 2, perturb=-2, perturb_at=("numerator",))
+    def test_perturbed_numerator_check(self, perturb):
+        perturb(-2, at=("numerator",))
+        res = verify_prop_2_3(3, 2)
         assert not res.passed
         assert res.counterexample == Counterexample(("numerator", 0), 3, 1)
 
@@ -72,8 +76,9 @@ class TestLemma41:
     def test_window(self):
         assert verify_lemma_4_1(5, 2, 10).passed
 
-    def test_perturbation(self):
-        res = verify_lemma_4_1(5, 2, 10, perturb=3, perturb_at=(7,))
+    def test_perturbation(self, perturb):
+        perturb(3, at=(7,))
+        res = verify_lemma_4_1(5, 2, 10)
         assert not res.passed
         assert res.counterexample.params == (7,)
         assert res.counterexample.rhs - res.counterexample.lhs == 3
@@ -90,18 +95,20 @@ class TestEqChain:
                 assert verify_eq_chain(n, d, n + 10).passed
 
     @pytest.mark.parametrize("point", [("rational",), ("shifted", 4), ("unshifted", 2)])
-    def test_perturbation_per_step(self, point):
-        res = verify_eq_chain(4, 2, 8, perturb=1, perturb_at=point)
+    def test_perturbation_per_step(self, perturb, point):
+        perturb(1, at=point)
+        res = verify_eq_chain(4, 2, 8)
         assert not res.passed
         assert res.counterexample.params[0] == point[0]
 
-    def test_agrees_with_lemma_4_1_case_by_case(self):
+    def test_agrees_with_lemma_4_1_case_by_case(self, perturb):
         # the unshifted step and the convolution identity are the same
         # statement; a shared perturbation must produce the same values
         for n, d, k0 in [(4, 2, 3), (6, 3, 5)]:
-            broken_chain = verify_eq_chain(n, d, 10, perturb=1,
-                                           perturb_at=("unshifted", k0))
-            broken_lemma = verify_lemma_4_1(n, d, 10, perturb=1, perturb_at=(k0,))
+            perturb(1, at=("unshifted", k0))
+            broken_chain = verify_eq_chain(n, d, 10)
+            perturb(1, at=(k0,))
+            broken_lemma = verify_lemma_4_1(n, d, 10)
             assert broken_chain.counterexample.lhs == broken_lemma.counterexample.lhs
             assert broken_chain.counterexample.rhs == broken_lemma.counterexample.rhs
 
@@ -118,13 +125,15 @@ class TestTheorem14:
         for n in range(1, 10):
             assert verify_theorem_1_4(n, n).passed
 
-    def test_perturbed_series(self):
-        res = verify_theorem_1_4(3, 2, perturb=2, perturb_at=("series",))
+    def test_perturbed_series(self, perturb):
+        perturb(2, at=("series",))
+        res = verify_theorem_1_4(3, 2)
         assert not res.passed and res.counterexample.params == ("series", 0)
         assert res.counterexample.rhs == 2
 
-    def test_perturbed_depth(self):
-        res = verify_theorem_1_4(3, 2, perturb=1, perturb_at=("depth",))
+    def test_perturbed_depth(self, perturb):
+        perturb(1, at=("depth",))
+        res = verify_theorem_1_4(3, 2)
         assert not res.passed
         assert res.counterexample == Counterexample(("depth",), 2, 3)
 
@@ -139,24 +148,27 @@ class TestTheorem13:
 
     @pytest.mark.parametrize("point", [("max_power", 3, 2), ("veronese", 6, 2),
                                        ("substitution", 4, 2)])
-    def test_perturbation_per_branch(self, point):
-        res = verify_theorem_1_3(6, perturb=1, perturb_at=point)
+    def test_perturbation_per_branch(self, perturb, point):
+        perturb(1, at=point)
+        res = verify_theorem_1_3(6)
         assert not res.passed
         assert res.counterexample.params == point
 
 
 class TestResultStructure:
     def test_passed_iff_no_counterexample(self):
-        with pytest.raises(ValueError):
-            VerificationResult("lemma_2_2", "n=2 d=1", True,
-                               Counterexample((0,), 1, 2))
-        with pytest.raises(ValueError):
-            VerificationResult("lemma_2_2", "n=2 d=1", False, None)
+        # passed is derived, so a result cannot state it apart from the data
+        assert not VerificationResult("lemma_2_2", "n=2 d=1",
+                                      Counterexample((0,), 1, 2)).passed
+        assert VerificationResult("lemma_2_2", "n=2 d=1", None).passed
+        with pytest.raises(TypeError):
+            VerificationResult("lemma_2_2", "n=2 d=1", True, None)
 
-    def test_deterministic_results(self):
+    def test_deterministic_results(self, perturb):
         a = verify_theorem_1_4(5, 3)
         b = verify_theorem_1_4(5, 3)
         assert a == b
-        a = verify_lemma_2_2(6, 2, perturb=1)
-        b = verify_lemma_2_2(6, 2, perturb=1)
-        assert a == b
+        perturb(1)
+        a = verify_lemma_2_2(6, 2)
+        b = verify_lemma_2_2(6, 2)
+        assert a == b and not a.passed

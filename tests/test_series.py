@@ -146,15 +146,6 @@ class TestCoefficient:
         want = expand_by_prefix_sums(h.numer.coefficients, h.den_pow, 50)
         assert [coefficient(h, k) for k in range(51)] == want
 
-    @given(st.lists(st.integers(-9, 9), max_size=6), st.integers(0, 5),
-           st.lists(st.integers(-9, 9), max_size=6), st.integers(0, 5))
-    def test_addition_is_linear(self, c1, m1, c2, m2):
-        h1, h2 = rfs(c1, m1), rfs(c2, m2)
-        total = h1 + h2
-        for k in range(25):
-            assert coefficient(total, k) == coefficient(h1, k) + coefficient(h2, k)
-            assert coefficient(h1 - h2, k) == coefficient(h1, k) - coefficient(h2, k)
-
 
 class TestEventualPolynomial:
     def test_veronese_example(self):
