@@ -178,11 +178,13 @@ def _sweep_pairs(verify: Callable[..., VerificationResult], n_max: int,
     """Run verify(n, d, k) over 1 <= d <= n <= n_max, k defaulting to n + 10.
 
     Returns (range description, case count, first failing result or None);
-    cases count verifier invocations.
+    cases count verifier invocations.  The description names the window
+    only when one is given.
     """
     results = [verify(n, d, k_max if k_max is not None else n + 10)
                for n in range(1, n_max + 1) for d in range(1, n + 1)]
-    return (f"1 <= d <= n <= {n_max}", len(results),
+    window = "" if k_max is None else f", k <= {k_max}"
+    return (f"1 <= d <= n <= {n_max}{window}", len(results),
             next((res for res in results if not res.passed), None))
 
 

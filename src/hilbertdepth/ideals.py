@@ -207,11 +207,20 @@ def max_power_series(n: int, s: int) -> RationalFunctionSeries:
     """Coarse Hilbert series of MaxPower(n, s).
 
     H = (1-T)^(-n) - sum_{k<s} C(n+k-1,k) T^k, assembled over the common
-    denominator (1-T)^n.
+    denominator (1-T)^n.  The numerator is the alternating sum of the
+    graded Betti numbers of the linear (Eagon-Northcott) resolution of
+    m^s, whose i-th module has C(s+i-1, i) C(n+s-1, s+i) generators in
+    degree s+i, so it is built from the closed form
+
+        P_(s+i) = (-1)^i C(s+i-1, i) C(n+s-1, s+i)    for 0 <= i < n
+
+    (and 0 below T^s) rather than from the product of an s-term
+    polynomial with (1-T)^n.
     """
     MaxPower(n, s)
-    low = IntPolynomial(tuple(binomial(n + k - 1, k) for k in range(s)))
-    numer = IntPolynomial.one() - low * one_minus_t_power(n)
+    numer = IntPolynomial((0,) * s + tuple(
+        (-1) ** i * binomial(s + i - 1, i) * binomial(n + s - 1, s + i)
+        for i in range(n)))
     return canonicalize(numer, n)
 
 

@@ -10,10 +10,11 @@ representation sit three decisions, all exact:
   * non-negativity of the entire (infinite) coefficient sequence, decided in
     finite time because the sequence agrees with a polynomial in k once k
     exceeds the numerator degree; the prefix-sum passes that expand the head
-    also yield that polynomial's forward-difference table;
+    also carry that polynomial's forward-difference table, one step each;
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
-    found by a linear scan of the same decision on the numerator, valid
-    because multiplying a non-negative series by 1/(1 - T) takes prefix sums.
+    found by one pass of the same prefix sums over P / (1 - T)^j,
+    j = 0, 1, ..., stopping at the first non-negative j, valid because
+    multiplying a non-negative series by 1/(1 - T) takes prefix sums.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
+from operator import add
+from typing import Iterator
 
 from .exactalg import IntPolynomial, binomial, one_minus_t_power
 
@@ -163,16 +166,30 @@ def eventual_polynomial(h: RationalFunctionSeries) -> EventualPolynomial:
     return EventualPolynomial(threshold=h.numer.degree, coeffs=coeffs)
 
 
-def _nonnegative(numer: tuple[int, ...], m: int) -> bool:
-    """is_nonnegative for numer(T) / (1 - T)^m; numer nonzero when m >= 1."""
-    row = list(numer) + [0] * (m - 1)
-    diffs = []
-    for _ in range(m):
-        row = list(accumulate(row))
-        diffs.insert(0, row.pop())  # q's forward differences at D, P(1) last
-    if any(c < 0 for c in row) or diffs and min(diffs[0], diffs[-1]) < 0:
-        return False
-    e = m - 1
+def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
+    """Yield whether numer(T) / (1 - T)^j is non-negative, for j = first..m.
+
+    numer is nonzero when m >= 1.  One pass carries two things from j - 1
+    to j: the row S_j[0..D] of j-fold prefix sums of P (D = deg P), one
+    accumulate of the previous row, and the forward-difference table
+    t_j[i] = S_(j-i)[D+i], i < j, of the eventual polynomial at base D.
+    Differencing S_j once gives S_(j-1) shifted by one, so t_j[0] = S_j[D],
+    t_j[j-1] = P(1) and t_j[i] = t_(j-1)[i-1] + t_(j-1)[i] in between.
+    Rows and tables for j < first are carried but not judged.
+    """
+    row, table, total = list(numer), [], sum(numer)
+    for j in range(m + 1):
+        if j:
+            row = list(accumulate(row))
+            table = [row[-1], *map(add, table, table[1:]), total] if table else [row[-1]]
+        if j >= first:
+            yield not (any(c < 0 for c in row) or table and total < 0) and _walk(table[:])
+
+
+def _walk(diffs: list[int]) -> bool:
+    """Tail decision on a forward-difference table whose first and last
+    entries are >= 0; advances the table in place one k at a time."""
+    e = len(diffs) - 1
     while True:
         if all(x >= 0 for x in diffs):
             return True
@@ -185,40 +202,41 @@ def _nonnegative(numer: tuple[int, ...], m: int) -> bool:
 def is_nonnegative(h: RationalFunctionSeries) -> bool:
     """True iff every power-series coefficient of H is >= 0, decided exactly.
 
-    Procedure: m passes of prefix summing over P padded to D + m entries
-    (D = numerator degree), each popping its row's last entry; with m = 0
-    the row is P.  Beyond D the sequence agrees with a polynomial q of degree
-    m-1 whose leading coefficient is numer(1)/(m-1)!.  The j-fold sums
-    differenced once are the (j-1)-fold sums shifted by one, so the popped
-    entries, reversed, are the forward-difference table of q at base D, from
-    q(D) to numer(1).  Reject if q(D), numer(1) (eventually negative) or a
-    remaining c_0..c_{D-1} is negative.  Otherwise walk the table: Newton's
-    expansion q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that
-    once every difference is >= 0 at some k0 the whole tail is >= 0, and each
-    difference is itself eventually non-negative because its leading term is
-    positive, so the walk terminates.
+    Procedure: the step j = m of the prefix-sum scan (D = numerator degree,
+    m = den_pow), whose earlier steps only carry their rows forward.  Its
+    row is c_0..c_D, the m-fold prefix sums of P cut at D; with m = 0 the
+    row is P.  Beyond D the sequence agrees with a polynomial q of degree
+    m-1 whose leading coefficient is numer(1)/(m-1)!, and the scan carries
+    q's forward-difference table at base D, from q(D) = c_D to numer(1).
+    Reject if a row entry or numer(1) (eventually negative) is negative.
+    Otherwise walk the table: Newton's expansion
+    q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that once every
+    difference is >= 0 at some k0 the whole tail is >= 0, and each
+    difference is itself eventually non-negative because its leading term
+    is positive, so the walk terminates.
     """
-    return _nonnegative(h.numer.coefficients, h.den_pow)
+    return next(_verdicts(h.numer.coefficients, h.den_pow, h.den_pow))
 
 
 def hilbert_depth(h: RationalFunctionSeries) -> int:
     """Largest r with (1 - T)^r * H having all coefficients >= 0.
 
-    Requires H to be a nonzero non-negative series.  The scan runs r = 0
-    upward and stops at the first failure, which is sound because
-    non-negativity at r implies non-negativity at r - 1 (prefix sums of a
-    non-negative sequence are non-negative).  It never exceeds den_pow:
-    for r > den_pow the transform is a nonzero polynomial with a
+    Requires H to be a nonzero non-negative series.  For r <= den_pow the
+    transform is the canonical numer / (1 - T)^(den_pow - r), since
+    numer(1) != 0, so one prefix-sum scan over j = den_pow - r = 0, 1, ...
+    judges every candidate, each step as is_nonnegative would, and stops at
+    the first non-negative j*, giving r = den_pow - j*.  That is the largest
+    r because non-negativity at j implies it at j + 1 (prefix sums of a
+    non-negative sequence are non-negative).  The depth never exceeds
+    den_pow: for r > den_pow the transform is a nonzero polynomial with a
     (1 - T) factor, whose coefficients sum to 0 and hence cannot all be
-    non-negative.  For r <= den_pow the transform is the canonical
-    numer / (1 - T)^(den_pow - r), since numer(1) != 0.
+    non-negative.  If no j <= den_pow passes, H itself (j = den_pow) has a
+    negative coefficient.
     """
     if h.numer.is_zero():
         raise ValueError("depth is undefined for the zero series")
-    numer, m = h.numer.coefficients, h.den_pow
-    if not _nonnegative(numer, m):
-        raise ValueError("series has a negative coefficient; not a Hilbert series")
-    r = 0
-    while r < m and _nonnegative(numer, m - r - 1):
-        r += 1
-    return r
+    m = h.den_pow
+    for j, nonnegative in enumerate(_verdicts(h.numer.coefficients, m)):
+        if nonnegative:
+            return m - j
+    raise ValueError("series has a negative coefficient; not a Hilbert series")

@@ -197,6 +197,25 @@ class TestVerifyCommand:
         assert code == 0 and windows == [5] * 6
 
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_k_max_window_shown(self, capsys, fmt):
+        args = ["verify", "lemma-4.1", "--n-max", "4", "--format", fmt]
+        scopes = []
+        for window in (["--k-max", "0"], ["--k-max", "5"], []):
+            out = run_cli(args + window, capsys)[1]
+            if fmt == "plain":
+                scopes.append(out.splitlines()[1].split(" cases over ")[1])
+            else:
+                scopes.append(next(csv.DictReader(io.StringIO(out)))["params"])
+        assert scopes == ["1 <= d <= n <= 4, k <= 0", "1 <= d <= n <= 4, k <= 5",
+                          "1 <= d <= n <= 4"]
+
+    def test_scope_without_window_unchanged(self, capsys):
+        code, out, err = run_cli(["verify", "lemma-4.1", "--n-max", "4"], capsys)
+        assert (code, out, err) == (0, "# verify lemma-4.1 n_max=4\n"
+                                       "PASS lemma_4_1: 10 cases over 1 <= d <= n <= 4\n", "")
+
+
 class TestTableCommand:
     def test_csv_schema(self, capsys):
         code, out, _ = run_cli(["table", "--ideal", "veronese", "--n", "1..6",

@@ -23,7 +23,7 @@ from hilbertdepth.series import (
     is_nonnegative,
     mul_power_one_minus_t,
 )
-from hilbertdepth.exactalg import binomial
+from hilbertdepth.exactalg import binomial, one_minus_t_power
 
 
 class TestSpecValidation:
@@ -105,6 +105,14 @@ class TestMaxPowerSeries:
         with pytest.raises(ValueError):
             max_power_series(3, 0)
 
+    def test_closed_form_matches_product_route(self):
+        # the product route: 1 - (sum_{k<s} C(n+k-1,k) T^k) * (1-T)^n
+        for n in range(1, 61):
+            for s in range(1, 70):
+                low = IntPolynomial(tuple(binomial(n + k - 1, k) for k in range(s)))
+                numer = IntPolynomial.one() - low * one_minus_t_power(n)
+                assert max_power_series(n, s) == canonicalize(numer, n), (n, s)
+
 
 class TestHatPowerSeries:
     def test_hand_expansion(self):
@@ -173,6 +181,11 @@ class TestClosedDepthFormulas:
                 assert hilbert_depth(veronese_series(n, d)) == closed_depth_veronese(n, d)
             for s in range(1, n + 1):
                 assert hilbert_depth(max_power_series(n, s)) == closed_depth_max_power(n, s)
+
+    @pytest.mark.parametrize("spec", [MaxPower(800, 3), Veronese(800, 2)])
+    def test_deep_scan_at_scale(self, spec):
+        # depths 200 and 268: one prefix-sum pass, not one pass per probe
+        assert hilbert_depth(spec.series()) == spec.closed_depth()
 
     def test_all_families_nonnegative(self):
         for n in range(1, 9):

@@ -226,6 +226,12 @@ class TestIsNonnegative:
     @settings(max_examples=300)
     @given(st.lists(st.integers(-9, 9), max_size=8), st.integers(0, 6))
     @example(coeffs=[0, 7, -20, 17], den_pow=3)  # only c_3 = c_D is negative
+    @example(coeffs=[3, 0, 1], den_pow=0)  # m = 0: the row alone decides
+    @example(coeffs=[2, -1, 0, 5], den_pow=0)  # m = 0, negative row
+    @example(coeffs=[2, -1], den_pow=1)  # m = 1: sums 2, 1, 1, ...; depth 0
+    # j = 3 has the row 7, 3, 0 but its table fails (k = 3 gives -2);
+    # j = 4 is the first non-negative step, so the depth is 0
+    @example(coeffs=[7, -18, 12], den_pow=4)
     def test_matches_brute_force_reference(self, coeffs, den_pow):
         h = rfs(coeffs, den_pow)
         verdict = is_nonnegative(h)
