@@ -10,11 +10,7 @@ from .ideals import (
     IdealSpec,
     MaxPower,
     Veronese,
-    closed_depth_max_power,
-    closed_depth_veronese,
     depth_report,
-    max_power_series,
-    veronese_series,
     veronese_series_alt,
 )
 from .identities import (

@@ -29,6 +29,7 @@ from .identities import (
     verify_theorem_1_4,
 )
 from .multigrade import (
+    check_enumeration_guard,
     check_fine_guard,
     fine_series_formula,
     fine_series_oracle,
@@ -279,9 +280,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     _require(args.k_max, "--k-max", 0)
     _require(args.s_max, "--s-max", 1)
     _require(args.box, "--box", 0)
+    # both work counts grow with the ring size, so checking the largest
+    # ring, n_max variables, covers every spec before the coarse pass
+    check_fine_guard(args.n_max, args.box)
+    check_enumeration_guard(args.n_max, args.k_max)
     specs = _oracle_specs(args.n_max, args.s_max)
-    for spec in chain.from_iterable(specs.values()):
-        check_fine_guard(spec.ambient, args.box)  # fail before the coarse pass
     coarse, fine = [], []
     for family, family_specs in specs.items():
         coarse_ok = fine_ok = True

@@ -13,13 +13,14 @@ Hilbert functions here count monomials):
     the full ring; x^a belongs iff the first n-t+1 exponents sum to >= s.
 
 The last three are one object: the s-th power of the maximal ideal in
-span = n-t+1 variables (t = 1 for MaxPower), whose series is
-max_power_series(span, s), shifted by (1-T)^-(t-1) when generated in the
-full ring.  Each spec class carries its family's behaviour, and FAMILIES
-lists the classes by CLI name.
+span = n-t+1 variables (t = 1 for MaxPower).  Its series is the
+Eagon-Northcott numerator of that power over (1-T)^span, shifted by
+(1-T)^-(t-1) when the ideal is generated in the full ring.  Each spec
+class carries its family's series, closed depth and membership test, and
+FAMILIES lists the classes by CLI name.
 
-Every constructor assembles the exact numerator polynomial first and then
-canonicalizes; nothing is expanded coefficient-wise.
+Every series is assembled as its exact numerator polynomial first and then
+canonicalized; nothing is expanded coefficient-wise.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Union
 
 from .exactalg import IntPolynomial, binomial, one_minus_t_power
-from .series import (
-    RationalFunctionSeries,
-    canonicalize,
-    hilbert_depth,
-    mul_power_one_minus_t,
-)
+from .series import RationalFunctionSeries, canonicalize, hilbert_depth
 
 __all__ = [
     "Veronese",
@@ -44,11 +40,7 @@ __all__ = [
     "FAMILIES",
     "DepthReport",
     "depth_report",
-    "veronese_series",
     "veronese_series_alt",
-    "max_power_series",
-    "closed_depth_veronese",
-    "closed_depth_max_power",
 ]
 
 
@@ -72,10 +64,42 @@ class Veronese:
         return self.n
 
     def series(self) -> RationalFunctionSeries:
-        return veronese_series(self.n, self.d)
+        """Coarse Hilbert series.
+
+        Numerator sum_{k=d..n} C(n,k) T^k (1-T)^(n-k) over (1-T)^n.  Its T^j
+        coefficient is C(n,j) sum_{k=d..j} (-1)^(j-k) C(j,k), and the
+        alternating sum telescopes, so the numerator is built from the
+        closed form
+
+            P_j = (-1)^(j-d) C(n,j) C(j-1,d-1)    for d <= j <= n
+
+        (and 0 below d) rather than from n - d + 1 dense products.
+        """
+        n, d = self.n, self.d
+        numer = IntPolynomial((0,) * d + tuple(
+            (-1) ** (j - d) * binomial(n, j) * binomial(j - 1, d - 1)
+            for j in range(d, n + 1)))
+        return canonicalize(numer, n)
 
     def closed_depth(self) -> int:
-        return closed_depth_veronese(self.n, self.d)
+        """Closed-form depth, checked in all three spellings:
+
+            d + floor(C(n,d+1) / C(n,d))
+            d + floor((n-d) / (d+1))
+            d - 1 + ceil((n-d+1) / (d+1))
+
+        The three must agree; a mismatch would be an implementation bug.
+        """
+        n, d = self.n, self.d
+        ratio_form = d + binomial(n, d + 1) // binomial(n, d)
+        floor_form = d + (n - d) // (d + 1)
+        ceil_form = d - 1 + -(-(n - d + 1) // (d + 1))
+        if not ratio_form == floor_form == ceil_form:
+            raise AssertionError(
+                f"closed-form spellings disagree at (n={n}, d={d}): "
+                f"{ratio_form}, {floor_form}, {ceil_form}"
+            )
+        return ceil_form
 
     def member(self, alpha: tuple[int, ...]) -> bool:
         return sum(1 for a in alpha if a > 0) >= self.d
@@ -83,11 +107,7 @@ class Veronese:
 
 class _PowerFamily:
     """The s-th power of the maximal ideal of the first span = n-t+1
-    variables, in a ring of `ambient` variables.
-
-    Its series is the max-power series in span variables times
-    (1-T)^-(ambient-span), which raises the depth by exactly ambient-span.
-    """
+    variables, in a ring of `ambient` variables."""
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -107,11 +127,31 @@ class _PowerFamily:
         return self.n
 
     def series(self) -> RationalFunctionSeries:
-        return mul_power_one_minus_t(max_power_series(self.span, self.s),
-                                     self.span - self.ambient)
+        """Coarse Hilbert series.
+
+        In span variables, H = (1-T)^(-span) - sum_{k<s} C(span+k-1,k) T^k,
+        assembled over the common denominator (1-T)^span.  The numerator is
+        the alternating sum of the graded Betti numbers of the linear
+        (Eagon-Northcott) resolution of m^s, whose i-th module has
+        C(s+i-1, i) C(span+s-1, s+i) generators in degree s+i, so it is
+        built from the closed form
+
+            P_(s+i) = (-1)^i C(s+i-1, i) C(span+s-1, s+i)    for 0 <= i < span
+
+        (and 0 below T^s) rather than from the product of an s-term
+        polynomial with (1-T)^span.  P(1) = 1, so the extra variables only
+        raise the denominator power to ambient.
+        """
+        span, s = self.span, self.s
+        numer = IntPolynomial((0,) * s + tuple(
+            (-1) ** i * binomial(s + i - 1, i) * binomial(span + s - 1, s + i)
+            for i in range(span)))
+        return canonicalize(numer, self.ambient)
 
     def closed_depth(self) -> int:
-        return closed_depth_max_power(self.span, self.s) + self.ambient - self.span
+        """Closed-form depth ceil(span / (s+1)) of m^s in span variables,
+        raised by exactly ambient - span by the extra variables."""
+        return -(-self.span // (self.s + 1)) + self.ambient - self.span
 
     def member(self, alpha: tuple[int, ...]) -> bool:
         return sum(alpha[: self.span]) >= self.s
@@ -172,83 +212,17 @@ class DepthReport:
         return self.computed_depth == self.closed_form_depth
 
 
-def veronese_series(n: int, d: int) -> RationalFunctionSeries:
-    """Coarse Hilbert series of Veronese(n, d).
-
-    Numerator sum_{k=d..n} C(n,k) T^k (1-T)^(n-k) over (1-T)^n.  Its T^j
-    coefficient is C(n,j) sum_{k=d..j} (-1)^(j-k) C(j,k), and the alternating
-    sum telescopes, so the numerator is built from the closed form
-
-        P_j = (-1)^(j-d) C(n,j) C(j-1,d-1)    for d <= j <= n
-
-    (and 0 below d) rather than from n - d + 1 dense products.
-    """
-    Veronese(n, d)
-    numer = IntPolynomial((0,) * d + tuple(
-        (-1) ** (j - d) * binomial(n, j) * binomial(j - 1, d - 1)
-        for j in range(d, n + 1)))
-    return canonicalize(numer, n)
-
-
 def veronese_series_alt(n: int, d: int) -> RationalFunctionSeries:
     """Coarse Hilbert series of Veronese(n, d), second presentation.
 
     Numerator sum_{i=d-1..n-1} C(i,d-1) T^d (1-T)^(i-d+1) over (1-T)^n.
-    Canonicalizes to the same object as veronese_series.
+    Canonicalizes to the same object as Veronese(n, d).series().
     """
     Veronese(n, d)
     numer = IntPolynomial()
     for i in range(d - 1, n):
         numer = numer + binomial(i, d - 1) * one_minus_t_power(i - d + 1)
     return canonicalize(numer.shift(d), n)
-
-
-def max_power_series(n: int, s: int) -> RationalFunctionSeries:
-    """Coarse Hilbert series of MaxPower(n, s).
-
-    H = (1-T)^(-n) - sum_{k<s} C(n+k-1,k) T^k, assembled over the common
-    denominator (1-T)^n.  The numerator is the alternating sum of the
-    graded Betti numbers of the linear (Eagon-Northcott) resolution of
-    m^s, whose i-th module has C(s+i-1, i) C(n+s-1, s+i) generators in
-    degree s+i, so it is built from the closed form
-
-        P_(s+i) = (-1)^i C(s+i-1, i) C(n+s-1, s+i)    for 0 <= i < n
-
-    (and 0 below T^s) rather than from the product of an s-term
-    polynomial with (1-T)^n.
-    """
-    MaxPower(n, s)
-    numer = IntPolynomial((0,) * s + tuple(
-        (-1) ** i * binomial(s + i - 1, i) * binomial(n + s - 1, s + i)
-        for i in range(n)))
-    return canonicalize(numer, n)
-
-
-def closed_depth_veronese(n: int, d: int) -> int:
-    """Closed-form depth of Veronese(n, d), checked in all three spellings:
-
-        d + floor(C(n,d+1) / C(n,d))
-        d + floor((n-d) / (d+1))
-        d - 1 + ceil((n-d+1) / (d+1))
-
-    The three must agree; a mismatch would be an implementation bug.
-    """
-    Veronese(n, d)
-    ratio_form = d + binomial(n, d + 1) // binomial(n, d)
-    floor_form = d + (n - d) // (d + 1)
-    ceil_form = d - 1 + -(-(n - d + 1) // (d + 1))
-    if not ratio_form == floor_form == ceil_form:
-        raise AssertionError(
-            f"closed-form spellings disagree at (n={n}, d={d}): "
-            f"{ratio_form}, {floor_form}, {ceil_form}"
-        )
-    return ceil_form
-
-
-def closed_depth_max_power(n: int, s: int) -> int:
-    """Closed-form depth of MaxPower(n, s): ceil(n / (s+1))."""
-    MaxPower(n, s)
-    return -(-n // (s + 1))
 
 
 def depth_report(spec: IdealSpec) -> DepthReport:

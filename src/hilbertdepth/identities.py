@@ -37,10 +37,8 @@ from .exactalg import IntPolynomial, binomial, one_minus_t_power
 from .ideals import (
     GeneratedHatPower,
     HatPower,
-    closed_depth_max_power,
-    closed_depth_veronese,
-    max_power_series,
-    veronese_series,
+    MaxPower,
+    Veronese,
     veronese_series_alt,
 )
 from .series import (
@@ -129,11 +127,19 @@ def _convolution_points(n: int, d: int, k_max: int,
         )
 
 
+def _require_params(n: int, d: int, k_max: int = 0) -> None:
+    """Reject d outside 1..n, as Veronese(n, d) does, and a negative window."""
+    Veronese(n, d)
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
+
+
 def verify_lemma_2_2(n: int, d: int) -> VerificationResult:
     """Check the alternating binomial convolution for every i in 0..n-d.
 
     Check points are (i,).
     """
+    _require_params(n, d)
     points = (
         ((i,), binomial(i + d - 1, i),
          sum(binomial(n, i - l) * (-1) ** l * binomial(n - d - i + l, l)
@@ -149,8 +155,10 @@ def verify_prop_2_3(n: int, d: int) -> VerificationResult:
 
     Check points are ("series",) and ("numerator",).
     """
+    _require_params(n, d)
+
     def points() -> Iterator[CheckPoint]:
-        yield ("series",), veronese_series(n, d), veronese_series_alt(n, d)
+        yield ("series",), Veronese(n, d).series(), veronese_series_alt(n, d)
         lhs = IntPolynomial()
         for k in range(n - d + 1):
             lhs = lhs + binomial(n, k + d) * (
@@ -169,6 +177,7 @@ def verify_lemma_4_1(n: int, d: int, k_max: int) -> VerificationResult:
 
     Check points are (k,).
     """
+    _require_params(n, d, k_max)
     return _check("lemma_4_1", f"n={n} d={d} k in 0..{k_max}",
                   _convolution_points(n, d, k_max, ()))
 
@@ -192,8 +201,10 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
     finite check window is the executable witness, with the closed-form
     convolution identity covering all k.
     """
+    _require_params(n, d, k_max)
+
     def points() -> Iterator[CheckPoint]:
-        yield ("rational",), veronese_series(n, d), GeneratedHatPower(n, d, d).series()
+        yield ("rational",), Veronese(n, d).series(), GeneratedHatPower(n, d, d).series()
         for k in range(k_max + 1):
             if k < d:
                 yield ("shifted", k), 0, 0
@@ -214,8 +225,10 @@ def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
     veronese(n, d) = (1-T)^(-(d-1)) * hat(n, d, d), and ("depth",) for
     depth(veronese) = depth(hat) + d - 1.
     """
+    _require_params(n, d)
+
     def points() -> Iterator[CheckPoint]:
-        veronese = veronese_series(n, d)
+        veronese = Veronese(n, d).series()
         hat = HatPower(n, d, d).series()
         yield ("series",), veronese, mul_power_one_minus_t(hat, -(d - 1))
         yield ("depth",), hilbert_depth(veronese), hilbert_depth(hat) + d - 1
@@ -240,13 +253,13 @@ def verify_theorem_1_3(n_max: int) -> VerificationResult:
 
     def points() -> Iterator[CheckPoint]:
         for n, s in pairs:
-            yield (("max_power", n, s), hilbert_depth(max_power_series(n, s)),
-                   closed_depth_max_power(n, s))
+            spec = MaxPower(n, s)
+            yield ("max_power", n, s), hilbert_depth(spec.series()), spec.closed_depth()
         for n, d in pairs:
-            yield (("veronese", n, d), hilbert_depth(veronese_series(n, d)),
-                   closed_depth_veronese(n, d))
+            spec = Veronese(n, d)
+            yield ("veronese", n, d), hilbert_depth(spec.series()), spec.closed_depth()
         for n, s in pairs:
-            yield (("substitution", n, s), closed_depth_veronese(n + s - 1, s),
-                   s - 1 + closed_depth_max_power(n, s))
+            yield (("substitution", n, s), Veronese(n + s - 1, s).closed_depth(),
+                   s - 1 + MaxPower(n, s).closed_depth())
 
     return _check("theorem_1_3", f"1 <= s,d <= n <= {n_max}", points())

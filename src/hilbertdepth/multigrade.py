@@ -122,9 +122,14 @@ def hilbert_function_oracle(spec: IdealSpec, k: int) -> int:
     if k < 0:
         raise ValueError("degree must be non-negative")
     vars_ = spec.ambient
-    if math.comb(k + vars_ - 1, vars_ - 1) > MAX_ENUMERATION:
-        raise ValueError("degree too large to enumerate")
+    check_enumeration_guard(vars_, k)
     return sum(map(spec.member, degree_compositions(k, vars_)))
+
+
+def check_enumeration_guard(num_vars: int, k: int) -> None:
+    """Reject enumerating more than MAX_ENUMERATION degree-k monomials."""
+    if math.comb(k + num_vars - 1, num_vars - 1) > MAX_ENUMERATION:
+        raise ValueError("degree too large to enumerate")
 
 
 def check_fine_guard(num_vars: int, box: int) -> None:

@@ -15,10 +15,6 @@ from hilbertdepth.ideals import (
     HatPower,
     MaxPower,
     Veronese,
-    closed_depth_max_power,
-    closed_depth_veronese,
-    max_power_series,
-    veronese_series,
     veronese_series_alt,
 )
 from hilbertdepth.identities import (
@@ -65,7 +61,7 @@ def ceil_div(a: int, b: int) -> int:
 @pytest.fixture(scope="module")
 def veronese_depths():
     return {
-        (n, d): hilbert_depth(veronese_series(n, d))
+        (n, d): hilbert_depth(Veronese(n, d).series())
         for n in range(1, N_SWEEP + 1)
         for d in range(1, n + 1)
     }
@@ -75,7 +71,7 @@ def test_criterion_1_max_power_depth_formula():
     failures = []
     for n in range(1, N_SWEEP + 1):
         for s in range(1, n + 1):
-            got = hilbert_depth(max_power_series(n, s))
+            got = hilbert_depth(MaxPower(n, s).series())
             want = ceil_div(n, s + 1)
             if got != want:
                 failures.append((n, s, got, want))
@@ -92,7 +88,7 @@ def test_criterion_2_veronese_depth_formula(veronese_depths):
             ratio_form = d + math.comb(n, d + 1) // math.comb(n, d)
             if not got == ceil_form == floor_form == ratio_form:
                 failures.append((n, d, got, ceil_form, floor_form, ratio_form))
-            if closed_depth_veronese(n, d) != ceil_form:
+            if Veronese(n, d).closed_depth() != ceil_form:
                 failures.append((n, d, "library closed form"))
     report(2, "Veronese depth formula and three spellings, n <= 40", failures)
 
@@ -102,7 +98,7 @@ def test_criterion_3_family_link(veronese_depths):
     for n in range(1, N_SWEEP + 1):
         for d in range(1, n + 1):
             hat = HatPower(n, d, d).series()
-            if veronese_series(n, d) != mul_power_one_minus_t(hat, -(d - 1)):
+            if Veronese(n, d).series() != mul_power_one_minus_t(hat, -(d - 1)):
                 failures.append((n, d, "series"))
             if veronese_depths[(n, d)] != hilbert_depth(hat) + d - 1:
                 failures.append((n, d, "depth"))
@@ -113,7 +109,7 @@ def test_criterion_4_two_presentations_agree():
     failures = []
     for n in range(1, N_SWEEP + 1):
         for d in range(1, n + 1):
-            lhs = veronese_series(n, d)
+            lhs = Veronese(n, d).series()
             rhs = veronese_series_alt(n, d)
             if lhs.numer != rhs.numer or lhs.den_pow != rhs.den_pow:
                 failures.append((n, d))
@@ -209,7 +205,7 @@ def test_criterion_8_property_suite(perturb):
             failures.append(("idempotence", coeffs))
     for n in range(1, 9):
         for d in range(1, n + 1):
-            h = veronese_series(n, d)
+            h = Veronese(n, d).series()
             if canonicalize(h.numer, h.den_pow) != h:
                 failures.append(("idempotence", n, d))
 

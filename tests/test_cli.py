@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import hilbertdepth.cli as cli
+import hilbertdepth.multigrade as multigrade
 from hilbertdepth.cli import main, parse_range
 from hilbertdepth.identities import Counterexample, VerificationResult
 
@@ -267,6 +268,21 @@ class TestOracleCommand:
         code, _, err = run_cli(["oracle", "--n-max", "8", "--box", "2"], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("limit, code", [(27, 2), (28, 0)])
+    def test_enumeration_guard_checked_up_front(self, capsys, monkeypatch, limit, code):
+        # the largest count is C(6+3-1, 3-1) = 28 compositions, at (n_max, k_max)
+        monkeypatch.setattr(multigrade, "MAX_ENUMERATION", limit)
+        calls = []
+        oracle = cli.hilbert_function_oracle
+        monkeypatch.setattr(cli, "hilbert_function_oracle",
+                            lambda spec, k: calls.append(k) or oracle(spec, k))
+        got, out, err = run_cli(["oracle", "--n-max", "3", "--k-max", "6"], capsys)
+        assert got == code
+        if code == 2:
+            assert (out, err, calls) == ("", "error: degree too large to enumerate\n", [])
+        else:
+            assert out.endswith("OVERALL PASS\n") and calls
 
     def test_bounds_rejected_by_name(self, capsys):
         code, out, err = run_cli(["oracle", "--n-max", "3", "--k-max", "-1"], capsys)

@@ -9,11 +9,7 @@ from hilbertdepth.ideals import (
     HatPower,
     MaxPower,
     Veronese,
-    closed_depth_max_power,
-    closed_depth_veronese,
     depth_report,
-    max_power_series,
-    veronese_series,
     veronese_series_alt,
 )
 from hilbertdepth.series import (
@@ -52,32 +48,32 @@ class TestSpecValidation:
 
 class TestVeroneseSeries:
     def test_hand_expansion(self):
-        h = veronese_series(3, 2)
+        h = Veronese(3, 2).series()
         assert h.numer == IntPolynomial((0, 0, 3, -2)) and h.den_pow == 3
         # enumeration: 7 of 10 degree-3 monomials have support >= 2
         assert coefficient(h, 3) == 7
 
     def test_principal_ideal(self):
         for n in range(1, 8):
-            h = veronese_series(n, n)
+            h = Veronese(n, n).series()
             assert h.numer == IntPolynomial.monomial(1, n) and h.den_pow == n
 
     def test_whole_maximal_ideal(self):
-        h = veronese_series(2, 1)
+        h = Veronese(2, 1).series()
         assert h.numer == IntPolynomial((0, 2, -1)) and h.den_pow == 2
         # everything but the empty monomial: C(k+1, 1) + ... = k+1 in 2 vars
         assert [coefficient(h, k) for k in range(5)] == [0, 2, 3, 4, 5]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            veronese_series(3, 4)
+            Veronese(3, 4).series()
         with pytest.raises(ValueError):
-            veronese_series(3, 0)
+            Veronese(3, 0).series()
 
     def test_alt_presentation_agrees(self):
         for n in range(1, 13):
             for d in range(1, n + 1):
-                assert veronese_series(n, d) == veronese_series_alt(n, d)
+                assert Veronese(n, d).series() == veronese_series_alt(n, d)
 
     def test_alt_principal_single_term(self):
         h = veronese_series_alt(4, 4)
@@ -86,32 +82,40 @@ class TestVeroneseSeries:
 
 class TestMaxPowerSeries:
     def test_hand_expansion(self):
-        h = max_power_series(3, 2)
+        h = MaxPower(3, 2).series()
         assert h.numer == IntPolynomial((0, 0, 6, -8, 3)) and h.den_pow == 3
         assert coefficient(h, 2) == 6  # C(4, 2)
 
     def test_power_one_is_whole_ideal(self):
-        assert max_power_series(2, 1) == veronese_series(2, 1)
+        assert MaxPower(2, 1).series() == Veronese(2, 1).series()
 
     def test_coefficients_are_truncated_free_module(self):
         for n in range(1, 6):
             for s in range(1, 5):
-                h = max_power_series(n, s)
+                h = MaxPower(n, s).series()
                 for k in range(12):
                     want = binomial(n + k - 1, n - 1) if k >= s else 0
                     assert coefficient(h, k) == want
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            max_power_series(3, 0)
+            MaxPower(3, 0).series()
 
-    def test_closed_form_matches_product_route(self):
-        # the product route: 1 - (sum_{k<s} C(n+k-1,k) T^k) * (1-T)^n
-        for n in range(1, 61):
-            for s in range(1, 70):
-                low = IntPolynomial(tuple(binomial(n + k - 1, k) for k in range(s)))
-                numer = IntPolynomial.one() - low * one_minus_t_power(n)
-                assert max_power_series(n, s) == canonicalize(numer, n), (n, s)
+    @pytest.mark.parametrize("cls", [MaxPower, HatPower, GeneratedHatPower],
+                             ids=lambda cls: cls.family)
+    def test_closed_form_matches_product_route(self, cls):
+        # the product route in span = n-t+1 variables, over the ambient ring:
+        # 1 - (sum_{k<s} C(span+k-1,k) T^k) * (1-T)^span
+        n_max, s_max = (60, 69) if cls is MaxPower else (24, 24)
+        for n in range(1, n_max + 1):
+            for t in range(1, 2 if cls is MaxPower else n + 1):
+                span = n - t + 1
+                ambient = span if cls is HatPower else n
+                for s in range(1, s_max + 1):
+                    spec = MaxPower(n, s) if cls is MaxPower else cls(n, t, s)
+                    low = IntPolynomial(tuple(binomial(span + k - 1, k) for k in range(s)))
+                    numer = IntPolynomial.one() - low * one_minus_t_power(span)
+                    assert spec.series() == canonicalize(numer, ambient), spec
 
 
 class TestHatPowerSeries:
@@ -122,7 +126,7 @@ class TestHatPowerSeries:
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
             for s in range(1, 4):
-                assert HatPower(n, 1, s).series() == max_power_series(n, s)
+                assert HatPower(n, 1, s).series() == MaxPower(n, s).series()
 
     def test_single_variable(self):
         for n in range(1, 6):
@@ -134,19 +138,19 @@ class TestHatPowerSeries:
         for n in range(1, 31):
             for t in range(1, n + 1):
                 for s in (1, 2, 3):
-                    assert HatPower(n, t, s).series() == max_power_series(n - t + 1, s)
+                    assert HatPower(n, t, s).series() == MaxPower(n - t + 1, s).series()
 
 
 class TestGeneratedHatPowerSeries:
     def test_hand_expansion(self):
         h = GeneratedHatPower(3, 2, 2).series()
         assert h.numer == IntPolynomial((0, 0, 3, -2)) and h.den_pow == 3
-        assert h == veronese_series(3, 2)
+        assert h == Veronese(3, 2).series()
 
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
             for s in range(1, 4):
-                assert GeneratedHatPower(n, 1, s).series() == max_power_series(n, s)
+                assert GeneratedHatPower(n, 1, s).series() == MaxPower(n, s).series()
 
     def test_matches_transformed_hat_series(self):
         for n in range(1, 12):
@@ -158,29 +162,29 @@ class TestGeneratedHatPowerSeries:
     def test_veronese_link_over_sweep(self):
         for n in range(1, 16):
             for d in range(1, n + 1):
-                assert GeneratedHatPower(n, d, d).series() == veronese_series(n, d)
+                assert GeneratedHatPower(n, d, d).series() == Veronese(n, d).series()
 
 
 class TestClosedDepthFormulas:
     def test_veronese_instances(self):
-        assert closed_depth_veronese(6, 2) == 3
-        assert closed_depth_veronese(3, 2) == 2
+        assert Veronese(6, 2).closed_depth() == 3
+        assert Veronese(3, 2).closed_depth() == 2
         for n in range(1, 10):
-            assert closed_depth_veronese(n, n) == n
+            assert Veronese(n, n).closed_depth() == n
 
     def test_max_power_instances(self):
-        assert closed_depth_max_power(10, 3) == 3
-        assert closed_depth_max_power(3, 2) == 1
+        assert MaxPower(10, 3).closed_depth() == 3
+        assert MaxPower(3, 2).closed_depth() == 1
         for n in range(1, 8):
             for s in range(n, n + 4):
-                assert closed_depth_max_power(n, s) == 1
+                assert MaxPower(n, s).closed_depth() == 1
 
     def test_depth_formula_agreement_small_sweep(self):
         for n in range(1, 13):
             for d in range(1, n + 1):
-                assert hilbert_depth(veronese_series(n, d)) == closed_depth_veronese(n, d)
+                assert hilbert_depth(Veronese(n, d).series()) == Veronese(n, d).closed_depth()
             for s in range(1, n + 1):
-                assert hilbert_depth(max_power_series(n, s)) == closed_depth_max_power(n, s)
+                assert hilbert_depth(MaxPower(n, s).series()) == MaxPower(n, s).closed_depth()
 
     @pytest.mark.parametrize("spec", [MaxPower(800, 3), Veronese(800, 2)])
     def test_deep_scan_at_scale(self, spec):
@@ -190,9 +194,9 @@ class TestClosedDepthFormulas:
     def test_all_families_nonnegative(self):
         for n in range(1, 9):
             for d in range(1, n + 1):
-                assert is_nonnegative(veronese_series(n, d))
+                assert is_nonnegative(Veronese(n, d).series())
             for s in (1, 2, 3):
-                assert is_nonnegative(max_power_series(n, s))
+                assert is_nonnegative(MaxPower(n, s).series())
                 for t in range(1, n + 1):
                     assert is_nonnegative(HatPower(n, t, s).series())
                     assert is_nonnegative(GeneratedHatPower(n, t, s).series())

@@ -1,5 +1,7 @@
 """Identity verifiers: clean passes, determinism, and the failure path."""
 
+import re
+
 import pytest
 
 from hilbertdepth.identities import (
@@ -153,6 +155,23 @@ class TestTheorem13:
         res = verify_theorem_1_3(6)
         assert not res.passed
         assert res.counterexample.params == point
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("verify, args, message", [
+        (verify_lemma_2_2, (3, 5), "generator degree d must satisfy 1 <= d <= n"),
+        (verify_lemma_2_2, (0, 0), "variable count n must be >= 1"),
+        (verify_prop_2_3, (3, 5), "generator degree d must satisfy 1 <= d <= n"),
+        (verify_lemma_4_1, (2, 5, 3), "generator degree d must satisfy 1 <= d <= n"),
+        (verify_lemma_4_1, (3, 2, -1), "k_max must be non-negative"),
+        (verify_eq_chain, (3, 0, 4), "generator degree d must satisfy 1 <= d <= n"),
+        (verify_eq_chain, (3, 2, -4), "k_max must be non-negative"),
+        (verify_theorem_1_4, (0, 1), "variable count n must be >= 1"),
+    ])
+    def test_rejects_invalid_parameters(self, verify, args, message):
+        # rejected before any check point, never reported as a vacuous pass
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify(*args)
 
 
 class TestResultStructure:
