@@ -10,7 +10,10 @@ representation sit three decisions, all exact:
   * non-negativity of the entire (infinite) coefficient sequence, decided in
     finite time because the sequence agrees with a polynomial in k once k
     exceeds the numerator degree; the prefix-sum passes that expand the head
-    also carry that polynomial's forward-difference table, one step each;
+    also carry that polynomial's forward-difference table, one step each,
+    and the tail is settled by a short walk of that table and then, if
+    still open, a sign-change search over its differences, in time
+    polynomial in the bit size of the numerator;
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
     found by one pass of the same prefix sums over P / (1 - T)^j,
     j = 0, 1, ..., stopping at the first non-negative j, valid because
@@ -186,17 +189,89 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
             yield not (any(c < 0 for c in row) or table and total < 0) and _walk(table[:])
 
 
+# Steps of the plain walk before the sign-change search takes over.  Family
+# tables are decided at step 0 or 1, so they never reach the search.
+_WALK_STEPS = 64
+
+
 def _walk(diffs: list[int]) -> bool:
-    """Tail decision on a forward-difference table whose first and last
-    entries are >= 0; advances the table in place one k at a time."""
+    """Tail decision on a forward-difference table whose first entry is >= 0
+    and whose last entry is > 0.
+
+    Advances the table in place one k at a time, for at most _WALK_STEPS
+    steps: accept once every entry is >= 0, reject once the first entry
+    (the coefficient itself) is negative.  A table still undecided after
+    that many steps goes to _search, whose cost grows with the bit size of
+    the table, not with the distance to the last sign change.
+    """
     e = len(diffs) - 1
-    while True:
+    for _ in range(_WALK_STEPS):
         if all(x >= 0 for x in diffs):
             return True
         for j in range(e):
             diffs[j] += diffs[j + 1]
         if diffs[0] < 0:
             return False
+    return _search(diffs)
+
+
+def _search(t: list[int]) -> bool:
+    """Whether q(b + x) >= 0 for every integer x >= 0, where t is q's
+    forward-difference table at base b, t[e] > 0; a sign-change search.
+
+    Let f_i(x) = Delta^i q(b + x) = sum_l C(x, l) * t[i + l], so that
+    f_i(x + 1) - f_i(x) = f_(i+1)(x) and f_e = t[e] > 0 is constant.  A
+    sign change of f_i is an x >= 1 with f_i(x - 1) < 0 <= f_i(x) or the
+    reverse.  Between consecutive sign changes p < p' of f_(i+1) (with 0
+    before the first), f_(i+1) keeps one sign on p .. p' - 1, so f_i is
+    monotone on the closed interval [p, p'] and changes sign in (p, p'] at
+    most once: binary search finds it when f_i's signs at p and p' differ.
+    Beyond the last sign change of f_(i+1), f_(i+1) keeps the sign it has
+    for large x, which is >= 0 because its leading coefficient is
+    t[e] / (e-i-1)! > 0; so f_i is non-decreasing there and changes sign
+    at most once, from negative.  If it is negative at the interval's
+    start, exponential search (doubling the step) finds a point where it
+    is >= 0, and binary search the change.  The doubling ends because f_i
+    (i < e) also has a positive leading coefficient, and every f_i is > 0
+    past R - b, where R is the Cauchy bound of q's roots (by the mean value
+    theorem and Gauss-Lucas).  Level i thus has at most e - i sign changes,
+    found with O(log R) evaluations each, of O(e) integer operations:
+    O(e^3 log R) in all.  q >= 0 on the whole tail iff f_0 has no sign
+    change: f_0 is eventually positive, so f_0(0) < 0 forces one.
+    """
+    e = len(t) - 1
+
+    def negative(i: int, x: int) -> bool:
+        total, c = 0, 1
+        for j in range(e - i + 1):
+            total += c * t[i + j]
+            c = c * (x - j) // (j + 1)
+        return total < 0
+
+    def first(i: int, lo: int, hi: int) -> int:
+        # the least x in (lo, hi] with f_i(x) on hi's side of 0; f_i is
+        # monotone on [lo, hi] and its signs at lo and hi differ
+        side = negative(i, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if negative(i, mid) == side:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    changes: list[int] = []
+    for i in range(e - 1, -1, -1):
+        ends = [0, *changes]
+        changes = [first(i, lo, hi) for lo, hi in zip(ends, ends[1:])
+                   if negative(i, lo) != negative(i, hi)]
+        lo = ends[-1]
+        if negative(i, lo):
+            step = 1
+            while negative(i, lo + step):
+                step *= 2
+            changes.append(first(i, lo + step // 2, lo + step))
+    return not changes
 
 
 def is_nonnegative(h: RationalFunctionSeries) -> bool:
@@ -209,11 +284,19 @@ def is_nonnegative(h: RationalFunctionSeries) -> bool:
     m-1 whose leading coefficient is numer(1)/(m-1)!, and the scan carries
     q's forward-difference table at base D, from q(D) = c_D to numer(1).
     Reject if a row entry or numer(1) (eventually negative) is negative.
-    Otherwise walk the table: Newton's expansion
+    Otherwise decide the tail from the table: Newton's expansion
     q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that once every
-    difference is >= 0 at some k0 the whole tail is >= 0, and each
-    difference is itself eventually non-negative because its leading term
-    is positive, so the walk terminates.
+    difference is >= 0 at some k0 the whole tail is >= 0.  A short walk
+    advances the table a bounded number of steps, looking for such a k0 or
+    a negative q(k0).  If neither turns up, a sign-change search takes over
+    from the table the walk stopped at (see _search): each difference
+    Delta^i q is monotone between consecutive sign changes of
+    Delta^(i+1) q, so each such interval holds at most one sign change of
+    Delta^i q, found by binary search, or by exponential search on the
+    last, unbounded one; the tail is non-negative iff q has no sign change.
+    The search makes O(e^2 log R) evaluations of O(e) integer operations
+    each (e = m-1, R the Cauchy bound of q's roots), so the decision takes
+    time polynomial in the bit size of numer.
     """
     return next(_verdicts(h.numer.coefficients, h.den_pow, h.den_pow))
 

@@ -1,7 +1,7 @@
 """Canonical rational series: expansion, non-negativity, and depth."""
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from hilbertdepth.exactalg import IntPolynomial, binomial, one_minus_t_power
 from hilbertdepth.series import (
     RationalFunctionSeries,
+    _search,
+    _walk,
     canonicalize,
     coefficient,
     eventual_polynomial,
@@ -45,6 +47,37 @@ def reference_nonnegative(h):
 
 def rfs(coeffs, den_pow):
     return canonicalize(IntPolynomial(coeffs), den_pow)
+
+
+def tail_series(prefix, a, b, e, shift):
+    """H = sum c_k T^k with c_k = prefix[k] on the prefix and
+    ((k-a)^2 + b) (k+shift)^e beyond it, as P/(1-T)^m with m = e + 3: past
+    the prefix c_k is a polynomial of degree m - 1, so P = (1-T)^m H has
+    degree < len(prefix) + m and is read off c_0 .. c_(len(prefix)+m-1)."""
+    m = e + 3
+    c = [prefix[k] if k < len(prefix) else ((k - a) ** 2 + b) * (k + shift) ** e
+         for k in range(len(prefix) + m)]
+    numer = [sum((-1) ** i * comb(m, i) * c[j - i] for i in range(min(j, m) + 1))
+             for j in range(len(c))]
+    return rfs(numer, m)
+
+
+def plain_walk(diffs):
+    """The unbounded tail walk: advance the forward-difference table one k at
+    a time until every entry is >= 0 (accept) or the first is < 0 (reject).
+    Its cost grows with the distance to the last sign change."""
+    while not all(x >= 0 for x in diffs):
+        for j in range(len(diffs) - 1):
+            diffs[j] += diffs[j + 1]
+        if diffs[0] < 0:
+            return False
+    return True
+
+
+def difference_table(values):
+    """Forward differences at 0 of the polynomial taking values[x] at x."""
+    return [sum((-1) ** (i - x) * comb(i, x) * values[x] for x in range(i + 1))
+            for i in range(len(values))]
 
 
 class TestCanonicalize:
@@ -240,6 +273,39 @@ class TestIsNonnegative:
             assert hilbert_depth(h) == max(
                 r for r in range(h.den_pow + 1)
                 if reference_nonnegative(mul_power_one_minus_t(h, r)))
+
+    # Ground truth by construction, independent of both the walk and the
+    # search: c_A = b (A+shift)^e is the only coefficient that can be
+    # negative, and with b = +1, c_A < c_(A-1) (A >= 100, e <= 2), so
+    # (1-T)H has a negative coefficient.  A walk would need about A steps.
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+           st.integers(100, 10**30), st.sampled_from((-1, 0, 1)),
+           st.integers(0, 2), st.integers(1, 50))
+    @example(prefix=[3, 0, 7], a=10**6, b=1, e=2, shift=5)
+    @example(prefix=[1], a=10**9, b=-1, e=1, shift=1)
+    @example(prefix=[0, 9], a=10**30, b=0, e=0, shift=50)
+    @example(prefix=[8] * 12, a=10**30, b=1, e=2, shift=17)
+    def test_minimum_far_out(self, prefix, a, b, e, shift):
+        h = tail_series(prefix, a, b, e, shift)
+        assert is_nonnegative(h) == (b >= 0)
+        if b == 1:
+            assert hilbert_depth(h) == 0
+
+    # Tables of q(x) = lead (x-a)^2 prod(x - r) + c with a up to 500, so the
+    # bounded walk decides some and hands the rest to the search.
+    @settings(max_examples=300)
+    @given(st.integers(0, 500), st.lists(st.integers(0, 500), max_size=4),
+           st.integers(1, 3), st.integers(-3, 3))
+    @example(a=64, others=[], lead=1, c=-1)
+    @example(a=65, others=[], lead=1, c=0)
+    def test_search_matches_plain_walk(self, a, others, lead, c):
+        e = 2 + len(others)
+        table = difference_table(
+            [lead * (x - a) ** 2 * prod(x - r for r in others) + c for x in range(e + 1)])
+        want = table[0] >= 0 and plain_walk(table[:])
+        assert _search(table) == want
+        if table[0] >= 0:  # the walk's precondition
+            assert _walk(table[:]) == want
 
 
 class TestHilbertDepth:
