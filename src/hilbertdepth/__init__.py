@@ -36,6 +36,7 @@ from .series import (
     canonicalize,
     coefficient,
     eventual_polynomial,
+    expansion,
     hilbert_depth,
     is_nonnegative,
     mul_power_one_minus_t,

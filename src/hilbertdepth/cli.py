@@ -10,10 +10,7 @@ decimal strings so no consumer silently rounds them.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from dataclasses import asdict, fields
 from functools import partial
 from itertools import chain, product
 from typing import Callable, Iterable, Optional
@@ -35,7 +32,7 @@ from .multigrade import (
     fine_series_oracle,
     hilbert_function_oracle,
 )
-from .series import coefficient
+from .series import coefficient, expansion
 
 __all__ = ["main", "build_parser"]
 
@@ -71,10 +68,13 @@ def _emit(args: argparse.Namespace, params: dict, body: dict,
     title defaulting to the params as key=value words.  Only the chosen
     representation is consumed, so `rows` and `lines` may be lazy.
     """
+    # json and csv are imported here, off the start-up path of plain output
     if args.format == "json":
+        import json
         doc = {"command": args.command, "params": params, **body}
         print(json.dumps(_json_safe(doc), indent=2))
     elif args.format == "csv":
+        import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         if not args.quiet:
@@ -103,13 +103,13 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _family_fields(args: argparse.Namespace) -> list[str]:
+def _family_fields(args: argparse.Namespace) -> tuple[str, ...]:
     """Fields after n of the chosen family; rejects another family's flag."""
-    names = [f.name for f in fields(FAMILIES[args.ideal])][1:]
+    names = FAMILIES[args.ideal].__slots__[1:]
     for cls in FAMILIES.values():
-        for f in fields(cls)[1:]:
-            if f.name not in names and getattr(args, f.name, None) is not None:
-                raise ValueError(f"{args.ideal} does not take --{f.name}")
+        for name in cls.__slots__[1:]:
+            if name not in names and getattr(args, name, None) is not None:
+                raise ValueError(f"{args.ideal} does not take --{name}")
     return names
 
 
@@ -123,15 +123,11 @@ def _spec_from_args(args: argparse.Namespace) -> IdealSpec:
     return cls(args.n, *values)
 
 
-def _spec_params(spec: IdealSpec) -> dict:
-    return {"ideal": spec.family, **asdict(spec)}
-
-
 def _report_row(spec: IdealSpec) -> dict:
     """One depth-report row, keyed by _TABLE_HEADER in order.  The param of
     a one-parameter family is its value, of the others "t=..,s=.."."""
     rep = depth_report(spec)
-    params = list(asdict(spec).items())[1:]
+    params = list(spec._asdict().items())[1:]
     return {
         "family": spec.family,
         "n": spec.n,
@@ -150,8 +146,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     _require(args.upto, "--upto", 0)
     h = spec.series()
     numer = list(h.numer.coefficients)
-    coeffs = [coefficient(h, k) for k in range(args.upto + 1)]
-    _emit(args, {**_spec_params(spec), "upto": args.upto},
+    coeffs = expansion(h, args.upto)
+    _emit(args, {"ideal": spec.family, **spec._asdict(), "upto": args.upto},
           {"numerator": numer, "den_pow": h.den_pow, "coefficients": coeffs,
            "results": [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)]},
           chain([("field", "index", "value")],
@@ -166,7 +162,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_depth(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     row = _report_row(spec)
-    _emit(args, _spec_params(spec),
+    _emit(args, {"ideal": spec.family, **spec._asdict()},
           {"depth": row["depth"], "closed_form": row["closed_form"],
            "agree": row["agree"], "results": [row]},
           [_TABLE_HEADER, tuple(row.values())],
@@ -269,8 +265,8 @@ def _oracle_specs(n_max: int, s_max: int) -> dict[str, list[IdealSpec]]:
         specs[family] = [
             cls(n, *values)
             for n in range(1, n_max + 1)
-            for values in product(*(range(1, (s_max if f.name == "s" else n) + 1)
-                                    for f in fields(cls)[1:]))
+            for values in product(*(range(1, (s_max if name == "s" else n) + 1)
+                                    for name in cls.__slots__[1:]))
         ]
     return specs
 
@@ -361,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="sweep a parameter grid of depth reports")
     # the one-parameter families; their parameter is --d or --s
     sp.add_argument("--ideal", required=True, choices=[
-        name for name, cls in FAMILIES.items() if len(fields(cls)) == 2])
+        name for name, cls in FAMILIES.items() if len(cls.__slots__) == 2])
     sp.add_argument("--n", required=True, help="range of n, e.g. 1..20 or 6")
     sp.add_argument("--d", help="range of d, clipped per n (default 1..n)")
     sp.add_argument("--s", help="range of s (default 1..n)")

@@ -1,9 +1,9 @@
-"""Exact integer arithmetic: generalized binomial coefficients and dense
-integer polynomials in one formal variable T.
+"""Exact integer arithmetic: generalized binomial coefficients, dense
+integer polynomials in one formal variable T, and the Record value base.
 
 Python ints carry the arbitrary-precision load; values such as C(128, 64)
 are exact.  Polynomials are immutable, stored lowest degree first with
-trailing zeros trimmed, so equality and hashing are structural.
+trailing zeros trimmed; they and records compare and hash structurally.
 """
 
 from __future__ import annotations
@@ -16,7 +16,52 @@ __all__ = [
     "binomial",
     "IntPolynomial",
     "one_minus_t_power",
+    "Record",
 ]
+
+
+class Record:
+    """Immutable value whose fields are its class's __slots__; plain code, so
+    importing it costs nothing.  __init__ takes every field, by position or
+    keyword (else TypeError), then runs __post_init__.  Equality needs the
+    same class; hash and repr Name(field=value, ...) follow the fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            values = dict(zip(names, args), **kwargs)
+            if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__qualname__} takes the fields {names}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
+
+    __delattr__ = __setattr__  # deletion is refused the same way
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 @cache

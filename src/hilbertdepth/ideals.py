@@ -25,10 +25,9 @@ canonicalized; nothing is expanded coefficient-wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Union
 
-from .exactalg import IntPolynomial, binomial, one_minus_t_power
+from .exactalg import IntPolynomial, Record, binomial, one_minus_t_power
 from .series import RationalFunctionSeries, canonicalize, hilbert_depth
 
 __all__ = [
@@ -44,13 +43,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Veronese:
+class Veronese(Record):
     """Squarefree degree-d generators in n variables; requires 1 <= d <= n."""
 
-    n: int
-    d: int
-    family: ClassVar[str] = "veronese"
+    __slots__ = ("n", "d")
+    family = "veronese"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -105,9 +102,11 @@ class Veronese:
         return sum(1 for a in alpha if a > 0) >= self.d
 
 
-class _PowerFamily:
+class _PowerFamily(Record):
     """The s-th power of the maximal ideal of the first span = n-t+1
     variables, in a ring of `ambient` variables."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -157,38 +156,30 @@ class _PowerFamily:
         return sum(alpha[: self.span]) >= self.s
 
 
-@dataclass(frozen=True)
 class MaxPower(_PowerFamily):
     """s-th power of the maximal ideal in n variables; requires s >= 1."""
 
-    n: int
-    s: int
-    t: ClassVar[int] = 1
-    family: ClassVar[str] = "max-power"
+    __slots__ = ("n", "s")
+    t = 1
+    family = "max-power"
 
 
-@dataclass(frozen=True)
 class HatPower(_PowerFamily):
     """s-th maximal-ideal power of the subring in the first n-t+1 variables."""
 
-    n: int
-    t: int
-    s: int
-    family: ClassVar[str] = "hat-power"
+    __slots__ = ("n", "t", "s")
+    family = "hat-power"
 
     @property
     def ambient(self) -> int:
         return self.span
 
 
-@dataclass(frozen=True)
 class GeneratedHatPower(_PowerFamily):
     """Ideal of the full ring generated by the corresponding HatPower."""
 
-    n: int
-    t: int
-    s: int
-    family: ClassVar[str] = "generated-hat-power"
+    __slots__ = ("n", "t", "s")
+    family = "generated-hat-power"
 
 
 IdealSpec = Union[Veronese, MaxPower, HatPower, GeneratedHatPower]
@@ -198,14 +189,10 @@ FAMILIES: dict[str, type] = {
 }
 
 
-@dataclass(frozen=True)
-class DepthReport:
+class DepthReport(Record):
     """Computed depth next to its closed-form prediction for one ideal."""
 
-    spec: IdealSpec
-    series: RationalFunctionSeries
-    computed_depth: int
-    closed_form_depth: int
+    __slots__ = ("spec", "series", "computed_depth", "closed_form_depth")
 
     @property
     def agree(self) -> bool:

@@ -30,10 +30,9 @@ Catalog tags and statements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
-from .exactalg import IntPolynomial, binomial, one_minus_t_power
+from .exactalg import IntPolynomial, Record, binomial, one_minus_t_power
 from .ideals import (
     GeneratedHatPower,
     HatPower,
@@ -65,20 +64,16 @@ CheckPoint = tuple[tuple, Union[int, RationalFunctionSeries],
                    Union[int, RationalFunctionSeries]]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """First failing check point with the exact values of both sides."""
 
-    params: tuple
-    lhs: int
-    rhs: int
+    __slots__ = ("params", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    identity_id: str
-    params: str
-    counterexample: Optional[Counterexample]
+class VerificationResult(Record):
+    """One verifier call's outcome; counterexample is None on a pass."""
+
+    __slots__ = ("identity_id", "params", "counterexample")
 
     @property
     def passed(self) -> bool:

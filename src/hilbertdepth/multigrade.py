@@ -11,10 +11,10 @@ for total degrees k <= b, where no composition of k escapes the box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterator
 
+from .exactalg import Record
 from .ideals import IdealSpec, Veronese
 
 __all__ = [
@@ -34,17 +34,14 @@ MAX_FINE_BOX = 6
 MAX_ENUMERATION = 10**7
 
 
-@dataclass(frozen=True)
-class MultiSeries:
+class MultiSeries(Record):
     """Dense truncated multivariate series over the box [0, box]^num_vars.
 
     Coefficients are stored in lexicographic order of the exponent vector
     (last index fastest), which makes equality a tuple comparison.
     """
 
-    num_vars: int
-    box: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("num_vars", "box", "coeffs")
 
     def __post_init__(self) -> None:
         if self.num_vars < 1 or self.box < 0:
@@ -192,7 +189,8 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     coeffs[0] = 1
     for stride in strides[:span]:
         _prefix_sum(coeffs, side, stride)
-    for k in range(spec.s):
+    # a degree above span * box has a part above box, outside the box
+    for k in range(min(spec.s, span * box + 1)):
         for alpha in degree_compositions(k, span):
             if max(alpha) <= box:
                 coeffs[sum(a * stride for a, stride in zip(alpha, strides))] -= 1

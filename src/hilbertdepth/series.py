@@ -6,7 +6,8 @@ denominator, so equality of series is a structural comparison.  On top of the
 representation sit three decisions, all exact:
 
   * coefficient extraction via the convolution with the expansion of
-    (1 - T)^(-m), whose k-th coefficient is C(m-1+k, m-1);
+    (1 - T)^(-m), whose k-th coefficient is C(m-1+k, m-1), and a whole
+    prefix of the expansion by m prefix-sum passes;
   * non-negativity of the entire (infinite) coefficient sequence, decided in
     finite time because the sequence agrees with a polynomial in k once k
     exceeds the numerator degree; the prefix-sum passes that expand the head
@@ -22,14 +23,15 @@ representation sit three decisions, all exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 from operator import add
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .exactalg import IntPolynomial, binomial, one_minus_t_power
+from .exactalg import IntPolynomial, Record, binomial, one_minus_t_power
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "RationalFunctionSeries",
@@ -37,14 +39,14 @@ __all__ = [
     "canonicalize",
     "mul_power_one_minus_t",
     "coefficient",
+    "expansion",
     "eventual_polynomial",
     "is_nonnegative",
     "hilbert_depth",
 ]
 
 
-@dataclass(frozen=True)
-class RationalFunctionSeries:
+class RationalFunctionSeries(Record):
     """H(T) = numer(T) / (1 - T)^den_pow in canonical form.
 
     Canonical means: either numer is zero (and den_pow is 0), or no
@@ -53,8 +55,7 @@ class RationalFunctionSeries:
     canonicalize(); direct construction validates the invariant.
     """
 
-    numer: IntPolynomial
-    den_pow: int
+    __slots__ = ("numer", "den_pow")
 
     def __post_init__(self) -> None:
         if self.den_pow < 0:
@@ -71,8 +72,7 @@ class RationalFunctionSeries:
         return f"({self.numer}) / (1-T)^{self.den_pow}"
 
 
-@dataclass(frozen=True)
-class EventualPolynomial:
+class EventualPolynomial(Record):
     """Polynomial q with q(k) = coefficient(H, k) for every k >= threshold.
 
     coeffs are rational, lowest power of k first.  For H = P/(1-T)^m with
@@ -81,8 +81,7 @@ class EventualPolynomial:
     polynomial (coeffs empty, degree -1) and threshold is deg P + 1.
     """
 
-    threshold: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("threshold", "coeffs")
 
     @property
     def degree(self) -> int:
@@ -90,9 +89,10 @@ class EventualPolynomial:
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self.coeffs else self(0)
 
     def __call__(self, k: int) -> Fraction:
+        from fractions import Fraction
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * k + c
@@ -144,6 +144,18 @@ def coefficient(h: RationalFunctionSeries, k: int) -> int:
     return total
 
 
+def expansion(h: RationalFunctionSeries, upto: int) -> list[int]:
+    """[coefficient(H, k) for k in 0..upto], by den_pow prefix-sum passes
+    over the numerator cut or zero-padded to upto + 1 terms."""
+    if upto < 0:
+        raise ValueError("coefficient index must be non-negative")
+    cs = h.numer.coefficients
+    row = [*cs[: upto + 1], *[0] * (upto + 1 - len(cs))]
+    for _ in range(h.den_pow):
+        row = list(accumulate(row))
+    return row
+
+
 def eventual_polynomial(h: RationalFunctionSeries) -> EventualPolynomial:
     """Closed form of coefficient(H, k) as a polynomial in k, valid for
     k >= threshold.
@@ -153,6 +165,7 @@ def eventual_polynomial(h: RationalFunctionSeries) -> EventualPolynomial:
     finitely supported, so the form is the zero polynomial from deg P + 1
     on: the Hilbert polynomial of a module of finite length.
     """
+    from fractions import Fraction
     m = h.den_pow
     if m == 0:
         return EventualPolynomial(threshold=len(h.numer.coefficients), coeffs=())

@@ -327,3 +327,67 @@ class TestContract:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["depth"] == 2
+
+
+# Standard modules no command needs on its start-up path.  dataclasses
+# brings inspect, ast, dis and tokenize; fractions brings decimal and
+# numbers; json and csv serve only their own output formats.
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
+                 "decimal", "numbers", "json", "csv"}
+
+PLAIN_RUNS = [
+    ["depth", "--ideal", "max-power", "--n", "40", "--s", "3"],
+    ["series", "--ideal", "hat-power", "--n", "6", "--t", "2", "--s", "3"],
+    ["verify", "eq-chain", "--n-max", "4"],
+    ["table", "--ideal", "veronese", "--n", "1..4"],
+    ["oracle", "--n-max", "2", "--k-max", "3"],
+]
+
+
+def run_child(args):
+    """Run `python ARGS` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def imported_modules(importtime_log):
+    """Module names listed by a `python -X importtime` stderr log."""
+    return {line.rsplit("|", 1)[1].strip() for line in importtime_log.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+@pytest.fixture(scope="module")
+def bare_imports():
+    """Modules a bare interpreter imports at start-up."""
+    return imported_modules(run_child(["-X", "importtime", "-c", "pass"]).stderr)
+
+
+class TestImportFootprint:
+    def test_import_loads_no_heavy_module(self):
+        proc = run_child(["-c", "import sys; before = set(sys.modules); "
+                                "import hilbertdepth.cli; "
+                                "print(*sorted(set(sys.modules) - before))"])
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert "hilbertdepth.cli" in added
+        assert not added & HEAVY_MODULES
+
+    @pytest.mark.parametrize("argv", PLAIN_RUNS, ids=[a[0] for a in PLAIN_RUNS])
+    def test_plain_run_loads_no_heavy_module(self, argv, bare_imports):
+        # -X importtime logs every module the run imports
+        proc = run_child(["-X", "importtime", "-m", "hilbertdepth", *argv,
+                          "--format", "plain"])
+        assert proc.returncode == 0
+        added = imported_modules(proc.stderr) - bare_imports
+        assert "hilbertdepth.cli" in added
+        assert not added & HEAVY_MODULES
+        assert proc.stdout.startswith(f"# {argv[0]} ")
+
+    def test_json_and_csv_still_work(self):
+        argv = ["-m", "hilbertdepth", "depth", "--ideal", "veronese", "--n", "6",
+                "--d", "2", "--format"]
+        doc = json.loads(run_child([*argv, "json"]).stdout)
+        assert doc["depth"] == doc["closed_form"] == 3
+        rows = list(csv.reader(io.StringIO(run_child([*argv, "csv"]).stdout)))
+        assert rows[0][0] == "family" and rows[1][:2] == ["veronese", "6"]

@@ -131,6 +131,16 @@ class TestFineSeries:
             for box in (0, 1, 2, 3):
                 assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
 
+    def test_power_at_and_far_beyond_the_box_degree(self):
+        # the box holds degrees up to span * box only; powers around and far
+        # past that bound must match the oracle without walking up to s
+        for box in (0, 1, 2):
+            for cls, head, span in ((MaxPower, (3,), 3), (HatPower, (4, 2), 3),
+                                    (GeneratedHatPower, (3, 2), 2)):
+                for s in (span * box, span * box + 1, span * box + 2, 10**6, 10**30):
+                    spec = cls(*head, max(s, 1))
+                    assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
+
     def test_generated_hat_is_hat_times_geometric_tail(self):
         spec = GeneratedHatPower(3, 2, 2)
         gen = fine_series_formula(spec, 2)

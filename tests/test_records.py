@@ -1,0 +1,142 @@
+"""The immutable record base shared by every value type of the package:
+construction, validation, immutability, equality, hashing and repr."""
+
+from fractions import Fraction
+
+import pytest
+
+from hilbertdepth.exactalg import IntPolynomial, Record
+from hilbertdepth.ideals import (
+    DepthReport,
+    GeneratedHatPower,
+    HatPower,
+    MaxPower,
+    Veronese,
+    depth_report,
+)
+from hilbertdepth.identities import Counterexample, VerificationResult
+from hilbertdepth.multigrade import MultiSeries
+from hilbertdepth.series import (
+    EventualPolynomial,
+    RationalFunctionSeries,
+    canonicalize,
+    eventual_polynomial,
+)
+
+# class, field names in order, valid field values, derived (non-field) names
+RECORDS = [
+    (RationalFunctionSeries, ("numer", "den_pow"), (IntPolynomial((1, 2)), 2), ()),
+    (EventualPolynomial, ("threshold", "coeffs"), (3, (Fraction(1), Fraction(1, 2))),
+     ("degree", "leading_coefficient")),
+    (Veronese, ("n", "d"), (6, 2), ("family", "ambient")),
+    (MaxPower, ("n", "s"), (6, 2), ("t", "family", "span", "ambient")),
+    (HatPower, ("n", "t", "s"), (6, 2, 3), ("family", "span", "ambient")),
+    (GeneratedHatPower, ("n", "t", "s"), (6, 2, 3), ("family", "span", "ambient")),
+    (DepthReport, ("spec", "series", "computed_depth", "closed_form_depth"),
+     (Veronese(6, 2), Veronese(6, 2).series(), 3, 3), ("agree",)),
+    (Counterexample, ("params", "lhs", "rhs"), ((1, 2), 3, 4), ()),
+    (VerificationResult, ("identity_id", "params", "counterexample"),
+     ("lemma_2_2", "n=3 d=2", None), ("passed",)),
+    (MultiSeries, ("num_vars", "box", "coeffs"), (1, 1, (0, 1)), ()),
+]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+# arguments each validating class rejects with ValueError
+INVALID = [
+    (RationalFunctionSeries, (IntPolynomial((1, -1)), 1)),
+    (RationalFunctionSeries, (IntPolynomial(), 2)),
+    (RationalFunctionSeries, (IntPolynomial((1,)), -1)),
+    (Veronese, (3, 4)),
+    (Veronese, (0, 1)),
+    (MaxPower, (3, 0)),
+    (HatPower, (3, 4, 1)),
+    (GeneratedHatPower, (0, 1, 1)),
+    (MultiSeries, (2, 1, (1, 0, 0))),
+    (MultiSeries, (0, 1, ())),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, derived", RECORDS, ids=IDS)
+class TestRecordSemantics:
+    def test_is_a_record_with_these_fields(self, cls, names, values, derived):
+        rec = cls(*values)
+        assert isinstance(rec, Record)
+        assert rec._asdict() == dict(zip(names, values))
+        assert list(rec._asdict()) == list(names)
+
+    def test_positional_and_keyword_construction_agree(self, cls, names, values, derived):
+        by_keyword = cls(**dict(zip(names, values)))
+        mixed = cls(values[0], **dict(zip(names[1:], values[1:])))
+        assert cls(*values) == by_keyword == mixed
+
+    def test_missing_field_raises_type_error(self, cls, names, values, derived):
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(**dict(zip(names[1:], values[1:])))
+
+    def test_extra_field_raises_type_error(self, cls, names, values, derived):
+        with pytest.raises(TypeError):
+            cls(*values, values[-1])
+        with pytest.raises(TypeError):
+            cls(*values, bogus=1)
+        with pytest.raises(TypeError):
+            cls(*values, **{names[0]: values[0]})
+        for name in derived:
+            with pytest.raises(TypeError):
+                cls(*values, **{name: getattr(cls(*values), name)})
+
+    def test_fields_cannot_be_assigned(self, cls, names, values, derived):
+        rec = cls(*values)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        with pytest.raises(AttributeError):
+            rec.bogus = 1
+        assert rec == cls(*values)
+
+    def test_equal_values_hash_equal(self, cls, names, values, derived):
+        a, b = cls(*values), cls(**dict(zip(names, values)))
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_repr_names_every_field(self, cls, names, values, derived):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(names, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls, values", INVALID,
+                         ids=[f"{cls.__name__}{values}" for cls, values in INVALID])
+def test_invalid_values_raise_value_error(cls, values):
+    with pytest.raises(ValueError):
+        cls(*values)
+
+
+def test_equality_needs_the_same_class():
+    assert Veronese(3, 2) != MaxPower(3, 2)
+    assert HatPower(4, 2, 2) != GeneratedHatPower(4, 2, 2)
+    assert Veronese(3, 2) != (3, 2)
+    assert Counterexample((1,), 2, 3) != Counterexample((1,), 2, 4)
+
+
+def test_dataclass_style_repr():
+    assert repr(Veronese(6, 2)) == "Veronese(n=6, d=2)"
+    assert repr(HatPower(5, 2, 3)) == "HatPower(n=5, t=2, s=3)"
+    assert repr(canonicalize(IntPolynomial((0, 1)), 1)) == (
+        "RationalFunctionSeries(numer=IntPolynomial((0, 1)), den_pow=1)")
+    rep = depth_report(MaxPower(3, 1))
+    assert repr(rep).startswith("DepthReport(spec=MaxPower(n=3, s=1), series=")
+
+
+def test_eventual_polynomial_values_are_fractions():
+    q = eventual_polynomial(canonicalize(IntPolynomial((1,)), 3))
+    assert all(type(c) is Fraction for c in q.coeffs)
+    assert type(q(5)) is Fraction and q(5) == 21
+    assert type(q.leading_coefficient) is Fraction
+    zero = eventual_polynomial(canonicalize(IntPolynomial((2, 1)), 0))
+    assert zero.coeffs == () and zero.degree == -1
+    assert type(zero.leading_coefficient) is Fraction and zero.leading_coefficient == 0
+    assert type(zero(7)) is Fraction and zero(7) == 0

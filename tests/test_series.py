@@ -1,6 +1,7 @@
 """Canonical rational series: expansion, non-negativity, and depth."""
 
 from fractions import Fraction
+from itertools import product
 from math import ceil, comb, prod
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertdepth.exactalg import IntPolynomial, binomial, one_minus_t_power
+from hilbertdepth.ideals import FAMILIES
 from hilbertdepth.series import (
     RationalFunctionSeries,
     _search,
@@ -15,6 +17,7 @@ from hilbertdepth.series import (
     canonicalize,
     coefficient,
     eventual_polynomial,
+    expansion,
     hilbert_depth,
     is_nonnegative,
     mul_power_one_minus_t,
@@ -178,6 +181,36 @@ class TestCoefficient:
         h = rfs(coeffs, den_pow)
         want = expand_by_prefix_sums(h.numer.coefficients, h.den_pow, 50)
         assert [coefficient(h, k) for k in range(51)] == want
+
+
+class TestExpansion:
+    @given(st.lists(st.integers(-9, 9), max_size=8), st.integers(0, 6),
+           st.integers(0, 14))
+    @example([], 3, 5)  # the zero series
+    @example([1, 2, 3, 4], 0, 2)  # m = 0 and K < deg P
+    @example([0, 0, 3, -2], 3, 1)  # K < deg P with m >= 1
+    @example([0, 0, 3, -2], 3, 0)
+    def test_matches_coefficient(self, coeffs, den_pow, upto):
+        h = rfs(coeffs, den_pow)
+        assert expansion(h, upto) == [coefficient(h, k) for k in range(upto + 1)]
+
+    def test_every_family_spec(self):
+        # every valid spec with n <= 12 whose other parameters are <= n + 1
+        for cls in FAMILIES.values():
+            for n in range(1, 13):
+                for params in product(range(1, n + 2), repeat=len(cls.__slots__) - 1):
+                    try:
+                        spec = cls(n, *params)
+                    except ValueError:
+                        continue
+                    h = spec.series()
+                    for upto in (0, h.numer.degree // 2, h.numer.degree + 5):
+                        want = [coefficient(h, k) for k in range(upto + 1)]
+                        assert expansion(h, upto) == want, (spec, upto)
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            expansion(rfs((1,), 1), -1)
 
 
 class TestEventualPolynomial:
