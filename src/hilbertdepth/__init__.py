@@ -28,14 +28,11 @@ from .multigrade import (
     fine_series_formula,
     fine_series_oracle,
     hilbert_function_oracle,
-    membership,
 )
 from .series import (
-    EventualPolynomial,
     RationalFunctionSeries,
     canonicalize,
     coefficient,
-    eventual_polynomial,
     expansion,
     hilbert_depth,
     is_nonnegative,

@@ -241,10 +241,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     n_lo, n_hi = parse_range(args.n)
     cls = FAMILIES[args.ideal]
     text = getattr(args, name)
+    # every parameter but the power s is at most n
+    if text and name != "s" and parse_range(text)[0] > n_hi:
+        raise ValueError(f"--{name} {text} holds no value <= n for any n in {args.n}")
     rows = []
     for n in range(n_lo, n_hi + 1):
         lo, hi = parse_range(text) if text else (1, n)
-        if name != "s":  # every parameter but the power s is at most n
+        if name != "s":
             hi = min(hi, n)
         rows.extend(_report_row(cls(n, p)) for p in range(lo, hi + 1))
     widths = [max(len(h), 12) for h in _TABLE_HEADER]

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Iterable, Iterator
+from operator import sub
+from typing import Iterable
 
 __all__ = [
     "binomial",
     "IntPolynomial",
-    "one_minus_t_power",
     "Record",
 ]
 
@@ -96,17 +96,6 @@ class IntPolynomial:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def one(cls) -> IntPolynomial:
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> IntPolynomial:
-        """coeff * T^exp."""
-        if exp < 0:
-            raise ValueError("exponent must be non-negative")
-        return cls((0,) * exp + (coeff,))
-
     @property
     def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
@@ -123,13 +112,12 @@ class IntPolynomial:
         """Value at T = 1, i.e. the sum of all coefficients."""
         return sum(self._coeffs)
 
-    def shift(self, exp: int) -> IntPolynomial:
-        """Multiply by T^exp."""
-        if exp < 0:
-            raise ValueError("exponent must be non-negative")
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * exp + self._coeffs)
+    def times_one_minus_t(self) -> IntPolynomial:
+        """Product with (1 - T): the backward differences c_i - c_(i-1) of
+        the coefficients, one term longer; the inverse of
+        divide_one_minus_t."""
+        cs = self._coeffs
+        return IntPolynomial(map(sub, (*cs, 0), (0, *cs)))
 
     def divide_one_minus_t(self) -> IntPolynomial:
         """Exact quotient by (1 - T); requires eval_at_one() == 0.
@@ -159,14 +147,6 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(tuple(-c for c in self._coeffs))
-
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
         if isinstance(other, int):
             return IntPolynomial(tuple(other * c for c in self._coeffs))
@@ -193,9 +173,6 @@ class IntPolynomial:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._coeffs)
-
     def __repr__(self) -> str:
         return f"IntPolynomial({self._coeffs!r})"
 
@@ -216,9 +193,3 @@ class IntPolynomial:
         # signs are already embedded in the terms after the first
         return " ".join(parts)
 
-
-def one_minus_t_power(exp: int) -> IntPolynomial:
-    """(1 - T)^exp expanded, for exp >= 0."""
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return IntPolynomial(tuple((-1) ** k * binomial(exp, k) for k in range(exp + 1)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .exactalg import IntPolynomial, Record, binomial, one_minus_t_power
+from .exactalg import IntPolynomial, Record, binomial
 from .series import RationalFunctionSeries, canonicalize, hilbert_depth
 
 __all__ = [
@@ -202,14 +202,17 @@ class DepthReport(Record):
 def veronese_series_alt(n: int, d: int) -> RationalFunctionSeries:
     """Coarse Hilbert series of Veronese(n, d), second presentation.
 
-    Numerator sum_{i=d-1..n-1} C(i,d-1) T^d (1-T)^(i-d+1) over (1-T)^n.
-    Canonicalizes to the same object as Veronese(n, d).series().
+    Numerator sum_{i=d-1..n-1} C(i,d-1) T^d (1-T)^(i-d+1) over (1-T)^n,
+    summed by Horner's rule in (1-T): acc = C(i,d-1) + (1-T) acc for
+    i = n-1 down to d-1, then shifted by T^d.  The numerator is 1 at T = 1,
+    so it stays whole; it canonicalizes to the same object as
+    Veronese(n, d).series().
     """
     Veronese(n, d)
     numer = IntPolynomial()
-    for i in range(d - 1, n):
-        numer = numer + binomial(i, d - 1) * one_minus_t_power(i - d + 1)
-    return canonicalize(numer.shift(d), n)
+    for i in range(n - 1, d - 2, -1):
+        numer = numer.times_one_minus_t() + IntPolynomial((binomial(i, d - 1),))
+    return canonicalize(IntPolynomial((0,) * d + numer.coefficients), n)
 
 
 def depth_report(spec: IdealSpec) -> DepthReport:

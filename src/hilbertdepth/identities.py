@@ -26,13 +26,19 @@ Catalog tags and statements:
   theorem_1_3   the closed depth formulas of both families hold over a
                 sweep, and substituting (n+s-1, s) into the Veronese
                 formula reproduces the max-power formula shifted by s-1.
+
+Three check points repeat another point's comparison and are not
+independent evidence: eq_chain ("rational",) is theorem_1_4 ("series",)
+by the same calls; eq_chain ("unshifted", k) are lemma_4_1's points; and
+prop_2_3 ("numerator",) reads its right-hand side off the
+veronese_series_alt numerator that ("series",) already compared.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
-from .exactalg import IntPolynomial, Record, binomial, one_minus_t_power
+from .exactalg import IntPolynomial, Record, binomial
 from .ideals import (
     GeneratedHatPower,
     HatPower,
@@ -148,20 +154,22 @@ def verify_prop_2_3(n: int, d: int) -> VerificationResult:
     """Check that the two series presentations agree, then the underlying
     numerator identity divided by T^d as a plain polynomial equality.
 
-    Check points are ("series",) and ("numerator",).
+    Check points are ("series",) and ("numerator",).  The numerator's
+    left-hand side is summed by Horner's rule in (1-T):
+    acc = (1-T) acc + C(n,k+d) T^k for k = 0..n-d.  Its right-hand side is
+    read off veronese_series_alt(n, d), whose numerator is that sum times
+    T^d and stays whole because it is 1 at T = 1; so ("numerator",) reuses
+    the second presentation of ("series",) rather than summing it again.
     """
     _require_params(n, d)
 
     def points() -> Iterator[CheckPoint]:
-        yield ("series",), Veronese(n, d).series(), veronese_series_alt(n, d)
+        alt = veronese_series_alt(n, d)
+        yield ("series",), Veronese(n, d).series(), alt
         lhs = IntPolynomial()
         for k in range(n - d + 1):
-            lhs = lhs + binomial(n, k + d) * (
-                IntPolynomial.monomial(1, k) * one_minus_t_power(n - k - d)
-            )
-        rhs = IntPolynomial()
-        for i in range(n - d + 1):
-            rhs = rhs + binomial(i + d - 1, d - 1) * one_minus_t_power(i)
+            lhs = lhs.times_one_minus_t() + IntPolynomial((0,) * k + (binomial(n, k + d),))
+        rhs = IntPolynomial(alt.numer.coefficients[d:])
         yield ("numerator",), canonicalize(lhs, 0), canonicalize(rhs, 0)
 
     return _check("prop_2_3", f"n={n} d={d}", points())
@@ -185,12 +193,13 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
                          series with t = s = d, as canonical forms (with
                          prop_2_3's series check this also gives the
                          numerator identity, since both sides are canonical
-                         over (1-T)^n);
+                         over (1-T)^n); theorem_1_4's ("series",) point
+                         builds the same right-hand side by the same calls;
       ("shifted", k)     sum_i C(i,d-1) C(n-i+k-d-1, k-d) = C(n-d+k, k)
                          for d <= k, checked for k = 0..k_max (both sides
                          vanish below d);
       ("unshifted", k)   sum_i C(i,d-1) C(n-i+k-1, k) = C(n+k, k+d) for
-                         k = 0..k_max.
+                         k = 0..k_max; these are lemma_4_1's points.
 
     The two coefficientwise steps are infinite series identities; the
     finite check window is the executable witness, with the closed-form
@@ -218,7 +227,9 @@ def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
 
     Check points: ("series",) for the canonical-form equality
     veronese(n, d) = (1-T)^(-(d-1)) * hat(n, d, d), and ("depth",) for
-    depth(veronese) = depth(hat) + d - 1.
+    depth(veronese) = depth(hat) + d - 1.  The hat series has numerator
+    1 at T = 1, so the ("series",) comparison is eq_chain's ("rational",)
+    one, made by the same calls.
     """
     _require_params(n, d)
 

@@ -1,5 +1,5 @@
 """Fine (multigraded) Hilbert series over truncated exponent boxes, plus the
-brute-force membership and enumeration oracles that ground-truth the closed
+brute-force spec.member and enumeration oracles that ground-truth the closed
 forms.
 
 A box bound b means every variable exponent runs 0..b.  Truncation is sound
@@ -20,7 +20,6 @@ from .ideals import IdealSpec, Veronese
 __all__ = [
     "ExponentVector",
     "MultiSeries",
-    "membership",
     "degree_compositions",
     "hilbert_function_oracle",
     "fine_series_formula",
@@ -60,19 +59,6 @@ class MultiSeries(Record):
     def exponents(self) -> Iterator[ExponentVector]:
         return product(range(self.box + 1), repeat=self.num_vars)
 
-    def index(self, alpha: ExponentVector) -> int:
-        if len(alpha) != self.num_vars:
-            raise ValueError("exponent vector length mismatch")
-        idx = 0
-        for a in alpha:
-            if not 0 <= a <= self.box:
-                raise ValueError("exponent outside the box")
-            idx = idx * (self.box + 1) + a
-        return idx
-
-    def coefficient(self, alpha: ExponentVector) -> int:
-        return self.coeffs[self.index(alpha)]
-
     def coarse_sums(self, max_degree: int) -> list[int]:
         """Sum of coefficients over each total degree 0..max_degree.
 
@@ -87,21 +73,6 @@ class MultiSeries(Record):
             if k <= max_degree:
                 sums[k] += c
         return sums
-
-
-def membership(spec: IdealSpec, alpha: ExponentVector) -> int:
-    """1 iff the monomial with exponent vector alpha lies in the ideal.
-
-    alpha must have the ideal's ambient length (n-t+1 for HatPower, n
-    otherwise) and non-negative entries.
-    """
-    if len(alpha) != spec.ambient:
-        raise ValueError(
-            f"exponent vector has length {len(alpha)}, expected {spec.ambient}"
-        )
-    if any(a < 0 for a in alpha):
-        raise ValueError("exponents must be non-negative")
-    return 1 if spec.member(alpha) else 0
 
 
 def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
@@ -200,7 +171,7 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
 
 
 def fine_series_oracle(spec: IdealSpec, box: int) -> MultiSeries:
-    """Fine series by pointwise membership over the box."""
+    """Fine series by testing spec.member at every point of the box."""
     vars_ = spec.ambient
     check_fine_guard(vars_, box)
     return MultiSeries.from_function(vars_, box, lambda alpha: int(spec.member(alpha)))

@@ -24,23 +24,17 @@ representation sit three decisions, all exact:
 from __future__ import annotations
 
 from itertools import accumulate
-from math import factorial
 from operator import add
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from .exactalg import IntPolynomial, Record, binomial, one_minus_t_power
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .exactalg import IntPolynomial, Record, binomial
 
 __all__ = [
     "RationalFunctionSeries",
-    "EventualPolynomial",
     "canonicalize",
     "mul_power_one_minus_t",
     "coefficient",
     "expansion",
-    "eventual_polynomial",
     "is_nonnegative",
     "hilbert_depth",
 ]
@@ -72,33 +66,6 @@ class RationalFunctionSeries(Record):
         return f"({self.numer}) / (1-T)^{self.den_pow}"
 
 
-class EventualPolynomial(Record):
-    """Polynomial q with q(k) = coefficient(H, k) for every k >= threshold.
-
-    coeffs are rational, lowest power of k first.  For H = P/(1-T)^m with
-    m >= 1, threshold is deg P, the degree of q is m - 1 and its leading
-    coefficient is P(1) / (m-1)!.  For a polynomial H (m = 0), q is the zero
-    polynomial (coeffs empty, degree -1) and threshold is deg P + 1.
-    """
-
-    __slots__ = ("threshold", "coeffs")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else self(0)
-
-    def __call__(self, k: int) -> Fraction:
-        from fractions import Fraction
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * k + c
-        return acc
-
-
 def canonicalize(numer: IntPolynomial, den_pow: int) -> RationalFunctionSeries:
     """Canonical form of numer(T) / (1 - T)^den_pow.
 
@@ -117,11 +84,17 @@ def canonicalize(numer: IntPolynomial, den_pow: int) -> RationalFunctionSeries:
 
 
 def mul_power_one_minus_t(h: RationalFunctionSeries, r: int) -> RationalFunctionSeries:
-    """Canonical form of (1 - T)^r * H; r may be negative (raises den_pow)."""
+    """Canonical form of (1 - T)^r * H; r may be negative (raises den_pow).
+
+    Factors beyond den_pow multiply the numerator one (1 - T) at a time.
+    """
     new_pow = h.den_pow - r
     if new_pow >= 0:
         return canonicalize(h.numer, new_pow)
-    return canonicalize(h.numer * one_minus_t_power(-new_pow), 0)
+    numer = h.numer
+    for _ in range(-new_pow):
+        numer = numer.times_one_minus_t()
+    return canonicalize(numer, 0)
 
 
 def coefficient(h: RationalFunctionSeries, k: int) -> int:
@@ -154,32 +127,6 @@ def expansion(h: RationalFunctionSeries, upto: int) -> list[int]:
     for _ in range(h.den_pow):
         row = list(accumulate(row))
     return row
-
-
-def eventual_polynomial(h: RationalFunctionSeries) -> EventualPolynomial:
-    """Closed form of coefficient(H, k) as a polynomial in k, valid for
-    k >= threshold.
-
-    Expands sum_j P_j * C(k-j+m-1, m-1) symbolically: each binomial is the
-    product (k-j+1)...(k-j+m-1) / (m-1)!.  For den_pow = 0 the expansion is
-    finitely supported, so the form is the zero polynomial from deg P + 1
-    on: the Hilbert polynomial of a module of finite length.
-    """
-    from fractions import Fraction
-    m = h.den_pow
-    if m == 0:
-        return EventualPolynomial(threshold=len(h.numer.coefficients), coeffs=())
-    acc = IntPolynomial()
-    for j, pj in enumerate(h.numer.coefficients):
-        if pj == 0:
-            continue
-        prod = IntPolynomial.one()
-        for i in range(1, m):
-            prod = prod * IntPolynomial((i - j, 1))
-        acc = acc + pj * prod
-    denom = factorial(m - 1)
-    coeffs = tuple(Fraction(c, denom) for c in acc.coefficients)
-    return EventualPolynomial(threshold=h.numer.degree, coeffs=coeffs)
 
 
 def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:

@@ -3,8 +3,8 @@
 import pytest
 
 import hilbertdepth.identities as identities
-from hilbertdepth.exactalg import one_minus_t_power
 from hilbertdepth.series import RationalFunctionSeries, canonicalize
+from reference import one_minus_t_power
 
 
 def shifted(side, offset):

@@ -1,0 +1,45 @@
+"""Reference algebra the tests compare the package against, built from
+math.comb and Fraction rather than from the package's own routines."""
+
+from fractions import Fraction
+from math import comb, factorial
+
+from hilbertdepth.exactalg import IntPolynomial
+
+
+def one_minus_t_power(m):
+    """(1-T)^m expanded by the binomial theorem."""
+    return IntPolynomial((-1) ** k * comb(m, k) for k in range(m + 1))
+
+
+def t_power(e):
+    """T^e."""
+    return IntPolynomial((0,) * e + (1,))
+
+
+def eventual_polynomial(h):
+    """(threshold, q) with q(k) = coefficient(h, k) for every k >= threshold,
+    q's rational coefficients lowest power of k first.
+
+    Expands sum_j P_j C(k-j+m-1, m-1) symbolically, each binomial the
+    product (k-j+1)...(k-j+m-1) / (m-1)!.  For m = 0 the expansion is
+    finitely supported: q is zero (no coefficients) from deg P + 1 on.
+    """
+    m, cs = h.den_pow, h.numer.coefficients
+    if m == 0:
+        return len(cs), ()
+    q = [Fraction(0)] * m
+    for j, pj in enumerate(cs):
+        term = [Fraction(pj, factorial(m - 1))]
+        for i in range(1, m):  # times (k - j + i)
+            term = [a * (i - j) + b for a, b in zip([*term, 0], [0, *term])]
+        q = [a + b for a, b in zip(q, term)]
+    return len(cs) - 1, tuple(q)
+
+
+def evaluate(q, k):
+    """q(k) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(q):
+        acc = acc * k + c
+    return acc

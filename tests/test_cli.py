@@ -253,6 +253,17 @@ class TestTableCommand:
         code, out, err = run_cli(["table", *args], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_empty_grid_rejected_before_work(self, capsys, monkeypatch, fmt):
+        # d <= n clips 5..6 away for every n in 1..3: no row, so no verdict
+        def no_work(spec):
+            raise AssertionError("depth computed for an empty grid")
+        monkeypatch.setattr(cli, "depth_report", no_work)
+        code, out, err = run_cli(["table", "--ideal", "veronese", "--n", "1..3",
+                                  "--d", "5..6", "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --d 5..6 holds no value <= n for any n in 1..3\n"
+
 
 class TestOracleCommand:
     def test_defaults_pass(self, capsys):

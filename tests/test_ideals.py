@@ -1,5 +1,7 @@
 """Series constructors and closed depth formulas for the four families."""
 
+from math import comb
+
 import pytest
 
 from hilbertdepth.exactalg import IntPolynomial
@@ -19,7 +21,8 @@ from hilbertdepth.series import (
     is_nonnegative,
     mul_power_one_minus_t,
 )
-from hilbertdepth.exactalg import binomial, one_minus_t_power
+from hilbertdepth.exactalg import binomial
+from reference import one_minus_t_power, t_power
 
 
 class TestSpecValidation:
@@ -56,7 +59,7 @@ class TestVeroneseSeries:
     def test_principal_ideal(self):
         for n in range(1, 8):
             h = Veronese(n, n).series()
-            assert h.numer == IntPolynomial.monomial(1, n) and h.den_pow == n
+            assert h.numer == t_power(n) and h.den_pow == n
 
     def test_whole_maximal_ideal(self):
         h = Veronese(2, 1).series()
@@ -77,7 +80,17 @@ class TestVeroneseSeries:
 
     def test_alt_principal_single_term(self):
         h = veronese_series_alt(4, 4)
-        assert h.numer == IntPolynomial.monomial(1, 4) and h.den_pow == 4
+        assert h.numer == t_power(4) and h.den_pow == 4
+
+    def test_alt_matches_product_route(self):
+        # sum_{i=d-1..n-1} C(i,d-1) T^d (1-T)^(i-d+1), one product per term
+        for n in range(1, 41):
+            for d in range(1, n + 1):
+                numer = IntPolynomial()
+                for i in range(d - 1, n):
+                    numer = numer + comb(i, d - 1) * (t_power(d) * one_minus_t_power(i - d + 1))
+                h = veronese_series_alt(n, d)
+                assert h.numer == numer and h.den_pow == n, (n, d)
 
 
 class TestMaxPowerSeries:
@@ -114,7 +127,7 @@ class TestMaxPowerSeries:
                 for s in range(1, s_max + 1):
                     spec = MaxPower(n, s) if cls is MaxPower else cls(n, t, s)
                     low = IntPolynomial(tuple(binomial(span + k - 1, k) for k in range(s)))
-                    numer = IntPolynomial.one() - low * one_minus_t_power(span)
+                    numer = IntPolynomial((1,)) + -1 * low * one_minus_t_power(span)
                     assert spec.series() == canonicalize(numer, ambient), spec
 
 
@@ -132,7 +145,7 @@ class TestHatPowerSeries:
         for n in range(1, 6):
             for s in range(1, 5):
                 h = HatPower(n, n, s).series()
-                assert h.numer == IntPolynomial.monomial(1, s) and h.den_pow == 1
+                assert h.numer == t_power(s) and h.den_pow == 1
 
     def test_family_coherence(self):
         for n in range(1, 31):

@@ -48,7 +48,7 @@ class TestProp23:
         assert verify_prop_2_3(n, d).passed
 
     def test_sweep(self):
-        for n in range(1, 16):
+        for n in range(1, 41):
             for d in range(1, n + 1):
                 assert verify_prop_2_3(n, d).passed
 

@@ -1,8 +1,6 @@
 """The immutable record base shared by every value type of the package:
 construction, validation, immutability, equality, hashing and repr."""
 
-from fractions import Fraction
-
 import pytest
 
 from hilbertdepth.exactalg import IntPolynomial, Record
@@ -16,18 +14,11 @@ from hilbertdepth.ideals import (
 )
 from hilbertdepth.identities import Counterexample, VerificationResult
 from hilbertdepth.multigrade import MultiSeries
-from hilbertdepth.series import (
-    EventualPolynomial,
-    RationalFunctionSeries,
-    canonicalize,
-    eventual_polynomial,
-)
+from hilbertdepth.series import RationalFunctionSeries, canonicalize
 
 # class, field names in order, valid field values, derived (non-field) names
 RECORDS = [
     (RationalFunctionSeries, ("numer", "den_pow"), (IntPolynomial((1, 2)), 2), ()),
-    (EventualPolynomial, ("threshold", "coeffs"), (3, (Fraction(1), Fraction(1, 2))),
-     ("degree", "leading_coefficient")),
     (Veronese, ("n", "d"), (6, 2), ("family", "ambient")),
     (MaxPower, ("n", "s"), (6, 2), ("t", "family", "span", "ambient")),
     (HatPower, ("n", "t", "s"), (6, 2, 3), ("family", "span", "ambient")),
@@ -130,13 +121,3 @@ def test_dataclass_style_repr():
     rep = depth_report(MaxPower(3, 1))
     assert repr(rep).startswith("DepthReport(spec=MaxPower(n=3, s=1), series=")
 
-
-def test_eventual_polynomial_values_are_fractions():
-    q = eventual_polynomial(canonicalize(IntPolynomial((1,)), 3))
-    assert all(type(c) is Fraction for c in q.coeffs)
-    assert type(q(5)) is Fraction and q(5) == 21
-    assert type(q.leading_coefficient) is Fraction
-    zero = eventual_polynomial(canonicalize(IntPolynomial((2, 1)), 0))
-    assert zero.coeffs == () and zero.degree == -1
-    assert type(zero.leading_coefficient) is Fraction and zero.leading_coefficient == 0
-    assert type(zero(7)) is Fraction and zero(7) == 0
