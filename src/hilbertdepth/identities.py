@@ -4,9 +4,10 @@ Each verifier recomputes both sides of an identity through independent
 pipelines, as a lazy sequence of check points (label, lhs, rhs) whose sides
 are integers or canonical series.  One driver compares the sides point by
 point in lexicographic sweep order and returns a structured pass/fail
-result carrying the first counterexample; work behind later points is
-never done.  A series mismatch is reported at the label extended by the
-first coefficient index where the expansions differ.
+result carrying the first counterexample; the convolution row of a window
+is built once, when its first point is reached.  A series mismatch is
+reported at the label extended by the first coefficient index where the
+expansions differ.
 
 Catalog tags and statements:
 
@@ -27,15 +28,18 @@ Catalog tags and statements:
                 sweep, and substituting (n+s-1, s) into the Veronese
                 formula reproduces the max-power formula shifted by s-1.
 
-Three check points repeat another point's comparison and are not
+Four check points repeat another point's comparison and are not
 independent evidence: eq_chain ("rational",) is theorem_1_4 ("series",)
-by the same calls; eq_chain ("unshifted", k) are lemma_4_1's points; and
-prop_2_3 ("numerator",) reads its right-hand side off the
+by the same calls; eq_chain ("unshifted", k) are lemma_4_1's points;
+eq_chain ("shifted", k) for k >= d repeats ("unshifted", k-d), the same
+row entry against the same value, since C(n-d+k, k) = C(n+(k-d), (k-d)+d);
+and prop_2_3 ("numerator",) reads its right-hand side off the
 veronese_series_alt numerator that ("series",) already compared.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator, Union
 
 from .exactalg import IntPolynomial, Record, binomial
@@ -117,15 +121,26 @@ def _check(identity_id: str, params: str,
     return VerificationResult(identity_id, params, None)
 
 
-def _convolution_points(n: int, d: int, k_max: int,
+def _convolution_row(n: int, d: int, k_max: int) -> list[int]:
+    """sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k) for k = 0..k_max.
+
+    With p = n-i these are the T^k coefficients of
+    sum_{p=1..n-d+1} C(n-p, d-1) / (1-T)^p; a prefix-sum pass over the row
+    multiplies it by 1/(1-T).
+    """
+    row = [0] * (k_max + 1)
+    for p in range(n - d + 1, 0, -1):
+        row[0] += binomial(n - p, d - 1)
+        row = list(accumulate(row))
+    return row
+
+
+def _convolution_points(n: int, d: int, row: list[int],
                         label: tuple) -> Iterator[CheckPoint]:
-    """C(n+k, k+d) against sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k) at
-    points label + (k,) for k = 0..k_max."""
-    for k in range(k_max + 1):
-        yield label + (k,), binomial(n + k, k + d), sum(
-            binomial(i, d - 1) * binomial(n - i + k - 1, k)
-            for i in range(d - 1, n)
-        )
+    """C(n+k, k+d) against row[k] = sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k)
+    at points label + (k,) for every k of the row."""
+    for k, convolution in enumerate(row):
+        yield label + (k,), binomial(n + k, k + d), convolution
 
 
 def _require_params(n: int, d: int, k_max: int = 0) -> None:
@@ -178,11 +193,14 @@ def verify_prop_2_3(n: int, d: int) -> VerificationResult:
 def verify_lemma_4_1(n: int, d: int, k_max: int) -> VerificationResult:
     """Check C(n+k, k+d) against the convolution side for k = 0..k_max.
 
-    Check points are (k,).
+    Check points are (k,).  The convolution side of the whole window is one
+    row, summed by Horner's rule in 1/(1-T):
+    row[0] += C(n-p, d-1), then row = prefix sums of row, for p = n-d+1
+    down to 1; row[k] = sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k).
     """
     _require_params(n, d, k_max)
     return _check("lemma_4_1", f"n={n} d={d} k in 0..{k_max}",
-                  _convolution_points(n, d, k_max, ()))
+                  _convolution_points(n, d, _convolution_row(n, d, k_max), ()))
 
 
 def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
@@ -201,6 +219,12 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
       ("unshifted", k)   sum_i C(i,d-1) C(n-i+k-1, k) = C(n+k, k+d) for
                          k = 0..k_max; these are lemma_4_1's points.
 
+    Both coefficientwise steps read one convolution row, summed by
+    Horner's rule in 1/(1-T) as in verify_lemma_4_1 (row[0] += C(n-p, d-1),
+    then prefix sums, for p = n-d+1 down to 1): ("unshifted", k) compares
+    row[k], and ("shifted", k) for k >= d compares row[k-d], since
+    C(n-i+k-d-1, k-d) is the unshifted term at k-d.
+
     The two coefficientwise steps are infinite series identities; the
     finite check window is the executable witness, with the closed-form
     convolution identity covering all k.
@@ -209,15 +233,13 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
 
     def points() -> Iterator[CheckPoint]:
         yield ("rational",), Veronese(n, d).series(), GeneratedHatPower(n, d, d).series()
+        row = _convolution_row(n, d, k_max)
         for k in range(k_max + 1):
             if k < d:
                 yield ("shifted", k), 0, 0
             else:
-                yield ("shifted", k), sum(
-                    binomial(i, d - 1) * binomial(n - i + k - d - 1, k - d)
-                    for i in range(d - 1, n)
-                ), binomial(n - d + k, k)
-        yield from _convolution_points(n, d, k_max, ("unshifted",))
+                yield ("shifted", k), row[k - d], binomial(n - d + k, k)
+        yield from _convolution_points(n, d, row, ("unshifted",))
 
     return _check("eq_chain", f"n={n} d={d} k in 0..{k_max}", points())
 

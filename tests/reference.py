@@ -12,6 +12,12 @@ def one_minus_t_power(m):
     return IntPolynomial((-1) ** k * comb(m, k) for k in range(m + 1))
 
 
+def convolution_sum(n, d, k):
+    """sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k), term by term as Lemma 4.1
+    states it."""
+    return sum(comb(i, d - 1) * comb(n - i + k - 1, k) for i in range(d - 1, n))
+
+
 def t_power(e):
     """T^e."""
     return IntPolynomial((0,) * e + (1,))

@@ -40,7 +40,7 @@ from hilbertdepth.series import (
 from reference import evaluate, eventual_polynomial
 
 N_SWEEP = 40
-N_CHAIN = 25
+N_CHAIN = 40
 ORACLE_N = 5
 ORACLE_K = 12
 FINE_VARS = 4

@@ -1,9 +1,11 @@
 """Identity verifiers: clean passes, determinism, and the failure path."""
 
 import re
+from math import comb
 
 import pytest
 
+import hilbertdepth.identities as identities
 from hilbertdepth.identities import (
     Counterexample,
     VerificationResult,
@@ -14,6 +16,7 @@ from hilbertdepth.identities import (
     verify_theorem_1_3,
     verify_theorem_1_4,
 )
+from reference import convolution_sum
 
 
 class TestLemma22:
@@ -78,6 +81,21 @@ class TestLemma41:
     def test_window(self):
         assert verify_lemma_4_1(5, 2, 10).passed
 
+    def test_sweep(self):
+        for n in range(1, 41):
+            for d in range(1, n + 1):
+                assert verify_lemma_4_1(n, d, n + 10).passed
+
+    def test_row_matches_term_by_term_sums(self):
+        for n in range(1, 25):
+            for d in range(1, n + 1):
+                row = identities._convolution_row(n, d, n + 10)
+                assert row == [convolution_sum(n, d, k) for k in range(n + 11)]
+                for k in range(d, n + 11):
+                    assert row[k - d] == sum(
+                        comb(i, d - 1) * comb(n - i + k - d - 1, k - d)
+                        for i in range(d - 1, n))
+
     def test_perturbation(self, perturb):
         perturb(3, at=(7,))
         res = verify_lemma_4_1(5, 2, 10)
@@ -92,7 +110,7 @@ class TestEqChain:
         assert verify_eq_chain(n, d, k_max).passed
 
     def test_sweep(self):
-        for n in range(1, 13):
+        for n in range(1, 41):
             for d in range(1, n + 1):
                 assert verify_eq_chain(n, d, n + 10).passed
 
