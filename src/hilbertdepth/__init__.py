@@ -13,22 +13,6 @@ from .ideals import (
     depth_report,
     veronese_series_alt,
 )
-from .identities import (
-    Counterexample,
-    VerificationResult,
-    verify_eq_chain,
-    verify_lemma_2_2,
-    verify_lemma_4_1,
-    verify_prop_2_3,
-    verify_theorem_1_3,
-    verify_theorem_1_4,
-)
-from .multigrade import (
-    MultiSeries,
-    fine_series_formula,
-    fine_series_oracle,
-    hilbert_function_oracle,
-)
 from .series import (
     RationalFunctionSeries,
     canonicalize,
@@ -40,3 +24,21 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# The identity catalog and the oracles are cross-checks that the series and
+# depth computations never call, so their modules are imported on first use
+# of one of their names (PEP 562).
+_LAZY = {
+    **dict.fromkeys(("Counterexample", "VerificationResult", "verify_eq_chain",
+                     "verify_lemma_2_2", "verify_lemma_4_1", "verify_prop_2_3",
+                     "verify_theorem_1_3", "verify_theorem_1_4"), "identities"),
+    **dict.fromkeys(("MultiSeries", "fine_series_formula", "fine_series_oracle",
+                     "hilbert_function_oracle"), "multigrade"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

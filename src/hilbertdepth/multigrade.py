@@ -6,13 +6,22 @@ A box bound b means every variable exponent runs 0..b.  Truncation is sound
 for products because all exponents are non-negative: terms outside the box
 never influence terms inside it.  Fine/coarse consistency is only meaningful
 for total degrees k <= b, where no composition of k escapes the box.
+
+The coarse oracle enumerates the degree-k compositions of a ring size once
+and tests every spec of that size against the same stream, taken in chunks
+of COMPOSITION_CHUNK, so memory stays bounded by one chunk.  The fine formula
+multiplies its closed form out on the dense box array one axis at a time
+(the Veronese sum over subsets by a recurrence over axes, see
+fine_series_formula) and never consults membership, so the fine oracle,
+which calls spec.member at every box point, stays an independent check.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
-from typing import Callable, Iterator
+from itertools import combinations_with_replacement, islice, product
+from operator import add, sub
+from typing import Iterator, Sequence
 
 from .exactalg import Record
 from .ideals import IdealSpec, Veronese
@@ -21,6 +30,7 @@ __all__ = [
     "ExponentVector",
     "MultiSeries",
     "degree_compositions",
+    "hilbert_function_counts",
     "hilbert_function_oracle",
     "fine_series_formula",
     "fine_series_oracle",
@@ -31,6 +41,8 @@ ExponentVector = tuple[int, ...]
 MAX_FINE_VARS = 5
 MAX_FINE_BOX = 6
 MAX_ENUMERATION = 10**7
+# compositions held at once by the coarse oracle
+COMPOSITION_CHUNK = 1024
 
 
 class MultiSeries(Record):
@@ -48,50 +60,68 @@ class MultiSeries(Record):
         if len(self.coeffs) != (self.box + 1) ** self.num_vars:
             raise ValueError("coefficient array does not fill the box")
 
-    @classmethod
-    def from_function(
-        cls, num_vars: int, box: int, fn: Callable[[ExponentVector], int]
-    ) -> MultiSeries:
-        side = box + 1
-        return cls(num_vars, box,
-                   tuple(fn(alpha) for alpha in product(range(side), repeat=num_vars)))
-
-    def exponents(self) -> Iterator[ExponentVector]:
-        return product(range(self.box + 1), repeat=self.num_vars)
-
     def coarse_sums(self, max_degree: int) -> list[int]:
         """Sum of coefficients over each total degree 0..max_degree.
 
         Complete only for degrees <= box, where the box holds every
-        composition of the degree.
+        composition of the degree.  The axes are summed away from the last
+        one: sums[k] holds, over the axes still left, the coefficient sums
+        at degree k in the axes summed so far, and the entries at exponent
+        a of the next axis (every side-th one, from a on) move to k + a.
         """
         if max_degree > self.num_vars * self.box:
             raise ValueError("degree beyond the box's reach")
-        sums = [0] * (max_degree + 1)
-        for alpha, c in zip(self.exponents(), self.coeffs):
-            k = sum(alpha)
-            if k <= max_degree:
-                sums[k] += c
-        return sums
+        side = self.box + 1
+        sums = [list(self.coeffs)]
+        for left in reversed(range(self.num_vars)):
+            merged = [[0] * side ** left for _ in range(max_degree + 1)]
+            for k, row in enumerate(sums):
+                for a in range(min(side, max_degree + 1 - k)):
+                    merged[k + a] = list(map(add, merged[k + a], row[a::side]))
+            sums = merged
+        return [row[0] for row in sums]
 
 
 def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
-    """All exponent vectors of the given total degree, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in degree_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All exponent vectors of the given total degree, lexicographically.
+
+    Stars and bars: the partial sums of the first parts - 1 entries run over
+    the non-decreasing sequences in 0..total, which combinations with
+    replacement yields in lexicographic order, the order of the vectors.
+    """
+    if parts < 1:
+        raise ValueError(f"parts must be at least 1, got {parts}")
+    if total < 0:
+        raise ValueError(f"total must be non-negative, got {total}")
+    start, end = (0,), (total,)
+    return (tuple(map(sub, sums + end, start + sums))
+            for sums in combinations_with_replacement(range(total + 1), parts - 1))
+
+
+def hilbert_function_counts(specs: Sequence[IdealSpec], k: int) -> list[int]:
+    """Count of degree-k monomials in each ideal, by direct enumeration.
+
+    The specs share one ring size, and one stream of its compositions
+    serves them all: each chunk of the stream is counted for every spec in
+    turn, so every spec still tests every composition once.
+    """
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    sizes = {spec.ambient for spec in specs}
+    if len(sizes) != 1:
+        raise ValueError("specs must share one number of variables")
+    vars_ = sizes.pop()
+    check_enumeration_guard(vars_, k)
+    counts = [0] * len(specs)
+    stream = degree_compositions(k, vars_)
+    while chunk := list(islice(stream, COMPOSITION_CHUNK)):
+        counts = [c + sum(map(spec.member, chunk)) for c, spec in zip(counts, specs)]
+    return counts
 
 
 def hilbert_function_oracle(spec: IdealSpec, k: int) -> int:
     """Count of degree-k monomials in the ideal, by direct enumeration."""
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    vars_ = spec.ambient
-    check_enumeration_guard(vars_, k)
-    return sum(map(spec.member, degree_compositions(k, vars_)))
+    return hilbert_function_counts([spec], k)[0]
 
 
 def check_enumeration_guard(num_vars: int, k: int) -> None:
@@ -108,20 +138,44 @@ def check_fine_guard(num_vars: int, box: int) -> None:
         raise ValueError(f"box bound must lie in 0..{MAX_FINE_BOX}")
 
 
-def _prefix_sum(coeffs: list[int], side: int, stride: int) -> None:
+def _axis_rows(size: int, side: int, stride: int) -> list[tuple[slice, slice]]:
+    """The (row r, row r-1) slice pairs of a flat box array of the given size
+    along the axis with the given stride, r = 1..side-1 increasing.
+
+    Row r is every index whose coordinate on that axis is r.  It is cut as
+    one stride-long slice per block of side * stride indices, or as one
+    extended slice per offset within the stride, whichever needs fewer, so
+    no axis takes more than (side-1) * sqrt(size / side) slice operations.
+    """
+    period = side * stride
+    if stride <= size // period:
+        return [(slice(r * stride + t, size, period), slice((r - 1) * stride + t, size, period))
+                for t in range(stride) for r in range(1, side)]
+    return [(slice(lo, lo + stride), slice(lo - stride, lo))
+            for block in range(0, size, period)
+            for lo in range(block + stride, block + period, stride)]
+
+
+def _prefix_sum(coeffs: list[int], rows: list[tuple[slice, slice]]) -> None:
     """Multiply a flat box array in place by the truncated 1 / (1 - T_i),
-    where axis i has the given stride: prefix sums along that axis."""
-    for idx in range(len(coeffs)):
-        if idx // stride % side:
-            coeffs[idx] += coeffs[idx - stride]
+    where rows are axis i's (_axis_rows): prefix sums along that axis."""
+    for row, prev in rows:
+        coeffs[row] = map(add, coeffs[row], coeffs[prev])
 
 
-def _difference(coeffs: list[int], side: int, stride: int) -> None:
-    """Multiply a flat box array in place by (1 - T_j), where axis j has the
-    given stride: backward differences along that axis."""
-    for idx in reversed(range(len(coeffs))):
-        if idx // stride % side:
-            coeffs[idx] -= coeffs[idx - stride]
+def _difference(coeffs: list[int], rows: list[tuple[slice, slice]]) -> None:
+    """Multiply a flat box array in place by (1 - T_j), where rows are axis
+    j's (_axis_rows): backward differences along that axis."""
+    for row, prev in reversed(rows):
+        coeffs[row] = map(sub, coeffs[row], coeffs[prev])
+
+
+def _add_shifted(coeffs: list[int], source: list[int],
+                 rows: list[tuple[slice, slice]]) -> None:
+    """Add T_j times a flat box array, truncated to the box, to coeffs in
+    place, where rows are axis j's (_axis_rows)."""
+    for row, prev in rows:
+        coeffs[row] = map(add, coeffs[row], source[prev])
 
 
 def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
@@ -135,38 +189,48 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
 
     The expansion runs on the dense coefficient array: each geometric factor
     is a prefix sum along its axis and each (1 - T_j) a backward difference.
+    The Veronese sum over subsets is multiplied out one axis at a time: after
+    the first i axes, array c holds the terms of the subsets S of those axes
+    with min(|S|, d) = c, and axis i sends array c to c * (1 - T_i) plus
+    T_i * array c-1 (array d to itself plus T_i * array d-1, since
+    (1 - T_i) + T_i = 1).  Array d after the last axis is the sum, in
+    O(n * d * (box+1)^n) additions rather than a pass per subset.
     Membership is never consulted, so fine_series_oracle stays an
     independent check.
     """
     vars_ = spec.ambient
     check_fine_guard(vars_, box)
     side = box + 1
+    size = side ** vars_
     strides = [side ** (vars_ - 1 - i) for i in range(vars_)]
-    coeffs = [0] * side ** vars_
+    axes = [_axis_rows(size, side, stride) for stride in strides]
+    coeffs = [0] * size
     if isinstance(spec, Veronese):
-        # every T^S has S nonempty, so box 0 truncates the whole sum away
-        for size in range(spec.d, vars_ + 1) if box else ():
-            for subset in combinations(range(vars_), size):
-                term = [0] * len(coeffs)
-                term[sum(strides[i] for i in subset)] = 1
-                for j in range(vars_):
-                    if j not in subset:
-                        _difference(term, side, strides[j])
-                coeffs = [a + b for a, b in zip(coeffs, term)]
-        for stride in strides:
-            _prefix_sum(coeffs, side, stride)
+        d = spec.d
+        terms = [coeffs] + [[0] * size for _ in range(d)]
+        coeffs[0] = 1
+        for rows in axes:
+            # from the top down, so array c-1 still holds the previous axis
+            for c in range(d, 0, -1):
+                if c < d:
+                    _difference(terms[c], rows)
+                _add_shifted(terms[c], terms[c - 1], rows)
+            _difference(terms[0], rows)
+        coeffs = terms[d]
+        for rows in axes:
+            _prefix_sum(coeffs, rows)
         return MultiSeries(vars_, box, tuple(coeffs))
     span = spec.span
     coeffs[0] = 1
-    for stride in strides[:span]:
-        _prefix_sum(coeffs, side, stride)
+    for rows in axes[:span]:
+        _prefix_sum(coeffs, rows)
     # a degree above span * box has a part above box, outside the box
     for k in range(min(spec.s, span * box + 1)):
         for alpha in degree_compositions(k, span):
             if max(alpha) <= box:
                 coeffs[sum(a * stride for a, stride in zip(alpha, strides))] -= 1
-    for stride in strides[span:]:
-        _prefix_sum(coeffs, side, stride)
+    for rows in axes[span:]:
+        _prefix_sum(coeffs, rows)
     return MultiSeries(vars_, box, tuple(coeffs))
 
 
@@ -174,4 +238,5 @@ def fine_series_oracle(spec: IdealSpec, box: int) -> MultiSeries:
     """Fine series by testing spec.member at every point of the box."""
     vars_ = spec.ambient
     check_fine_guard(vars_, box)
-    return MultiSeries.from_function(vars_, box, lambda alpha: int(spec.member(alpha)))
+    points = product(range(box + 1), repeat=vars_)
+    return MultiSeries(vars_, box, tuple(map(int, map(spec.member, points))))

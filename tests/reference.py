@@ -2,6 +2,7 @@
 math.comb and Fraction rather than from the package's own routines."""
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb, factorial
 
 from hilbertdepth.exactalg import IntPolynomial
@@ -16,6 +17,33 @@ def convolution_sum(n, d, k):
     """sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k), term by term as Lemma 4.1
     states it."""
     return sum(comb(i, d - 1) * comb(n - i + k - 1, k) for i in range(d - 1, n))
+
+
+def veronese_fine_by_subsets(n, d, box):
+    """Coefficients over the box [0, box]^n (lexicographic, last index
+    fastest) of prod_i 1/(1-T_i) times sum over subsets S of >= d variables
+    of T^S prod_{j not in S} (1-T_j), one subset at a time as the closed
+    form states it."""
+    points = list(product(range(box + 1), repeat=n))
+
+    def step(alpha, i):
+        return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+
+    total = dict.fromkeys(points, 0)
+    for size in range(d, n + 1):
+        for subset in combinations(range(n), size):
+            corner = tuple(int(i in subset) for i in range(n))
+            term = {alpha: int(alpha == corner) for alpha in points}
+            for j in set(range(n)) - set(subset):  # times (1 - T_j)
+                term = {alpha: c - (term[step(alpha, j)] if alpha[j] else 0)
+                        for alpha, c in term.items()}
+            for alpha in points:
+                total[alpha] += term[alpha]
+    for i in range(n):  # times 1/(1 - T_i), in lexicographic order
+        for alpha in points:
+            if alpha[i]:
+                total[alpha] += total[step(alpha, i)]
+    return tuple(total[alpha] for alpha in points)
 
 
 def t_power(e):

@@ -285,9 +285,9 @@ class TestOracleCommand:
         # the largest count is C(6+3-1, 3-1) = 28 compositions, at (n_max, k_max)
         monkeypatch.setattr(multigrade, "MAX_ENUMERATION", limit)
         calls = []
-        oracle = cli.hilbert_function_oracle
-        monkeypatch.setattr(cli, "hilbert_function_oracle",
-                            lambda spec, k: calls.append(k) or oracle(spec, k))
+        counts = multigrade.hilbert_function_counts
+        monkeypatch.setattr(multigrade, "hilbert_function_counts",
+                            lambda specs, k: calls.append(k) or counts(specs, k))
         got, out, err = run_cli(["oracle", "--n-max", "3", "--k-max", "6"], capsys)
         assert got == code
         if code == 2:
@@ -394,6 +394,22 @@ class TestImportFootprint:
         assert "hilbertdepth.cli" in added
         assert not added & HEAVY_MODULES
         assert proc.stdout.startswith(f"# {argv[0]} ")
+
+    def test_package_loads_cross_checks_on_first_use(self):
+        # the library path (series, depth) compiles neither cross-check
+        # module; each exported name still resolves to its module's object
+        proc = run_child(["-c", "import sys, hilbertdepth as hd; "
+                                "mods = ('hilbertdepth.identities', 'hilbertdepth.multigrade'); "
+                                "print(*[m in sys.modules for m in mods]); "
+                                "from hilbertdepth import identities, multigrade; "
+                                "print(all(getattr(hd, n) is getattr(m, n) for n, m in ("
+                                "('verify_eq_chain', identities), ('Counterexample', identities), "
+                                "('MultiSeries', multigrade), "
+                                "('hilbert_function_oracle', multigrade))))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False", "True"]
+        proc = run_child(["-X", "importtime", "-m", "hilbertdepth", *PLAIN_RUNS[0]])
+        assert "hilbertdepth.multigrade" not in imported_modules(proc.stderr)
 
     def test_json_and_csv_still_work(self):
         argv = ["-m", "hilbertdepth", "depth", "--ideal", "veronese", "--n", "6",

@@ -1,5 +1,8 @@
 """Fine series, membership, and enumeration oracles."""
 
+import math
+from itertools import product
+
 import pytest
 
 from hilbertdepth.ideals import (
@@ -9,13 +12,19 @@ from hilbertdepth.ideals import (
     Veronese,
 )
 from hilbertdepth.multigrade import (
+    COMPOSITION_CHUNK,
     MultiSeries,
     degree_compositions,
     fine_series_formula,
     fine_series_oracle,
+    hilbert_function_counts,
     hilbert_function_oracle,
 )
 from hilbertdepth.series import coefficient
+
+from reference import veronese_fine_by_subsets
+
+FAMILY_CLASSES = (Veronese, MaxPower, HatPower, GeneratedHatPower)
 
 
 def all_specs(n_max, s_max):
@@ -31,7 +40,7 @@ def all_specs(n_max, s_max):
 
 def coefficients(ms):
     """The box's coefficients keyed by exponent vector."""
-    return dict(zip(ms.exponents(), ms.coeffs))
+    return dict(zip(product(range(ms.box + 1), repeat=ms.num_vars), ms.coeffs))
 
 
 class TestMembership:
@@ -54,7 +63,6 @@ class TestMembership:
 
 class TestDegreeCompositions:
     def test_counts(self):
-        import math
         for total in range(6):
             for parts in range(1, 5):
                 got = list(degree_compositions(total, parts))
@@ -65,6 +73,20 @@ class TestDegreeCompositions:
     def test_lexicographic_order(self):
         got = list(degree_compositions(2, 2))
         assert got == sorted(got)
+
+    def test_matches_sorted_brute_force(self):
+        for total in range(9):
+            for parts in range(1, 6):
+                want = sorted(set(alpha for alpha in product(range(total + 1), repeat=parts)
+                                  if sum(alpha) == total))
+                assert list(degree_compositions(total, parts)) == want, (total, parts)
+
+    @pytest.mark.parametrize("total, parts, name", [
+        (2, 0, "parts"), (2, -1, "parts"), (-1, 1, "total"), (-1, 2, "total")])
+    def test_rejects_bad_arguments(self, total, parts, name):
+        # raised at the call, before any composition is asked for
+        with pytest.raises(ValueError, match=name):
+            degree_compositions(total, parts)
 
 
 class TestHilbertFunctionOracle:
@@ -83,6 +105,30 @@ class TestHilbertFunctionOracle:
         with pytest.raises(ValueError):
             hilbert_function_oracle(MaxPower(12, 1), 50)
 
+    def test_chunked_counts_match_plain_enumeration(self, monkeypatch):
+        # k = 20 in 5 variables is C(24, 4) = 10626 compositions, more than
+        # two chunks; every spec still tests every composition once
+        specs = [Veronese(5, 3), MaxPower(5, 4), HatPower(6, 2, 3),
+                 GeneratedHatPower(5, 2, 7), GeneratedHatPower(5, 4, 30)]
+        compositions = list(degree_compositions(20, 5))
+        assert len(compositions) == math.comb(24, 4) > 2 * COMPOSITION_CHUNK
+        want = [sum(map(spec.member, compositions)) for spec in specs]
+        calls = []
+        for cls in FAMILY_CLASSES:
+            member = cls.member
+            monkeypatch.setattr(cls, "member",
+                                lambda self, alpha, member=member:
+                                calls.append(alpha) or member(self, alpha))
+        assert hilbert_function_counts(specs, 20) == want
+        assert len(calls) == len(specs) * len(compositions)
+        assert [hilbert_function_oracle(spec, 20) for spec in specs] == want
+
+    def test_counts_need_one_ring_size(self):
+        with pytest.raises(ValueError, match="one number of variables"):
+            hilbert_function_counts([Veronese(3, 2), MaxPower(4, 2)], 2)
+        with pytest.raises(ValueError, match="one number of variables"):
+            hilbert_function_counts([], 2)
+
     def test_matches_coarse_coefficients(self):
         for spec in all_specs(4, 3):
             h = spec.series()
@@ -94,16 +140,25 @@ class TestMultiSeries:
     def test_index_round_trip(self):
         # alpha sits at flat index sum_i alpha_i (box+1)^(num_vars-1-i), the
         # strides fine_series_formula addresses the box with
-        ms = MultiSeries.from_function(3, 2, lambda a: 100 * a[0] + 10 * a[1] + a[2])
-        for alpha in ms.exponents():
-            assert ms.coeffs[9 * alpha[0] + 3 * alpha[1] + alpha[2]] == \
-                100 * alpha[0] + 10 * alpha[1] + alpha[2]
+        # (membership here ignores the last variable, so a transposed
+        # layout would not pass)
+        spec = GeneratedHatPower(3, 2, 2)
+        ms = fine_series_oracle(spec, 2)
+        for alpha in product(range(3), repeat=3):
+            assert ms.coeffs[9 * alpha[0] + 3 * alpha[1] + alpha[2]] == spec.member(alpha)
 
     def test_coarse_sums(self):
-        ms = MultiSeries.from_function(2, 2, lambda a: 1)
+        ms = MultiSeries(2, 2, (1,) * 9)
         assert ms.coarse_sums(2) == [1, 2, 3]
         with pytest.raises(ValueError):
             ms.coarse_sums(5)
+        # distinct coefficients, so every point must land in its own degree
+        points = list(product(range(3), repeat=3))
+        ms = MultiSeries(3, 2, tuple(100 * a + 10 * b + c for a, b, c in points))
+        want = [0] * 7
+        for a, b, c in points:
+            want[a + b + c] += 100 * a + 10 * b + c
+        assert [ms.coarse_sums(k) for k in range(7)] == [want[:k + 1] for k in range(7)]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -125,6 +180,22 @@ class TestFineSeries:
         ms = fine_series_formula(MaxPower(2, 2), 2)
         for alpha, c in coefficients(ms).items():
             assert c == (0 if sum(alpha) < 2 else 1)
+
+    def test_veronese_matches_subset_expansion(self):
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                for box in range(5 if n <= 4 else 3):
+                    got = fine_series_formula(Veronese(n, d), box).coeffs
+                    assert got == veronese_fine_by_subsets(n, d, box), (n, d, box)
+
+    def test_formula_never_consults_membership(self, monkeypatch):
+        def member(self, alpha):
+            raise AssertionError("fine_series_formula called member")
+
+        for cls in FAMILY_CLASSES:
+            monkeypatch.setattr(cls, "member", member)
+        for spec in all_specs(4, 3):
+            fine_series_formula(spec, 3)
 
     def test_formula_matches_oracle_everywhere(self):
         for spec in all_specs(3, 3):
