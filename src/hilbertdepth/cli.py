@@ -4,27 +4,19 @@ verification, parameter-sweep tables, and oracle cross-checks.
 Output is byte-deterministic for fixed arguments.  Exit codes: 0 when every
 check in the invocation passed, 1 on a verification or oracle failure, 2 on
 malformed arguments.  JSON output emits integers beyond 53-bit magnitude as
-decimal strings so no consumer silently rounds them.
+decimal strings so no consumer silently rounds them.  Only `verify` loads the
+identity catalog and only `oracle` the oracles; a failing `verify` sweep
+stops at its first failing (n, d).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
-from itertools import chain, product
-from typing import Callable, Iterable, Optional
+from itertools import chain, islice, product
+from typing import Iterable, Optional
 
 from .ideals import FAMILIES, IdealSpec, depth_report
-from .identities import (
-    VerificationResult,
-    verify_eq_chain,
-    verify_lemma_2_2,
-    verify_lemma_4_1,
-    verify_prop_2_3,
-    verify_theorem_1_3,
-    verify_theorem_1_4,
-)
 from .series import coefficient, expansion
 
 __all__ = ["main", "build_parser"]
@@ -65,7 +57,12 @@ def _emit(args: argparse.Namespace, params: dict, body: dict,
     if args.format == "json":
         import json
         doc = {"command": args.command, "params": params, **body}
-        print(json.dumps(_json_safe(doc), indent=2))
+        # written a slice of chunks at a time: json.dumps would hold every
+        # chunk of a long series at once, about 2 MiB at --upto 3000
+        chunks = json.JSONEncoder(indent=2).iterencode(_json_safe(doc))
+        while text := "".join(islice(chunks, 4096)):
+            sys.stdout.write(text)
+        print()
     elif args.format == "csv":
         import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
@@ -163,49 +160,37 @@ def cmd_depth(args: argparse.Namespace) -> int:
     return 0 if row["agree"] else 1
 
 
-def _sweep_pairs(verify: Callable[..., VerificationResult], n_max: int,
-                 k_max: Optional[int]) -> tuple[str, int, Optional[VerificationResult]]:
-    """Run verify(n, d, k) over 1 <= d <= n <= n_max, k defaulting to n + 10.
-
-    Returns (range description, case count, first failing result or None);
-    cases count verifier invocations.  The description names the window
-    only when one is given.
-    """
-    results = [verify(n, d, k_max if k_max is not None else n + 10)
-               for n in range(1, n_max + 1) for d in range(1, n + 1)]
-    window = "" if k_max is None else f", k <= {k_max}"
-    return (f"1 <= d <= n <= {n_max}{window}", len(results),
-            next((res for res in results if not res.passed), None))
-
-
-def _sweep_theorem_1_3(n_max: int, k_max: Optional[int]) -> tuple[str, int, Optional[VerificationResult]]:
-    res = verify_theorem_1_3(n_max)
-    return res.params, 3 * n_max * (n_max + 1) // 2, None if res.passed else res
-
-
-# Identity name -> (sweep(n_max, k_max), whether it takes a --k-max window).
-# The lambdas look verifiers up by name at call time, so a verifier rebound
-# on this module (a test double, a tracing wrapper) is the one that runs.
-_VERIFIERS = {
-    "lemma-2.2": (partial(_sweep_pairs, lambda n, d, k: verify_lemma_2_2(n, d)), False),
-    "prop-2.3": (partial(_sweep_pairs, lambda n, d, k: verify_prop_2_3(n, d)), False),
-    "lemma-4.1": (partial(_sweep_pairs, lambda n, d, k: verify_lemma_4_1(n, d, k)), True),
-    "eq-chain": (partial(_sweep_pairs, lambda n, d, k: verify_eq_chain(n, d, k)), True),
-    "theorem-1.4": (partial(_sweep_pairs, lambda n, d, k: verify_theorem_1_4(n, d)), False),
-    "theorem-1.3": (_sweep_theorem_1_3, False),
-}
+# Identity name -> whether its verifier takes a --k-max window.  cmd_verify
+# looks identities.verify_<tag> up when it runs, so a rebound verifier runs.
+_IDENTITIES = {"lemma-2.2": False, "prop-2.3": False, "lemma-4.1": True,
+               "eq-chain": True, "theorem-1.4": False, "theorem-1.3": False}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    identity = args.identity
-    _require(args.n_max, "--n-max", 1)
-    sweep, windowed = _VERIFIERS[identity]
-    if args.k_max is not None:
-        _require(args.k_max, "--k-max", 0)
+    # imported here, so that no other command loads the identity catalog
+    from . import identities
+
+    identity, n_max, k_max = args.identity, args.n_max, args.k_max
+    _require(n_max, "--n-max", 1)
+    windowed = _IDENTITIES[identity]
+    if k_max is not None:
+        _require(k_max, "--k-max", 0)
         if not windowed:
             raise ValueError(f"{identity} does not take --k-max")
-    scope, cases, failed = sweep(args.n_max, args.k_max)
     tag = identity.replace("-", "_").replace(".", "_")
+    verify = getattr(identities, f"verify_{tag}")
+    # one call per pair 1 <= d <= n <= n_max (k <= n + 10 by default) up to
+    # the first failure; theorem-1.3's one call checks each pair thrice
+    cases = n_max * (n_max + 1) // 2
+    if identity == "theorem-1.3":
+        results = [verify(n_max)]
+        scope, cases = results[0].params, 3 * cases
+    else:
+        results = (verify(n, d, n + 10 if k_max is None else k_max) if windowed
+                   else verify(n, d)
+                   for n in range(1, n_max + 1) for d in range(1, n + 1))
+        scope = f"1 <= d <= n <= {n_max}" + ("" if k_max is None else f", k <= {k_max}")
+    failed = next((res for res in results if not res.passed), None)
     passed = failed is None
     failure = None
     if not passed:
@@ -214,7 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    "lhs": ce.lhs, "rhs": ce.rhs}
     # a passing run leaves the counterexample cells empty
     cells = failure or dict.fromkeys(("at", "point", "lhs", "rhs"), "")
-    _emit(args, {"identity": identity, "n_max": args.n_max, "k_max": args.k_max},
+    _emit(args, {"identity": identity, "n_max": n_max, "k_max": k_max},
           {"results": [{"identity": tag, "params": scope, "cases": cases,
                         "passed": passed, "counterexample": failure}],
            "pass": passed},
@@ -225,7 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
           [f"PASS {tag}: {cases} cases over {scope}" if passed else
            f"FAIL {tag}: first counterexample at {cells['at']} "
            f"point={tuple(cells['point'])} lhs={cells['lhs']} rhs={cells['rhs']}"],
-          title=f"{identity} n_max={args.n_max}")
+          title=f"{identity} n_max={n_max}")
     return 0 if passed else 1
 
 
@@ -355,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_depth)
 
     sp = sub.add_parser("verify", help="run one identity verifier over a range")
-    sp.add_argument("identity", choices=list(_VERIFIERS))
+    sp.add_argument("identity", choices=list(_IDENTITIES))
     sp.add_argument("--n-max", type=int, default=10)
     sp.add_argument("--k-max", type=int, default=None,
                     help="coefficient window for series identities (default n+10)")

@@ -69,6 +69,8 @@ class MultiSeries(Record):
         at degree k in the axes summed so far, and the entries at exponent
         a of the next axis (every side-th one, from a on) move to k + a.
         """
+        if max_degree < 0:
+            raise ValueError("max_degree must be non-negative")
         if max_degree > self.num_vars * self.box:
             raise ValueError("degree beyond the box's reach")
         side = self.box + 1

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import hilbertdepth.cli as cli
+import hilbertdepth.identities as identities
 import hilbertdepth.multigrade as multigrade
 from hilbertdepth.cli import main, parse_range
 from hilbertdepth.identities import Counterexample, VerificationResult
@@ -152,7 +153,7 @@ class TestVerifyCommand:
     def test_failure_exit_code(self, capsys, monkeypatch, fmt):
         broken = VerificationResult(
             "theorem_1_4", "n=2 d=1", Counterexample(("depth", 4), 1, 2))
-        monkeypatch.setattr(cli, "verify_theorem_1_4", lambda n, d: broken)
+        monkeypatch.setattr(identities, "verify_theorem_1_4", lambda n, d: broken)
         code, out, _ = run_cli(["verify", "theorem-1.4", "--n-max", "3",
                                 "--format", fmt], capsys)
         assert code == 1
@@ -192,10 +193,33 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("identity", ["lemma-4.1", "eq-chain"])
     def test_k_max_window_applied(self, capsys, monkeypatch, identity):
         name = "verify_" + identity.replace("-", "_").replace(".", "_")
-        verify, windows = getattr(cli, name), []
-        monkeypatch.setattr(cli, name, lambda n, d, k: windows.append(k) or verify(n, d, k))
+        verify, windows = getattr(identities, name), []
+        monkeypatch.setattr(identities, name,
+                            lambda n, d, k: windows.append(k) or verify(n, d, k))
         code, _, _ = run_cli(["verify", identity, "--n-max", "3", "--k-max", "5"], capsys)
         assert code == 0 and windows == [5] * 6
+
+    def test_sweep_stops_at_first_failure(self, capsys, monkeypatch):
+        # the sweep makes no call past the failing pair (2, 2), yet the case
+        # count still covers every pair of the range
+        verify, calls = identities.verify_theorem_1_4, []
+
+        def failing_at_2_2(n, d):
+            calls.append((n, d))
+            if (n, d) != (2, 2):
+                return verify(n, d)
+            return VerificationResult("theorem_1_4", "n=2 d=2",
+                                      Counterexample(("depth",), 1, 2))
+
+        monkeypatch.setattr(identities, "verify_theorem_1_4", failing_at_2_2)
+        args = ["verify", "theorem-1.4", "--n-max", "3", "--format"]
+        code, out, _ = run_cli(args + ["csv"], capsys)
+        assert code == 1 and calls == [(1, 1), (2, 1), (2, 2)]
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["cases"], row["passed"], row["ce_at"]) == ("6", "False", "n=2 d=2")
+        code, out, _ = run_cli(args + ["json"], capsys)
+        result = json.loads(out)["results"][0]
+        assert code == 1 and (result["cases"], result["passed"]) == (6, False)
 
 
     @pytest.mark.parametrize("fmt", ["plain", "csv"])
@@ -346,6 +370,8 @@ class TestContract:
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
                  "decimal", "numbers", "json", "csv"}
 
+CROSS_CHECK_MODULES = {"hilbertdepth.identities", "hilbertdepth.multigrade"}
+
 PLAIN_RUNS = [
     ["depth", "--ideal", "max-power", "--n", "40", "--s", "3"],
     ["series", "--ideal", "hat-power", "--n", "6", "--t", "2", "--s", "3"],
@@ -393,6 +419,10 @@ class TestImportFootprint:
         added = imported_modules(proc.stderr) - bare_imports
         assert "hilbertdepth.cli" in added
         assert not added & HEAVY_MODULES
+        # each cross-check module is loaded only by the command that calls it
+        assert added & CROSS_CHECK_MODULES == {
+            "verify": {"hilbertdepth.identities"},
+            "oracle": {"hilbertdepth.multigrade"}}.get(argv[0], set())
         assert proc.stdout.startswith(f"# {argv[0]} ")
 
     def test_package_loads_cross_checks_on_first_use(self):

@@ -152,6 +152,8 @@ class TestMultiSeries:
         assert ms.coarse_sums(2) == [1, 2, 3]
         with pytest.raises(ValueError):
             ms.coarse_sums(5)
+        with pytest.raises(ValueError, match="max_degree"):
+            ms.coarse_sums(-1)
         # distinct coefficients, so every point must land in its own degree
         points = list(product(range(3), repeat=3))
         ms = MultiSeries(3, 2, tuple(100 * a + 10 * b + c for a, b, c in points))
