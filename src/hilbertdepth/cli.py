@@ -264,6 +264,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     # ring, n_max variables, covers every spec before the coarse pass
     multigrade.check_fine_guard(args.n_max, args.box)
     multigrade.check_enumeration_guard(args.n_max, args.k_max)
+    multigrade.check_sweep_guard(chain.from_iterable(_oracle_specs(args.n_max, 1).values()),
+                                 args.k_max, args.s_max, args.box)
     specs = _oracle_specs(args.n_max, args.s_max)
     series = {spec: spec.series() for family_specs in specs.values()
               for spec in family_specs}

@@ -99,7 +99,7 @@ class Veronese(Record):
         return ceil_form
 
     def member(self, alpha: tuple[int, ...]) -> bool:
-        return sum(1 for a in alpha if a > 0) >= self.d
+        return len(alpha) - alpha.count(0) >= self.d
 
 
 class _PowerFamily(Record):
@@ -153,7 +153,8 @@ class _PowerFamily(Record):
         return -(-self.span // (self.s + 1)) + self.ambient - self.span
 
     def member(self, alpha: tuple[int, ...]) -> bool:
-        return sum(alpha[: self.span]) >= self.s
+        # span, inlined: the oracles make one call per point they test
+        return sum(alpha[: self.n - self.t + 1]) >= self.s
 
 
 class MaxPower(_PowerFamily):

@@ -10,18 +10,21 @@ for total degrees k <= b, where no composition of k escapes the box.
 The coarse oracle enumerates the degree-k compositions of a ring size once
 and tests every spec of that size against the same stream, taken in chunks
 of COMPOSITION_CHUNK, so memory stays bounded by one chunk.  The fine formula
-multiplies its closed form out on the dense box array one axis at a time
-(the Veronese sum over subsets by a recurrence over axes, see
-fine_series_formula) and never consults membership, so the fine oracle,
-which calls spec.member at every box point, stays an independent check.
+multiplies its closed form out on the dense box array one axis at a time:
+the Veronese sum over subsets by a recurrence over axes on the 2^n corner
+sub-box its numerator lives in, and the power families by a per-axis walk
+over the points of degree below s (see fine_series_formula).  It never
+consults membership, so the fine oracle, which calls spec.member at every
+box point, stays an independent check.  check_sweep_guard bounds the
+spec.member calls of a whole oracle sweep before it starts.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement, islice, product
-from operator import add, sub
-from typing import Iterator, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Record
 from .ideals import IdealSpec, Veronese
@@ -41,6 +44,8 @@ ExponentVector = tuple[int, ...]
 MAX_FINE_VARS = 5
 MAX_FINE_BOX = 6
 MAX_ENUMERATION = 10**7
+# spec.member calls one oracle sweep may make, over all its specs
+MAX_MEMBER_TESTS = 10**7
 # compositions held at once by the coarse oracle
 COMPOSITION_CHUNK = 1024
 
@@ -132,6 +137,23 @@ def check_enumeration_guard(num_vars: int, k: int) -> None:
         raise ValueError("degree too large to enumerate")
 
 
+def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, s_max: int,
+                      box: int) -> None:
+    """Reject an oracle sweep of more than MAX_MEMBER_TESTS spec.member calls.
+
+    A spec in r variables tests each of the C(k_max + r, r) compositions of
+    degree at most k_max and each of the (box+1)^r box points.  A spec with
+    a power s stands for its s_max copies, s = 1..s_max, so a large s_max
+    is rejected without building them.
+    """
+    tests = sum((s_max if hasattr(spec, "s") else 1)
+                * (math.comb(k_max + spec.ambient, k_max) + (box + 1) ** spec.ambient)
+                for spec in specs)
+    if tests > MAX_MEMBER_TESTS:
+        raise ValueError(f"the sweep would make {tests} membership tests, more than "
+                         f"{MAX_MEMBER_TESTS}; lower --s-max, --k-max or --box")
+
+
 def check_fine_guard(num_vars: int, box: int) -> None:
     """Reject fine-series work beyond MAX_FINE_VARS variables or box MAX_FINE_BOX."""
     if num_vars > MAX_FINE_VARS:
@@ -180,6 +202,31 @@ def _add_shifted(coeffs: list[int], source: list[int],
         coeffs[row] = map(add, coeffs[row], source[prev])
 
 
+def _veronese_numerator(num_vars: int, d: int, side: int) -> list[int]:
+    """Sum over subsets S of >= d variables of T^S * prod_{j not in S}
+    (1 - T_j), over the box of the given side, in num_vars variables.
+
+    Multiplied out one axis at a time: after the first i axes, array c
+    holds the terms of the subsets S of those axes with min(|S|, d) = c,
+    and axis i sends array c to c * (1 - T_i) plus T_i * array c-1 (array
+    d to itself plus T_i * array d-1, since (1 - T_i) + T_i = 1).  Array d
+    after the last axis is the sum, in O(num_vars * d * side^num_vars)
+    additions rather than a pass per subset.
+    """
+    size = side ** num_vars
+    terms = [[0] * size for _ in range(d + 1)]
+    terms[0][0] = 1
+    for i in range(num_vars):
+        rows = _axis_rows(size, side, side ** (num_vars - 1 - i))
+        # from the top down, so array c-1 still holds the previous axis
+        for c in range(d, 0, -1):
+            if c < d:
+                _difference(terms[c], rows)
+            _add_shifted(terms[c], terms[c - 1], rows)
+        _difference(terms[0], rows)
+    return terms[d]
+
+
 def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     """Closed-form fine Hilbert series, expanded over the truncated box.
 
@@ -189,14 +236,15 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     first span = n-t+1 variables minus the monomials of total degree < s in
     them, times the truncated geometric product over the remaining ones.
 
-    The expansion runs on the dense coefficient array: each geometric factor
-    is a prefix sum along its axis and each (1 - T_j) a backward difference.
-    The Veronese sum over subsets is multiplied out one axis at a time: after
-    the first i axes, array c holds the terms of the subsets S of those axes
-    with min(|S|, d) = c, and axis i sends array c to c * (1 - T_i) plus
-    T_i * array c-1 (array d to itself plus T_i * array d-1, since
-    (1 - T_i) + T_i = 1).  Array d after the last axis is the sum, in
-    O(n * d * (box+1)^n) additions rather than a pass per subset.
+    The Veronese numerator has degree <= 1 in every variable, so it is
+    multiplied out (_veronese_numerator) on the corner sub-box of side
+    min(2, box+1), placed into the box and summed along every axis for the
+    geometric factors: O(n*d*2^n + n*(box+1)^n) additions.  The power-family
+    series is 1 at every box point but those of degree < s in the span
+    axes.  These are listed one span axis at a time (after i axes, list c
+    holds the offsets of the in-box points of degree c, c < min(s,
+    i*box + 1)), and each zeroes the contiguous block of the remaining axes
+    under it: (box+1)^n to fill the box plus one slice per point zeroed.
     Membership is never consulted, so fine_series_oracle stays an
     independent check.
     """
@@ -205,34 +253,31 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     side = box + 1
     size = side ** vars_
     strides = [side ** (vars_ - 1 - i) for i in range(vars_)]
-    axes = [_axis_rows(size, side, stride) for stride in strides]
-    coeffs = [0] * size
     if isinstance(spec, Veronese):
-        d = spec.d
-        terms = [coeffs] + [[0] * size for _ in range(d)]
-        coeffs[0] = 1
-        for rows in axes:
-            # from the top down, so array c-1 still holds the previous axis
-            for c in range(d, 0, -1):
-                if c < d:
-                    _difference(terms[c], rows)
-                _add_shifted(terms[c], terms[c - 1], rows)
-            _difference(terms[0], rows)
-        coeffs = terms[d]
-        for rows in axes:
-            _prefix_sum(coeffs, rows)
+        core_side = min(side, 2)
+        core = _veronese_numerator(vars_, spec.d, core_side)
+        coeffs = [0] * size
+        for point, c in zip(product(range(core_side), repeat=vars_), core):
+            coeffs[sum(map(mul, point, strides))] = c
+        for stride in strides:
+            _prefix_sum(coeffs, _axis_rows(size, side, stride))
         return MultiSeries(vars_, box, tuple(coeffs))
     span = spec.span
-    coeffs[0] = 1
-    for rows in axes[:span]:
-        _prefix_sum(coeffs, rows)
-    # a degree above span * box has a part above box, outside the box
-    for k in range(min(spec.s, span * box + 1)):
-        for alpha in degree_compositions(k, span):
-            if max(alpha) <= box:
-                coeffs[sum(a * stride for a, stride in zip(alpha, strides))] -= 1
-    for rows in axes[span:]:
-        _prefix_sum(coeffs, rows)
+    levels = [[0]]
+    for i, stride in enumerate(strides[:span], 1):
+        # a degree above i * box has a part above box, outside the box
+        reach = min(spec.s, i * box + 1)
+        grown = [[] for _ in range(reach)]
+        for c, offsets in enumerate(levels):
+            for a in range(min(side, reach - c)):
+                grown[c + a] += [o + a * stride for o in offsets]
+        levels = grown
+    block = strides[span - 1]
+    zeros = [0] * block
+    coeffs = [1] * size
+    for offsets in levels:
+        for o in offsets:
+            coeffs[o:o + block] = zeros
     return MultiSeries(vars_, box, tuple(coeffs))
 
 

@@ -2,7 +2,7 @@
 math.comb and Fraction rather than from the package's own routines."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial
 
 from hilbertdepth.exactalg import IntPolynomial
@@ -40,6 +40,34 @@ def veronese_fine_by_subsets(n, d, box):
             for alpha in points:
                 total[alpha] += term[alpha]
     for i in range(n):  # times 1/(1 - T_i), in lexicographic order
+        for alpha in points:
+            if alpha[i]:
+                total[alpha] += total[step(alpha, i)]
+    return tuple(total[alpha] for alpha in points)
+
+
+def power_fine_by_compositions(spec, box):
+    """Coefficients over the box [0, box]^ambient (lexicographic, last index
+    fastest) of the s-th power of the maximal ideal of the first span
+    variables: the truncated geometric product over those variables minus
+    every composition of degree < s in them that lies in the box, one
+    composition at a time, times the truncated geometric product over the
+    remaining variables."""
+    n, span, s = spec.ambient, spec.span, spec.s
+    points = list(product(range(box + 1), repeat=n))
+
+    def step(alpha, i):
+        return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+
+    # the geometric product over the span variables is 1 on their box
+    total = {alpha: int(not any(alpha[span:])) for alpha in points}
+    # a degree above span * box has a part above box, outside the box
+    for k in range(min(s, span * box + 1)):
+        for cuts in combinations_with_replacement(range(k + 1), span - 1):
+            alpha = tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
+            if max(alpha) <= box:
+                total[alpha + (0,) * (n - span)] -= 1
+    for i in range(span, n):  # times 1/(1 - T_i), in lexicographic order
         for alpha in points:
             if alpha[i]:
                 total[alpha] += total[step(alpha, i)]

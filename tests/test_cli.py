@@ -14,6 +14,7 @@ import hilbertdepth.cli as cli
 import hilbertdepth.identities as identities
 import hilbertdepth.multigrade as multigrade
 from hilbertdepth.cli import main, parse_range
+from hilbertdepth.ideals import GeneratedHatPower, HatPower, MaxPower, Veronese
 from hilbertdepth.identities import Counterexample, VerificationResult
 
 
@@ -318,6 +319,32 @@ class TestOracleCommand:
             assert (out, err, calls) == ("", "error: degree too large to enumerate\n", [])
         else:
             assert out.endswith("OVERALL PASS\n") and calls
+
+    @pytest.mark.parametrize("excess, code", [(1, 2), (0, 0)])
+    def test_sweep_guard_checked_up_front(self, capsys, monkeypatch, excess, code):
+        # n_max 2 holds Veronese(1, 1), (2, 1), (2, 2) and, for each s, two
+        # max-power, three hat-power and three generated-hat-power specs; a
+        # spec in r variables tests the C(3 + r, r) compositions of degree
+        # <= 3 and the 2^r box points
+        tests = {1: 4 + 2, 2: 10 + 4}
+        ambients = [1, 2, 2] + 2 * ([1, 2] + [1, 2, 1] + [1, 2, 2])
+        limit = sum(tests[r] for r in ambients)
+        assert limit == 194
+        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", limit - excess)
+        calls = []
+        for cls in (Veronese, MaxPower, HatPower, GeneratedHatPower):
+            member = cls.member
+            monkeypatch.setattr(cls, "member", lambda self, alpha, member=member:
+                                calls.append(alpha) or member(self, alpha))
+        got, out, err = run_cli(["oracle", "--n-max", "2", "--k-max", "3",
+                                 "--s-max", "2", "--box", "1"], capsys)
+        assert got == code
+        if code == 2:
+            assert (out, calls) == ("", [])
+            assert err == ("error: the sweep would make 194 membership tests, more "
+                           "than 193; lower --s-max, --k-max or --box\n")
+        else:
+            assert out.endswith("OVERALL PASS\n") and len(calls) == limit
 
     def test_bounds_rejected_by_name(self, capsys):
         code, out, err = run_cli(["oracle", "--n-max", "3", "--k-max", "-1"], capsys)

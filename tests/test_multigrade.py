@@ -22,7 +22,7 @@ from hilbertdepth.multigrade import (
 )
 from hilbertdepth.series import coefficient
 
-from reference import veronese_fine_by_subsets
+from reference import power_fine_by_compositions, veronese_fine_by_subsets
 
 FAMILY_CLASSES = (Veronese, MaxPower, HatPower, GeneratedHatPower)
 
@@ -213,6 +213,44 @@ class TestFineSeries:
                 for s in (span * box, span * box + 1, span * box + 2, 10**6, 10**30):
                     spec = cls(*head, max(s, 1))
                     assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
+
+    @pytest.mark.parametrize("box", [3, 4])
+    def test_formula_matches_oracle_in_five_variables(self, box):
+        # the widest ring the oracle sweeps, at the boxes it is run at, with
+        # every power up to two past the box's reach span * box
+        specs = [Veronese(5, d) for d in range(1, 6)]
+        for t in range(1, 6):
+            span = 6 - t
+            for s in range(1, span * box + 3):
+                specs.append(GeneratedHatPower(5, t, s))
+                specs.append(HatPower(4 + t, t, s))
+                if t == 1:
+                    specs.append(MaxPower(5, s))
+        assert all(spec.ambient == 5 for spec in specs)
+        for spec in specs:
+            assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
+
+    @pytest.mark.parametrize("box", [0, 1])
+    def test_veronese_core_edges(self, box):
+        # the numerator's sub-box has side 1 at box 0 and side 2, the whole
+        # box, at box 1
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                spec = Veronese(n, d)
+                assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
+
+    def test_power_matches_composition_walk(self):
+        for n in range(1, 5):
+            for box in range(5):
+                for t in range(1, n + 1):
+                    span = n - t + 1
+                    for s in range(1, span * box + 3):
+                        specs = [HatPower(n, t, s), GeneratedHatPower(n, t, s)]
+                        if t == 1:
+                            specs.append(MaxPower(n, s))
+                        for spec in specs:
+                            got = fine_series_formula(spec, box).coeffs
+                            assert got == power_fine_by_compositions(spec, box), (spec, box)
 
     def test_generated_hat_is_hat_times_geometric_tail(self):
         spec = GeneratedHatPower(3, 2, 2)
