@@ -25,6 +25,7 @@ canonicalized; nothing is expanded coefficient-wise.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Union
 
 from .exactalg import IntPolynomial, Record, binomial
@@ -204,16 +205,19 @@ def veronese_series_alt(n: int, d: int) -> RationalFunctionSeries:
     """Coarse Hilbert series of Veronese(n, d), second presentation.
 
     Numerator sum_{i=d-1..n-1} C(i,d-1) T^d (1-T)^(i-d+1) over (1-T)^n,
-    summed by Horner's rule in (1-T): acc = C(i,d-1) + (1-T) acc for
-    i = n-1 down to d-1, then shifted by T^d.  The numerator is 1 at T = 1,
-    so it stays whole; it canonicalizes to the same object as
-    Veronese(n, d).series().
+    summed by Horner's rule in (1-T) on an integer list:
+    acc = C(i,d-1) + (1-T) acc for i = n-1 down to d-1, then shifted by
+    T^d.  After the step for i only entries 0..n-1-i can be nonzero, so
+    each (1-T) pass of backward differences covers those.  The numerator
+    is 1 at T = 1, so it stays whole; it canonicalizes to the same object
+    as Veronese(n, d).series().
     """
     Veronese(n, d)
-    numer = IntPolynomial()
-    for i in range(n - 1, d - 2, -1):
-        numer = numer.times_one_minus_t() + IntPolynomial((binomial(i, d - 1),))
-    return canonicalize(IntPolynomial((0,) * d + numer.coefficients), n)
+    acc = [0] * (n - d + 1)
+    for j, i in enumerate(range(n - 1, d - 2, -1)):
+        acc[1:j + 1] = map(sub, acc[1:j + 1], acc[:j])
+        acc[0] += binomial(i, d - 1)
+    return canonicalize(IntPolynomial([0] * d + acc), n)
 
 
 def depth_report(spec: IdealSpec) -> DepthReport:

@@ -4,8 +4,8 @@ Each verifier recomputes both sides of an identity through independent
 pipelines, as a lazy sequence of check points (label, lhs, rhs) whose sides
 are integers or canonical series.  One driver compares the sides point by
 point in lexicographic sweep order and returns a structured pass/fail
-result carrying the first counterexample; the convolution row of a window
-is built once, when its first point is reached.  A series mismatch is
+result carrying the first counterexample; a verifier that reads its sides
+off a row builds that row once per call.  A series mismatch is
 reported at the label extended by the first coefficient index where the
 expansions differ.
 
@@ -40,6 +40,7 @@ veronese_series_alt numerator that ("series",) already compared.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import sub
 from typing import Iterable, Iterator, Union
 
 from .exactalg import IntPolynomial, Record, binomial
@@ -135,6 +136,20 @@ def _convolution_row(n: int, d: int, k_max: int) -> list[int]:
     return row
 
 
+def _one_minus_t_row(terms: list[int]) -> list[int]:
+    """Coefficients of sum_{j=0..L} terms[j] T^j (1-T)^(L-j), L = len - 1.
+
+    Horner's rule in (1-T): for j = 0..L, multiply the row by (1-T) with
+    one pass of backward differences, then add terms[j] at index j.  At
+    step j only entries 0..j can be nonzero, so the pass covers those.
+    """
+    row = [0] * len(terms)
+    for j, term in enumerate(terms):
+        row[1:j + 1] = map(sub, row[1:j + 1], row[:j])
+        row[j] += term
+    return row
+
+
 def _convolution_points(n: int, d: int, row: list[int],
                         label: tuple) -> Iterator[CheckPoint]:
     """C(n+k, k+d) against row[k] = sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k)
@@ -153,15 +168,14 @@ def _require_params(n: int, d: int, k_max: int = 0) -> None:
 def verify_lemma_2_2(n: int, d: int) -> VerificationResult:
     """Check the alternating binomial convolution for every i in 0..n-d.
 
-    Check points are (i,).
+    Check points are (i,).  The convolution of every i at once is the T^i
+    coefficient of sum_{j=0..n-d} C(n, j) T^j (1-T)^(n-d-j), one row
+    summed by Horner's rule in (1-T) (_one_minus_t_row).
     """
     _require_params(n, d)
-    points = (
-        ((i,), binomial(i + d - 1, i),
-         sum(binomial(n, i - l) * (-1) ** l * binomial(n - d - i + l, l)
-             for l in range(i + 1)))
-        for i in range(n - d + 1)
-    )
+    row = _one_minus_t_row([binomial(n, j) for j in range(n - d + 1)])
+    points = (((i,), binomial(i + d - 1, i), convolution)
+              for i, convolution in enumerate(row))
     return _check("lemma_2_2", f"n={n} d={d} i in 0..{n - d}", points)
 
 
@@ -170,22 +184,21 @@ def verify_prop_2_3(n: int, d: int) -> VerificationResult:
     numerator identity divided by T^d as a plain polynomial equality.
 
     Check points are ("series",) and ("numerator",).  The numerator's
-    left-hand side is summed by Horner's rule in (1-T):
-    acc = (1-T) acc + C(n,k+d) T^k for k = 0..n-d.  Its right-hand side is
-    read off veronese_series_alt(n, d), whose numerator is that sum times
-    T^d and stays whole because it is 1 at T = 1; so ("numerator",) reuses
-    the second presentation of ("series",) rather than summing it again.
+    left-hand side sum_{k=0..n-d} C(n,k+d) T^k (1-T)^(n-k-d) is summed by
+    Horner's rule in (1-T) on an integer list (_one_minus_t_row).  Its
+    right-hand side is read off veronese_series_alt(n, d), whose numerator
+    is that sum times T^d and stays whole because it is 1 at T = 1; so
+    ("numerator",) reuses the second presentation of ("series",) rather
+    than summing it again.
     """
     _require_params(n, d)
 
     def points() -> Iterator[CheckPoint]:
         alt = veronese_series_alt(n, d)
         yield ("series",), Veronese(n, d).series(), alt
-        lhs = IntPolynomial()
-        for k in range(n - d + 1):
-            lhs = lhs.times_one_minus_t() + IntPolynomial((0,) * k + (binomial(n, k + d),))
+        lhs = _one_minus_t_row([binomial(n, k + d) for k in range(n - d + 1)])
         rhs = IntPolynomial(alt.numer.coefficients[d:])
-        yield ("numerator",), canonicalize(lhs, 0), canonicalize(rhs, 0)
+        yield ("numerator",), canonicalize(IntPolynomial(lhs), 0), canonicalize(rhs, 0)
 
     return _check("prop_2_3", f"n={n} d={d}", points())
 

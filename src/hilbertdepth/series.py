@@ -18,7 +18,10 @@ representation sit three decisions, all exact:
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
     found by one pass of the same prefix sums over P / (1 - T)^j,
     j = 0, 1, ..., stopping at the first non-negative j, valid because
-    multiplying a non-negative series by 1/(1 - T) takes prefix sums.
+    multiplying a non-negative series by 1/(1 - T) takes prefix sums; for
+    the same reason the first possibly negative index of the row only
+    moves right from one j to the next, so the pass carries it and checks
+    each row entry once.
 """
 
 from __future__ import annotations
@@ -138,15 +141,21 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
     t_j[i] = S_(j-i)[D+i], i < j, of the eventual polynomial at base D.
     Differencing S_j once gives S_(j-1) shifted by one, so t_j[0] = S_j[D],
     t_j[j-1] = P(1) and t_j[i] = t_(j-1)[i-1] + t_(j-1)[i] in between.
-    Rows and tables for j < first are carried but not judged.
+    Rows and tables for j < first are carried but not judged.  The scan
+    also carries p, with row[:p] >= 0: prefix sums keep a non-negative
+    head non-negative, so p only moves right, each entry is checked once
+    over the whole scan, and a step whose row[p] is still negative rejects
+    in O(1).
     """
-    row, table, total = list(numer), [], sum(numer)
+    row, table, total, p, size = list(numer), [], sum(numer), 0, len(numer)
     for j in range(m + 1):
         if j:
             row = list(accumulate(row))
             table = [row[-1], *map(add, table, table[1:]), total] if table else [row[-1]]
         if j >= first:
-            yield not (any(c < 0 for c in row) or table and total < 0) and _walk(table[:])
+            while p < size and row[p] >= 0:
+                p += 1
+            yield p == size and not (table and total < 0) and _walk(table[:])
 
 
 # Steps of the plain walk before the sign-change search takes over.  Family

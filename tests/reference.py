@@ -105,3 +105,31 @@ def evaluate(q, k):
     for c in reversed(q):
         acc = acc * k + c
     return acc
+
+
+def alternating_sum(n, d, i):
+    """sum_{l=0..i} C(n, i-l) (-1)^l C(n-d-i+l, l), term by term as Lemma 2.2
+    states it."""
+    return sum(comb(n, i - l) * (-1) ** l * comb(n - d - i + l, l) for l in range(i + 1))
+
+
+def one_minus_t_sum(terms):
+    """Coefficients of sum_j c_j T^(j+a) (1-T)^b for terms (c_j, a, b), each
+    power of (1-T) expanded by the binomial theorem."""
+    out = [0] * (max((a + b for _, a, b in terms), default=-1) + 1)
+    for c, a, b in terms:
+        for l in range(b + 1):
+            out[a + l] += c * (-1) ** l * comb(b, l)
+    return IntPolynomial(out)
+
+
+def veronese_alt_numerator(n, d):
+    """sum_{i=d-1..n-1} C(i, d-1) T^d (1-T)^(i-d+1), the numerator of the
+    second presentation of the Veronese series."""
+    return one_minus_t_sum([(comb(i, d - 1), d, i - d + 1) for i in range(d - 1, n)])
+
+
+def prop_2_3_numerator(n, d):
+    """sum_{k=0..n-d} C(n, k+d) T^k (1-T)^(n-k-d), the left-hand side of the
+    Proposition 2.3 numerator identity divided by T^d."""
+    return one_minus_t_sum([(comb(n, k + d), k, n - k - d) for k in range(n - d + 1)])

@@ -16,7 +16,28 @@ from hilbertdepth.identities import (
     verify_theorem_1_3,
     verify_theorem_1_4,
 )
-from reference import convolution_sum
+from hilbertdepth.ideals import veronese_series_alt
+from hilbertdepth.series import canonicalize
+from reference import (
+    alternating_sum,
+    convolution_sum,
+    prop_2_3_numerator,
+    veronese_alt_numerator,
+)
+
+
+@pytest.fixture
+def checked_points(monkeypatch):
+    """The check points of the latest verifier call, as a list: _check is
+    wrapped to record them before it compares them."""
+    seen = []
+    check = identities._check
+
+    def recording(identity_id, params, points):
+        seen[:] = points
+        return check(identity_id, params, seen)
+    monkeypatch.setattr(identities, "_check", recording)
+    return seen
 
 
 class TestLemma22:
@@ -32,6 +53,16 @@ class TestLemma22:
         for n in range(1, 21):
             for d in range(1, n + 1):
                 assert verify_lemma_2_2(n, d).passed
+
+    def test_row_matches_term_by_term_sum(self, checked_points):
+        for n in range(1, 25):
+            for d in range(1, n + 1):
+                assert verify_lemma_2_2(n, d).passed
+                assert [point for point, _, _ in checked_points] == [
+                    (i,) for i in range(n - d + 1)]
+                for (i,), lhs, rhs in checked_points:
+                    assert lhs == comb(i + d - 1, i)
+                    assert rhs == alternating_sum(n, d, i) == comb(i + d - 1, i), (n, d, i)
 
     def test_perturbation_reports_counterexample(self, perturb):
         perturb(1, at=(2,))
@@ -54,6 +85,18 @@ class TestProp23:
         for n in range(1, 41):
             for d in range(1, n + 1):
                 assert verify_prop_2_3(n, d).passed
+
+    def test_horner_sums_match_binomial_expansion(self, checked_points):
+        # veronese_series_alt and the numerator's left-hand side are both
+        # summed by Horner's rule in (1-T) on integer lists
+        for n in range(1, 30):
+            for d in range(1, n + 1):
+                h = veronese_series_alt(n, d)
+                assert h.numer == veronese_alt_numerator(n, d) and h.den_pow == n, (n, d)
+                assert verify_prop_2_3(n, d).passed
+                (series, _, _), (numerator, lhs, _) = checked_points
+                assert (series, numerator) == (("series",), ("numerator",))
+                assert lhs == canonicalize(prop_2_3_numerator(n, d), 0), (n, d)
 
     def test_perturbed_series_check(self, perturb):
         perturb(1, at=("series",))

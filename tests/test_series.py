@@ -13,6 +13,7 @@ from hilbertdepth.ideals import FAMILIES
 from hilbertdepth.series import (
     RationalFunctionSeries,
     _search,
+    _verdicts,
     _walk,
     canonicalize,
     coefficient,
@@ -338,6 +339,50 @@ class TestIsNonnegative:
         assert _search(table) == want
         if table[0] >= 0:  # the walk's precondition
             assert _walk(table[:]) == want
+
+
+class TestScanCarry:
+    """The scan carries the first possibly negative row index p from one j
+    to the next; these cases move p, stop it, and start it late."""
+
+    # rows of P / (1-T)^j for P = (1, -1, -1, -1, 3):
+    #   j = 0: 1, -1, -1, -1, 3    first negative at 1
+    #   j = 1: 1,  0, -1, -2, 1    at 2
+    #   j = 2: 1,  1,  0, -2, -1   at 3
+    #   j = 3: 1,  2,  2,  0, -1   at 4
+    #   j = 4: 1,  3,  5,  5, 4    none, P(1) = 1, the tail passes
+    MOVING = (1, -1, -1, -1, 3)
+
+    def test_first_negative_index_moves_right(self):
+        assert list(_verdicts(self.MOVING, 6)) == [False] * 4 + [True] * 3
+        assert hilbert_depth(rfs(self.MOVING, 6)) == 2
+        for j in range(7):
+            assert reference_nonnegative(rfs(self.MOVING, j)) == (j >= 4)
+
+    def test_first_equal_to_m_is_is_nonnegative(self):
+        # each j judged alone, as the last step of a scan started at first = j
+        for j in range(7):
+            h = rfs(self.MOVING, j)
+            assert list(_verdicts(self.MOVING, j, j)) == [is_nonnegative(h)] == [j >= 4]
+        assert list(_verdicts(self.MOVING, 6, 2)) == [False, False, True, True, True]
+
+    def test_row_nonnegative_but_tail_table_rejects(self):
+        # rows 7,-18,12 / 7,-11,1 / 7,-4,-3 keep p at 1; at j = 3 the row
+        # 7,3,0 passes but the tail (k-2)(k-7)/2 reaches -2 at k = 3
+        assert list(_verdicts((7, -18, 12), 4)) == [False] * 4 + [True]
+        assert not is_nonnegative(rfs((7, -18, 12), 3))
+        assert hilbert_depth(rfs((7, -18, 12), 4)) == 0
+
+    def test_row_nonnegative_but_eventually_negative(self):
+        # at j = 2 the row 0,0,1,0 passes but P(1) = -1 < 0
+        assert list(_verdicts((0, 0, 1, -2), 2)) == [False] * 3
+        assert not is_nonnegative(rfs((0, 0, 1, -2), 2))
+        with pytest.raises(ValueError):
+            hilbert_depth(rfs((0, 0, 1, -2), 2))
+
+    def test_zero_series(self):
+        # the empty row: p starts at its length
+        assert list(_verdicts((), 0)) == [True]
 
 
 class TestHilbertDepth:
