@@ -10,20 +10,21 @@ for total degrees k <= b, where no composition of k escapes the box.
 The coarse oracle enumerates the degree-k compositions of a ring size once
 and tests every spec of that size against the same stream, taken in chunks
 of COMPOSITION_CHUNK, so memory stays bounded by one chunk.  The fine formula
-multiplies its closed form out on the dense box array one axis at a time:
-the Veronese sum over subsets by a recurrence over axes on the 2^n corner
-sub-box its numerator lives in, and the power families by a per-axis walk
-over the points of degree below s (see fine_series_formula).  It never
-consults membership, so the fine oracle, which calls spec.member at every
-box point, stays an independent check.  check_sweep_guard bounds the
-spec.member calls of a whole oracle sweep before it starts.
+expands its closed form on the dense box array: the Veronese numerator from
+its signed binomial at each point of the 2^n corner, summed along every
+axis of the corner and read at each box point through min(alpha, 1), and
+the power families by a per-axis walk over the points of degree below s
+(see fine_series_formula).  It never consults membership, so the fine
+oracle, which calls spec.member at every box point, stays an independent
+check.  check_sweep_guard bounds the spec.member calls of a whole oracle
+sweep before it starts.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement, islice, product
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Record
@@ -162,71 +163,6 @@ def check_fine_guard(num_vars: int, box: int) -> None:
         raise ValueError(f"box bound must lie in 0..{MAX_FINE_BOX}")
 
 
-def _axis_rows(size: int, side: int, stride: int) -> list[tuple[slice, slice]]:
-    """The (row r, row r-1) slice pairs of a flat box array of the given size
-    along the axis with the given stride, r = 1..side-1 increasing.
-
-    Row r is every index whose coordinate on that axis is r.  It is cut as
-    one stride-long slice per block of side * stride indices, or as one
-    extended slice per offset within the stride, whichever needs fewer, so
-    no axis takes more than (side-1) * sqrt(size / side) slice operations.
-    """
-    period = side * stride
-    if stride <= size // period:
-        return [(slice(r * stride + t, size, period), slice((r - 1) * stride + t, size, period))
-                for t in range(stride) for r in range(1, side)]
-    return [(slice(lo, lo + stride), slice(lo - stride, lo))
-            for block in range(0, size, period)
-            for lo in range(block + stride, block + period, stride)]
-
-
-def _prefix_sum(coeffs: list[int], rows: list[tuple[slice, slice]]) -> None:
-    """Multiply a flat box array in place by the truncated 1 / (1 - T_i),
-    where rows are axis i's (_axis_rows): prefix sums along that axis."""
-    for row, prev in rows:
-        coeffs[row] = map(add, coeffs[row], coeffs[prev])
-
-
-def _difference(coeffs: list[int], rows: list[tuple[slice, slice]]) -> None:
-    """Multiply a flat box array in place by (1 - T_j), where rows are axis
-    j's (_axis_rows): backward differences along that axis."""
-    for row, prev in reversed(rows):
-        coeffs[row] = map(sub, coeffs[row], coeffs[prev])
-
-
-def _add_shifted(coeffs: list[int], source: list[int],
-                 rows: list[tuple[slice, slice]]) -> None:
-    """Add T_j times a flat box array, truncated to the box, to coeffs in
-    place, where rows are axis j's (_axis_rows)."""
-    for row, prev in rows:
-        coeffs[row] = map(add, coeffs[row], source[prev])
-
-
-def _veronese_numerator(num_vars: int, d: int, side: int) -> list[int]:
-    """Sum over subsets S of >= d variables of T^S * prod_{j not in S}
-    (1 - T_j), over the box of the given side, in num_vars variables.
-
-    Multiplied out one axis at a time: after the first i axes, array c
-    holds the terms of the subsets S of those axes with min(|S|, d) = c,
-    and axis i sends array c to c * (1 - T_i) plus T_i * array c-1 (array
-    d to itself plus T_i * array d-1, since (1 - T_i) + T_i = 1).  Array d
-    after the last axis is the sum, in O(num_vars * d * side^num_vars)
-    additions rather than a pass per subset.
-    """
-    size = side ** num_vars
-    terms = [[0] * size for _ in range(d + 1)]
-    terms[0][0] = 1
-    for i in range(num_vars):
-        rows = _axis_rows(size, side, side ** (num_vars - 1 - i))
-        # from the top down, so array c-1 still holds the previous axis
-        for c in range(d, 0, -1):
-            if c < d:
-                _difference(terms[c], rows)
-            _add_shifted(terms[c], terms[c - 1], rows)
-        _difference(terms[0], rows)
-    return terms[d]
-
-
 def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     """Closed-form fine Hilbert series, expanded over the truncated box.
 
@@ -236,32 +172,36 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     first span = n-t+1 variables minus the monomials of total degree < s in
     them, times the truncated geometric product over the remaining ones.
 
-    The Veronese numerator has degree <= 1 in every variable, so it is
-    multiplied out (_veronese_numerator) on the corner sub-box of side
-    min(2, box+1), placed into the box and summed along every axis for the
-    geometric factors: O(n*d*2^n + n*(box+1)^n) additions.  The power-family
-    series is 1 at every box point but those of degree < s in the span
-    axes.  These are listed one span axis at a time (after i axes, list c
-    holds the offsets of the in-box points of degree c, c < min(s,
-    i*box + 1)), and each zeroes the contiguous block of the remaining axes
-    under it: (box+1)^n to fill the box plus one slice per point zeroed.
-    Membership is never consulted, so fine_series_oracle stays an
-    independent check.
+    The Veronese numerator lives on the 2^n corner {0, 1}^n.  At the corner
+    point with support U its coefficient is sum_{k=d..|U|} (-1)^(|U|-k)
+    C(|U|,k), which telescopes to (-1)^(|U|-d) C(|U|-1, d-1) (0 below d), as
+    the coarse numerator does.  The geometric factors are prefix sums along
+    every axis of the corner, n * 2^n additions; past exponent 1 the
+    numerator is 0, so a prefix sum repeats its value at 1 and each box
+    point reads the corner at min(alpha, 1).  The power-family series is 1
+    at every box point but those of degree < s in the span axes.  These are
+    listed one span axis at a time (after i axes, list c holds the offsets
+    of the in-box points of degree c, c < min(s, i*box + 1)), and each
+    zeroes the contiguous block of the remaining axes under it: (box+1)^n to
+    fill the box plus one slice per point zeroed.  Membership is never
+    consulted, so fine_series_oracle stays an independent check.
     """
     vars_ = spec.ambient
     check_fine_guard(vars_, box)
     side = box + 1
-    size = side ** vars_
-    strides = [side ** (vars_ - 1 - i) for i in range(vars_)]
     if isinstance(spec, Veronese):
-        core_side = min(side, 2)
-        core = _veronese_numerator(vars_, spec.d, core_side)
-        coeffs = [0] * size
-        for point, c in zip(product(range(core_side), repeat=vars_), core):
-            coeffs[sum(map(mul, point, strides))] = c
-        for stride in strides:
-            _prefix_sum(coeffs, _axis_rows(size, side, stride))
-        return MultiSeries(vars_, box, tuple(coeffs))
+        d = spec.d
+        corner = [(-1) ** (u - d) * math.comb(u - 1, d - 1) if u >= d else 0
+                  for u in map(sum, product(range(2), repeat=vars_))]
+        for i in range(vars_):
+            bit = 1 << i
+            corner = [c + corner[j - bit] if j & bit else c for j, c in enumerate(corner)]
+        reads = [min(a, 1) for a in range(side)]
+        index = [0]
+        for _ in range(vars_):
+            index = [2 * j + r for j in index for r in reads]
+        return MultiSeries(vars_, box, tuple(map(corner.__getitem__, index)))
+    strides = [side ** (vars_ - 1 - i) for i in range(vars_)]
     span = spec.span
     levels = [[0]]
     for i, stride in enumerate(strides[:span], 1):
@@ -274,7 +214,7 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
         levels = grown
     block = strides[span - 1]
     zeros = [0] * block
-    coeffs = [1] * size
+    coeffs = [1] * side ** vars_
     for offsets in levels:
         for o in offsets:
             coeffs[o:o + block] = zeros

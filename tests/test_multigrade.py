@@ -230,10 +230,11 @@ class TestFineSeries:
         for spec in specs:
             assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
 
-    @pytest.mark.parametrize("box", [0, 1])
+    @pytest.mark.parametrize("box", [0, 1, 2, 6])
     def test_veronese_core_edges(self, box):
-        # the numerator's sub-box has side 1 at box 0 and side 2, the whole
-        # box, at box 1
+        # box 0 reads only the corner's origin and box 1 is the whole 2^n
+        # corner; boxes 2 and 6 read its value at 1 again at every exponent
+        # past 1, up to the widest box check_fine_guard allows
         for n in range(1, 6):
             for d in range(1, n + 1):
                 spec = Veronese(n, d)
