@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import chain, islice, product
+from operator import is_
 from typing import Iterable, Optional
 
 from .ideals import FAMILIES, IdealSpec, depth_report
@@ -28,14 +29,19 @@ _TABLE_HEADER = ("family", "n", "param", "numer_degree", "den_pow",
 
 
 def _json_safe(value):
+    """value with every int beyond 53-bit magnitude as its decimal string.
+    A list, tuple or dict is rebuilt only when something in it changes, so
+    a value made safe once passes through again as it is."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return value if abs(value) < _JSON_INT_LIMIT else str(value)
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        safe = list(map(_json_safe, value))
+        return value if all(map(is_, safe, value)) else safe
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        safe = dict(zip(value, map(_json_safe, value.values())))
+        return value if all(map(is_, safe.values(), value.values())) else safe
     return value
 
 
@@ -137,9 +143,11 @@ def cmd_series(args: argparse.Namespace) -> int:
     h = spec.series()
     numer = list(h.numer.coefficients)
     coeffs = expansion(h, args.upto)
+    # each coefficient is made JSON-safe once, and results share it
+    shown = _json_safe(coeffs) if args.format == "json" else coeffs
     _emit(args, {"ideal": spec.family, **spec._asdict(), "upto": args.upto},
-          {"numerator": numer, "den_pow": h.den_pow, "coefficients": coeffs,
-           "results": [{"k": k, "coefficient": c} for k, c in enumerate(coeffs)]},
+          {"numerator": numer, "den_pow": h.den_pow, "coefficients": shown,
+           "results": [{"k": k, "coefficient": c} for k, c in enumerate(shown)]},
           chain([("field", "index", "value")],
                 (("numer", j, c) for j, c in enumerate(numer)),
                 [("den_pow", "", h.den_pow)],
@@ -267,33 +275,34 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     multigrade.check_sweep_guard(chain.from_iterable(_oracle_specs(args.n_max, 1).values()),
                                  args.k_max, args.s_max, args.box)
     specs = _oracle_specs(args.n_max, args.s_max)
-    series = {spec: spec.series() for family_specs in specs.values()
-              for spec in family_specs}
-    # one composition stream per ring size and degree serves every spec
-    # of that size, whatever its family
+    # one pass per ring size tests every spec of that size, whatever its
+    # family, once at each point: its fine arrays serve the fine check, its
+    # counts the coarse one, and those of degree <= box the fine one too
     rings: dict[int, list[IdealSpec]] = {}
-    for spec in series:
+    for spec in chain.from_iterable(specs.values()):
         rings.setdefault(spec.ambient, []).append(spec)
-    coarse_failed = {spec for ring in rings.values() for k in range(args.k_max + 1)
-                     for spec, count in zip(ring, multigrade.hilbert_function_counts(ring, k))
-                     if count != coefficient(series[spec], k)}
-    coarse, fine = [], []
-    for family, family_specs in specs.items():
-        fine_ok = True
-        fine_cases = 0
-        for spec in family_specs:
-            h = series[spec]
-            formula = multigrade.fine_series_formula(spec, args.box)
-            oracle = multigrade.fine_series_oracle(spec, args.box)
-            sums = oracle.coarse_sums(args.box)
-            fine_ok &= formula == oracle and all(
-                sums[k] == coefficient(h, k) for k in range(args.box + 1))
-            fine_cases += len(formula.coeffs) + args.box + 1
-        coarse.append({"check": "coarse", "family": family, "specs": len(family_specs),
-                       "cases": len(family_specs) * (args.k_max + 1),
-                       "passed": coarse_failed.isdisjoint(family_specs)})
-        fine.append({"check": "fine", "family": family, "specs": len(family_specs),
-                     "cases": fine_cases, "passed": fine_ok})
+    coarse_failed, fine_failed = set(), set()
+    for ring in rings.values():
+        fines, degrees = multigrade.ring_oracle(ring, args.k_max, args.box)
+        fine_failed.update(spec for spec, fine in zip(ring, fines)
+                           if multigrade.fine_series_formula(spec, args.box) != fine)
+        series = [spec.series() for spec in ring]
+        for k, counts in degrees:
+            failed = {spec for spec, h, count in zip(ring, series, counts)
+                      if count != coefficient(h, k)}
+            if k <= args.k_max:
+                coarse_failed |= failed
+            if k <= args.box:
+                fine_failed |= failed
+    coarse = [{"check": "coarse", "family": family, "specs": len(family_specs),
+               "cases": len(family_specs) * (args.k_max + 1),
+               "passed": coarse_failed.isdisjoint(family_specs)}
+              for family, family_specs in specs.items()]
+    fine = [{"check": "fine", "family": family, "specs": len(family_specs),
+             "cases": sum((args.box + 1) ** spec.ambient + args.box + 1
+                          for spec in family_specs),
+             "passed": fine_failed.isdisjoint(family_specs)}
+            for family, family_specs in specs.items()]
     rows = coarse + fine
     all_ok = all(r["passed"] for r in rows)
     _emit(args, {"n_max": args.n_max, "k_max": args.k_max,

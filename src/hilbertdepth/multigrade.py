@@ -7,24 +7,31 @@ for products because all exponents are non-negative: terms outside the box
 never influence terms inside it.  Fine/coarse consistency is only meaningful
 for total degrees k <= b, where no composition of k escapes the box.
 
-The coarse oracle enumerates the degree-k compositions of a ring size once
-and tests every spec of that size against the same stream, taken in chunks
-of COMPOSITION_CHUNK, so memory stays bounded by one chunk.  The fine formula
-expands its closed form on the dense box array: the Veronese numerator from
-its signed binomial at each point of the 2^n corner, summed along every
-axis of the corner and read at each box point through min(alpha, 1), and
-the power families by a per-axis walk over the points of degree below s
-(see fine_series_formula).  It never consults membership, so the fine
-oracle, which calls spec.member at every box point, stays an independent
-check.  check_sweep_guard bounds the spec.member calls of a whole oracle
-sweep before it starts.
+One pass per ring size serves both oracles (ring_oracle): every spec of the
+ring tests each point of the box [0, box]^r and each composition of degree
+<= k_max outside it once, and gets its fine array over the box and its
+member count per degree.  The specs test the box one at a time, and each
+keeps only its box's degree sums (MultiSeries.coarse_sums) once its fine
+array is handed on.  The degrees then follow one at a time, the
+compositions outside the box streamed in chunks of COMPOSITION_CHUNK, each
+chunk shared by every spec.  So memory stays bounded by one chunk, one fine
+array and r * box + 1 sums per spec, whatever k_max.
+
+The fine formula expands its closed form on the dense box array: the
+Veronese numerator from its signed binomial at each point of the 2^n
+corner, summed along every axis of the corner and read at each box point
+through min(alpha, 1), and the power families by a per-axis walk over the
+points of degree below s (see fine_series_formula).  It never consults
+membership, so the oracle stays an independent check.  check_sweep_guard
+bounds the spec.member calls of a whole oracle sweep before it starts.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, islice, product
-from operator import add, sub
+from functools import lru_cache
+from itertools import combinations_with_replacement, compress, islice, product
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Record
@@ -34,7 +41,7 @@ __all__ = [
     "ExponentVector",
     "MultiSeries",
     "degree_compositions",
-    "hilbert_function_counts",
+    "ring_oracle",
     "hilbert_function_oracle",
     "fine_series_formula",
     "fine_series_oracle",
@@ -47,7 +54,7 @@ MAX_FINE_BOX = 6
 MAX_ENUMERATION = 10**7
 # spec.member calls one oracle sweep may make, over all its specs
 MAX_MEMBER_TESTS = 10**7
-# compositions held at once by the coarse oracle
+# compositions outside the box held at once by ring_oracle
 COMPOSITION_CHUNK = 1024
 
 
@@ -70,24 +77,23 @@ class MultiSeries(Record):
         """Sum of coefficients over each total degree 0..max_degree.
 
         Complete only for degrees <= box, where the box holds every
-        composition of the degree.  The axes are summed away from the last
-        one: sums[k] holds, over the axes still left, the coefficient sums
-        at degree k in the axes summed so far, and the entries at exponent
-        a of the next axis (every side-th one, from a on) move to k + a.
+        composition of the degree.
         """
         if max_degree < 0:
             raise ValueError("max_degree must be non-negative")
         if max_degree > self.num_vars * self.box:
             raise ValueError("degree beyond the box's reach")
-        side = self.box + 1
-        sums = [list(self.coeffs)]
-        for left in reversed(range(self.num_vars)):
-            merged = [[0] * side ** left for _ in range(max_degree + 1)]
-            for k, row in enumerate(sums):
-                for a in range(min(side, max_degree + 1 - k)):
-                    merged[k + a] = list(map(add, merged[k + a], row[a::side]))
-            sums = merged
-        return [row[0] for row in sums]
+        sums = [0] * (self.num_vars * self.box + 1)
+        for k, c in zip(_box_degrees(self.num_vars, self.box), self.coeffs):
+            sums[k] += c
+        return sums[:max_degree + 1]
+
+
+@lru_cache(maxsize=MAX_FINE_VARS)
+def _box_degrees(num_vars: int, box: int) -> tuple[int, ...]:
+    """Total degree of each point of [0, box]^num_vars, in lexicographic
+    order; an oracle sweep asks for one box in each of its ring sizes."""
+    return tuple(map(sum, product(range(box + 1), repeat=num_vars)))
 
 
 def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
@@ -96,40 +102,95 @@ def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
     Stars and bars: the partial sums of the first parts - 1 entries run over
     the non-decreasing sequences in 0..total, which combinations with
     replacement yields in lexicographic order, the order of the vectors.
+    One part is the one vector (total,), without the pool of total + 1
+    values that combinations_with_replacement would copy to draw nothing.
     """
     if parts < 1:
         raise ValueError(f"parts must be at least 1, got {parts}")
     if total < 0:
         raise ValueError(f"total must be non-negative, got {total}")
+    if parts == 1:
+        return iter([(total,)])
     start, end = (0,), (total,)
     return (tuple(map(sub, sums + end, start + sums))
             for sums in combinations_with_replacement(range(total + 1), parts - 1))
 
 
-def hilbert_function_counts(specs: Sequence[IdealSpec], k: int) -> list[int]:
-    """Count of degree-k monomials in each ideal, by direct enumeration.
+def ring_oracle(specs: Sequence[IdealSpec], k_max: int, box: int
+                ) -> tuple[Iterator[MultiSeries], Iterator[tuple[int, list[int]]]]:
+    """Fine series and member counts per degree of specs of one ring size,
+    from one spec.member call per spec at each point of the box [0, box]^r
+    and at each composition of degree <= k_max outside it.
 
-    The specs share one ring size, and one stream of its compositions
-    serves them all: each chunk of the stream is counted for every spec in
-    turn, so every spec still tests every composition once.
+    Returns (fines, degrees).  fines yields each spec's member values over
+    the box as a MultiSeries, spec by spec.  degrees yields (k, counts) for
+    k = 0..max(k_max, box), counts[i] the number of degree-k monomials in
+    the ideal of specs[i]: every composition of degree k <= box lies in the
+    box.  Each degree up to r * box takes a share from the box, so degrees
+    first draws whatever fines has not.  Arguments and work guards are
+    checked at the call; the points are tested as the results are drawn.
     """
-    if k < 0:
+    if k_max < 0:
         raise ValueError("degree must be non-negative")
+    if box < 0:
+        raise ValueError("box bound must be non-negative")
     sizes = {spec.ambient for spec in specs}
     if len(sizes) != 1:
         raise ValueError("specs must share one number of variables")
     vars_ = sizes.pop()
-    check_enumeration_guard(vars_, k)
+    check_enumeration_guard(vars_, k_max)
+    check_sweep_guard(specs, k_max, 1, box)
+    specs = list(specs)
+    top = max(k_max, box)
+    reach = min(top, vars_ * box)
+    shares = []  # each spec's box counts for the degrees 0..reach
+
+    def box_pass() -> Iterator[MultiSeries]:
+        for spec in specs:
+            points = product(range(box + 1), repeat=vars_)
+            # bytes turns the member bools into the ints 0 and 1
+            fine = MultiSeries(vars_, box, tuple(bytes(map(spec.member, points))))
+            shares.append(fine.coarse_sums(reach))
+            yield fine
+
+    def degrees() -> Iterator[tuple[int, list[int]]]:
+        for _ in fines:  # the box first, for its shares
+            pass
+        for k in range(top + 1):
+            counts = _degree_counts(specs, vars_, k, box) if k > box else [0] * len(specs)
+            if k <= reach:
+                counts = [c + share[k] for c, share in zip(counts, shares)]
+            yield k, counts
+
+    fines = box_pass()
+    return fines, degrees()
+
+
+def _degree_counts(specs: Sequence[IdealSpec], vars_: int, k: int,
+                   box: int) -> list[int]:
+    """Per spec, the degree-k compositions outside the box [0, box]^vars_
+    (all of them for box = -1) that spec.member accepts.  The compositions
+    are streamed in chunks of COMPOSITION_CHUNK, each tested by every spec
+    in turn."""
     counts = [0] * len(specs)
     stream = degree_compositions(k, vars_)
     while chunk := list(islice(stream, COMPOSITION_CHUNK)):
+        if k <= vars_ * box:  # the box pass tests the points in the box
+            chunk = list(compress(chunk, map(box.__lt__, map(max, chunk))))
         counts = [c + sum(map(spec.member, chunk)) for c, spec in zip(counts, specs)]
     return counts
 
 
 def hilbert_function_oracle(spec: IdealSpec, k: int) -> int:
-    """Count of degree-k monomials in the ideal, by direct enumeration."""
-    return hilbert_function_counts([spec], k)[0]
+    """Count of degree-k monomials in the ideal, by direct enumeration.
+
+    ring_oracle's degree stream for the one degree k: the whole pass at
+    k_max = k would test every degree below k as well.
+    """
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    check_enumeration_guard(spec.ambient, k)
+    return _degree_counts([spec], spec.ambient, k, -1)[0]
 
 
 def check_enumeration_guard(num_vars: int, k: int) -> None:
@@ -138,17 +199,29 @@ def check_enumeration_guard(num_vars: int, k: int) -> None:
         raise ValueError("degree too large to enumerate")
 
 
+def _box_points(num_vars: int, k: int, box: int) -> int:
+    """Points of [0, box]^num_vars of degree <= k, k >= 0: by inclusion-
+    exclusion, the compositions of degree <= k less those with a chosen j
+    parts above box, sum_j (-1)^j C(num_vars, j) C(k - j(box+1) + num_vars,
+    num_vars)."""
+    side = box + 1
+    return sum((-1) ** j * math.comb(num_vars, j) * math.comb(k - j * side + num_vars, num_vars)
+               for j in range(min(num_vars, k // side) + 1))
+
+
 def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, s_max: int,
                       box: int) -> None:
     """Reject an oracle sweep of more than MAX_MEMBER_TESTS spec.member calls.
 
-    A spec in r variables tests each of the C(k_max + r, r) compositions of
-    degree at most k_max and each of the (box+1)^r box points.  A spec with
-    a power s stands for its s_max copies, s = 1..s_max, so a large s_max
-    is rejected without building them.
+    ring_oracle tests a spec in r variables once at each point of the union
+    of the C(k_max + r, r) compositions of degree at most k_max and the
+    (box+1)^r box points; the box points of degree at most k_max are in
+    both.  A spec with a power s stands for its s_max copies, s = 1..s_max,
+    so a large s_max is rejected without building them.
     """
     tests = sum((s_max if hasattr(spec, "s") else 1)
-                * (math.comb(k_max + spec.ambient, k_max) + (box + 1) ** spec.ambient)
+                * (math.comb(k_max + spec.ambient, k_max) + (box + 1) ** spec.ambient
+                   - _box_points(spec.ambient, k_max, box))
                 for spec in specs)
     if tests > MAX_MEMBER_TESTS:
         raise ValueError(f"the sweep would make {tests} membership tests, more than "
@@ -223,7 +296,6 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
 
 def fine_series_oracle(spec: IdealSpec, box: int) -> MultiSeries:
     """Fine series by testing spec.member at every point of the box."""
-    vars_ = spec.ambient
-    check_fine_guard(vars_, box)
-    points = product(range(box + 1), repeat=vars_)
-    return MultiSeries(vars_, box, tuple(map(int, map(spec.member, points))))
+    check_fine_guard(spec.ambient, box)
+    fines, _ = ring_oracle([spec], 0, box)
+    return next(fines)

@@ -74,6 +74,24 @@ def power_fine_by_compositions(spec, box):
     return tuple(total[alpha] for alpha in points)
 
 
+def member_counts(spec, top):
+    """counts[k], k = 0..top: the exponent vectors of degree k that
+    spec.member accepts, over the product of the ranges 0..top."""
+    counts = [0] * (top + 1)
+    for alpha in product(range(top + 1), repeat=spec.ambient):
+        k = sum(alpha)
+        if k <= top and spec.member(alpha):
+            counts[k] += 1
+    return counts
+
+
+def member_box(spec, box):
+    """spec.member over the box [0, box]^ambient as 0 or 1, lexicographic
+    (last index fastest)."""
+    return tuple(int(spec.member(alpha))
+                 for alpha in product(range(box + 1), repeat=spec.ambient))
+
+
 def t_power(e):
     """T^e."""
     return IntPolynomial((0,) * e + (1,))

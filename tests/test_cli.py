@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -75,12 +76,16 @@ class TestSeriesCommand:
 
     def test_big_integers_emitted_as_strings(self, capsys):
         code, out, _ = run_cli(["series", "--ideal", "max-power", "--n", "40",
-                                "--s", "30", "--upto", "2", "--format", "json"], capsys)
+                                "--s", "30", "--upto", "31", "--format", "json"], capsys)
         assert code == 0
         doc = json.loads(out)
         big = [v for v in doc["numerator"] if isinstance(v, str)]
         assert big, "expected some numerator entries beyond 2^53"
         assert all(int(v) for v in big)
+        # every monomial of degree k >= 30 is in the ideal: C(k + 39, 39)
+        # of them, beyond 2^53, in both lists of the coefficients
+        assert doc["coefficients"] == [0] * 30 + [str(math.comb(k + 39, 39)) for k in (30, 31)]
+        assert [r["coefficient"] for r in doc["results"]] == doc["coefficients"]
 
     def test_missing_family_parameter(self, capsys):
         code, _, err = run_cli(["series", "--ideal", "veronese", "--n", "3"], capsys)
@@ -310,9 +315,10 @@ class TestOracleCommand:
         # the largest count is C(6+3-1, 3-1) = 28 compositions, at (n_max, k_max)
         monkeypatch.setattr(multigrade, "MAX_ENUMERATION", limit)
         calls = []
-        counts = multigrade.hilbert_function_counts
-        monkeypatch.setattr(multigrade, "hilbert_function_counts",
-                            lambda specs, k: calls.append(k) or counts(specs, k))
+        ring_oracle = multigrade.ring_oracle
+        monkeypatch.setattr(multigrade, "ring_oracle",
+                            lambda specs, k_max, box: calls.append(k_max)
+                            or ring_oracle(specs, k_max, box))
         got, out, err = run_cli(["oracle", "--n-max", "3", "--k-max", "6"], capsys)
         assert got == code
         if code == 2:
@@ -324,12 +330,13 @@ class TestOracleCommand:
     def test_sweep_guard_checked_up_front(self, capsys, monkeypatch, excess, code):
         # n_max 2 holds Veronese(1, 1), (2, 1), (2, 2) and, for each s, two
         # max-power, three hat-power and three generated-hat-power specs; a
-        # spec in r variables tests the C(3 + r, r) compositions of degree
-        # <= 3 and the 2^r box points
-        tests = {1: 4 + 2, 2: 10 + 4}
+        # spec in r variables tests each point of the union of the
+        # C(3 + r, r) compositions of degree <= 3 and the 2^r box points
+        # once, and every box point has degree <= r <= 3
+        tests = {1: 4, 2: 10}
         ambients = [1, 2, 2] + 2 * ([1, 2] + [1, 2, 1] + [1, 2, 2])
         limit = sum(tests[r] for r in ambients)
-        assert limit == 194
+        assert limit == 136
         monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", limit - excess)
         calls = []
         for cls in (Veronese, MaxPower, HatPower, GeneratedHatPower):
@@ -341,8 +348,8 @@ class TestOracleCommand:
         assert got == code
         if code == 2:
             assert (out, calls) == ("", [])
-            assert err == ("error: the sweep would make 194 membership tests, more "
-                           "than 193; lower --s-max, --k-max or --box\n")
+            assert err == ("error: the sweep would make 136 membership tests, more "
+                           "than 135; lower --s-max, --k-max or --box\n")
         else:
             assert out.endswith("OVERALL PASS\n") and len(calls) == limit
 

@@ -11,18 +11,24 @@ from hilbertdepth.ideals import (
     MaxPower,
     Veronese,
 )
+import hilbertdepth.multigrade as multigrade
 from hilbertdepth.multigrade import (
     COMPOSITION_CHUNK,
     MultiSeries,
     degree_compositions,
     fine_series_formula,
     fine_series_oracle,
-    hilbert_function_counts,
     hilbert_function_oracle,
+    ring_oracle,
 )
 from hilbertdepth.series import coefficient
 
-from reference import power_fine_by_compositions, veronese_fine_by_subsets
+from reference import (
+    member_box,
+    member_counts,
+    power_fine_by_compositions,
+    veronese_fine_by_subsets,
+)
 
 FAMILY_CLASSES = (Veronese, MaxPower, HatPower, GeneratedHatPower)
 
@@ -107,7 +113,8 @@ class TestHilbertFunctionOracle:
 
     def test_chunked_counts_match_plain_enumeration(self, monkeypatch):
         # k = 20 in 5 variables is C(24, 4) = 10626 compositions, more than
-        # two chunks; every spec still tests every composition once
+        # two chunks; at box 0 every spec tests each of the C(25, 5)
+        # compositions of degree <= 20 once
         specs = [Veronese(5, 3), MaxPower(5, 4), HatPower(6, 2, 3),
                  GeneratedHatPower(5, 2, 7), GeneratedHatPower(5, 4, 30)]
         compositions = list(degree_compositions(20, 5))
@@ -119,21 +126,70 @@ class TestHilbertFunctionOracle:
             monkeypatch.setattr(cls, "member",
                                 lambda self, alpha, member=member:
                                 calls.append(alpha) or member(self, alpha))
-        assert hilbert_function_counts(specs, 20) == want
-        assert len(calls) == len(specs) * len(compositions)
+        # degrees alone: it draws the box pass that fines was not asked for
+        _, degrees = ring_oracle(specs, 20, 0)
+        assert dict(degrees)[20] == want
+        assert len(calls) == len(specs) * math.comb(25, 5)
         assert [hilbert_function_oracle(spec, 20) for spec in specs] == want
 
     def test_counts_need_one_ring_size(self):
         with pytest.raises(ValueError, match="one number of variables"):
-            hilbert_function_counts([Veronese(3, 2), MaxPower(4, 2)], 2)
+            ring_oracle([Veronese(3, 2), MaxPower(4, 2)], 2, 1)
         with pytest.raises(ValueError, match="one number of variables"):
-            hilbert_function_counts([], 2)
+            ring_oracle([], 2, 1)
 
     def test_matches_coarse_coefficients(self):
         for spec in all_specs(4, 3):
             h = spec.series()
             for k in range(9):
                 assert hilbert_function_oracle(spec, k) == coefficient(h, k), (spec, k)
+
+
+class TestRingOracle:
+    @pytest.mark.parametrize("k_max, box, name", [(-1, 0, "degree"), (0, -1, "box")])
+    def test_rejects_bad_arguments(self, k_max, box, name):
+        # raised at the call, before any point is tested
+        with pytest.raises(ValueError, match=name):
+            ring_oracle([Veronese(2, 1)], k_max, box)
+
+    def test_sweep_guard_at_the_call(self, monkeypatch):
+        # 4 specs in 1 variable, each testing degrees 0..9: 40 tests
+        specs = [MaxPower(1, s) for s in range(1, 5)]
+        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 39)
+        with pytest.raises(ValueError, match="40 membership tests"):
+            ring_oracle(specs, 9, 2)
+        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 40)
+        _, degrees = ring_oracle(specs, 9, 2)
+        assert list(degrees) == [(k, [int(k >= s) for s in range(1, 5)]) for k in range(10)]
+
+    def test_matches_product_reference(self, monkeypatch):
+        # k_max at the edges of the union of the compositions of degree
+        # <= k_max and the box: the box's origin alone, just below and at
+        # the box's degree, past it, and past the box's reach r * box
+        rings = {}
+        for spec in all_specs(4, 3):
+            rings.setdefault(spec.ambient, []).append(spec)
+        calls = []
+        for cls in FAMILY_CLASSES:
+            member = cls.member
+            monkeypatch.setattr(cls, "member",
+                                lambda self, alpha, member=member:
+                                calls.append(alpha) or member(self, alpha))
+        for r, specs in rings.items():
+            counts = {spec: member_counts(spec, max(r * 3 + 1, 3 + 2)) for spec in specs}
+            for box in range(4):
+                fine = {spec: MultiSeries(r, box, member_box(spec, box)) for spec in specs}
+                points = list(product(range(box + 1), repeat=r))
+                for k_max in sorted({0, box - 1, box, box + 2, r * box + 1} - {-1}):
+                    top = max(k_max, box)
+                    calls.clear()
+                    fines, degrees = ring_oracle(specs, k_max, box)
+                    assert list(fines) == [fine[s] for s in specs], (r, box, k_max)
+                    assert list(degrees) == [(k, [counts[s][k] for s in specs])
+                                             for k in range(top + 1)], (r, box, k_max)
+                    # one test per spec at each point of the union
+                    union = math.comb(k_max + r, r) + sum(sum(p) > k_max for p in points)
+                    assert len(calls) == len(specs) * union, (r, box, k_max)
 
 
 class TestMultiSeries:
