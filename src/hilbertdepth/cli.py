@@ -64,9 +64,11 @@ def _emit(args: argparse.Namespace, params: dict, body: dict,
         import json
         doc = {"command": args.command, "params": params, **body}
         # written a slice of chunks at a time: json.dumps would hold every
-        # chunk of a long series at once, about 2 MiB at --upto 3000
+        # chunk of a long series at once, about 2 MiB at --upto 3000.  1024
+        # chunks keep each slice under 70 KB there, below glibc's 128 KiB
+        # mmap threshold; slices of 4096, up to 190 KB, were mapped afresh
         chunks = json.JSONEncoder(indent=2).iterencode(_json_safe(doc))
-        while text := "".join(islice(chunks, 4096)):
+        while text := "".join(islice(chunks, 1024)):
             sys.stdout.write(text)
         print()
     elif args.format == "csv":

@@ -16,8 +16,9 @@ The last three are one object: the s-th power of the maximal ideal in
 span = n-t+1 variables (t = 1 for MaxPower).  Its series is the
 Eagon-Northcott numerator of that power over (1-T)^span, shifted by
 (1-T)^-(t-1) when the ideal is generated in the full ring.  Each spec
-class carries its family's series, closed depth and membership test, and
-FAMILIES lists the classes by CLI name.
+class carries its family's series, closed depth and membership test, the
+latter both per point (member) and as a bound on one statistic of the
+point (member_rule), and FAMILIES lists the classes by CLI name.
 
 Every series is assembled as its exact numerator polynomial first and then
 canonicalized; nothing is expanded coefficient-wise.
@@ -102,6 +103,13 @@ class Veronese(Record):
     def member(self, alpha: tuple[int, ...]) -> bool:
         return len(alpha) - alpha.count(0) >= self.d
 
+    def member_rule(self) -> tuple[int, int]:
+        """member as (column, bound): x^a belongs iff statistic `column` of
+        a is at least bound, where statistic 0 is the support size and
+        statistic j >= 1 the sum of the first j exponents.  Here the
+        support size must reach d."""
+        return 0, self.d
+
 
 class _PowerFamily(Record):
     """The s-th power of the maximal ideal of the first span = n-t+1
@@ -154,8 +162,12 @@ class _PowerFamily(Record):
         return -(-self.span // (self.s + 1)) + self.ambient - self.span
 
     def member(self, alpha: tuple[int, ...]) -> bool:
-        # span, inlined: the oracles make one call per point they test
-        return sum(alpha[: self.n - self.t + 1]) >= self.s
+        return sum(alpha[:self.span]) >= self.s
+
+    def member_rule(self) -> tuple[int, int]:
+        """member as (column, bound), as for Veronese: the sum of the first
+        span exponents must reach s."""
+        return self.span, self.s
 
 
 class MaxPower(_PowerFamily):

@@ -7,15 +7,19 @@ for products because all exponents are non-negative: terms outside the box
 never influence terms inside it.  Fine/coarse consistency is only meaningful
 for total degrees k <= b, where no composition of k escapes the box.
 
-One pass per ring size serves both oracles (ring_oracle): every spec of the
-ring tests each point of the box [0, box]^r and each composition of degree
-<= k_max outside it once, and gets its fine array over the box and its
-member count per degree.  The specs test the box one at a time, and each
-keeps only its box's degree sums (MultiSeries.coarse_sums) once its fine
-array is handed on.  The degrees then follow one at a time, the
-compositions outside the box streamed in chunks of COMPOSITION_CHUNK, each
-chunk shared by every spec.  So memory stays bounded by one chunk, one fine
-array and r * box + 1 sums per spec, whatever k_max.
+One pass per ring size serves both oracles (ring_oracle).  Every spec
+decides membership by comparing one statistic of the point with a bound
+(spec.member_rule): the support size for Veronese, the sum of the first
+span exponents for the power families.  So the pass computes the r + 1
+statistics of each point once per ring, as columns over the box [0, box]^r
+and over each chunk of COMPOSITION_CHUNK compositions of degree <= k_max
+outside the box, and each spec compares the one column it reads with its
+bound: one comparison per spec and point, made in C.  The box's columns
+give each spec's fine array and, through one histogram per column by
+statistic and degree, its box share of every degree's count.  The chunks
+outside the box run across degrees, their degree column telling the
+degrees apart, so memory stays bounded by the box's columns, one chunk's
+columns, one fine array and r * box + 1 sums per spec, whatever k_max.
 
 The fine formula expands its closed form on the dense box array: the
 Veronese numerator from its signed binomial at each point of the 2^n
@@ -23,15 +27,17 @@ corner, summed along every axis of the corner and read at each box point
 through min(alpha, 1), and the power families by a per-axis walk over the
 points of degree below s (see fine_series_formula).  It never consults
 membership, so the oracle stays an independent check.  check_sweep_guard
-bounds the spec.member calls of a whole oracle sweep before it starts.
+bounds the membership tests, spec by point, of a whole oracle sweep before
+it starts.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import combinations_with_replacement, compress, islice, product
-from operator import sub
+from collections import Counter
+from itertools import (accumulate, chain, combinations_with_replacement, compress,
+                       islice, product, repeat)
+from operator import add, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Record
@@ -52,7 +58,7 @@ ExponentVector = tuple[int, ...]
 MAX_FINE_VARS = 5
 MAX_FINE_BOX = 6
 MAX_ENUMERATION = 10**7
-# spec.member calls one oracle sweep may make, over all its specs
+# membership tests, one per spec and point, one oracle sweep may make
 MAX_MEMBER_TESTS = 10**7
 # compositions outside the box held at once by ring_oracle
 COMPOSITION_CHUNK = 1024
@@ -84,16 +90,10 @@ class MultiSeries(Record):
         if max_degree > self.num_vars * self.box:
             raise ValueError("degree beyond the box's reach")
         sums = [0] * (self.num_vars * self.box + 1)
-        for k, c in zip(_box_degrees(self.num_vars, self.box), self.coeffs):
+        points = product(range(self.box + 1), repeat=self.num_vars)
+        for k, c in zip(map(sum, points), self.coeffs):
             sums[k] += c
         return sums[:max_degree + 1]
-
-
-@lru_cache(maxsize=MAX_FINE_VARS)
-def _box_degrees(num_vars: int, box: int) -> tuple[int, ...]:
-    """Total degree of each point of [0, box]^num_vars, in lexicographic
-    order; an oracle sweep asks for one box in each of its ring sizes."""
-    return tuple(map(sum, product(range(box + 1), repeat=num_vars)))
 
 
 def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
@@ -119,16 +119,18 @@ def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
 def ring_oracle(specs: Sequence[IdealSpec], k_max: int, box: int
                 ) -> tuple[Iterator[MultiSeries], Iterator[tuple[int, list[int]]]]:
     """Fine series and member counts per degree of specs of one ring size,
-    from one spec.member call per spec at each point of the box [0, box]^r
-    and at each composition of degree <= k_max outside it.
+    from the statistic columns of each point of the box [0, box]^r and of
+    each composition of degree <= k_max outside it, computed once per ring.
 
     Returns (fines, degrees).  fines yields each spec's member values over
     the box as a MultiSeries, spec by spec.  degrees yields (k, counts) for
     k = 0..max(k_max, box), counts[i] the number of degree-k monomials in
     the ideal of specs[i]: every composition of degree k <= box lies in the
     box.  Each degree up to r * box takes a share from the box, so degrees
-    first draws whatever fines has not.  Arguments and work guards are
-    checked at the call; the points are tested as the results are drawn.
+    first draws whatever fines has not.  Every spec decides each point by
+    one comparison of the column its member_rule names with its bound.
+    Arguments and work guards are checked at the call; the points are
+    tested as the results are drawn.
     """
     if k_max < 0:
         raise ValueError("degree must be non-negative")
@@ -140,57 +142,107 @@ def ring_oracle(specs: Sequence[IdealSpec], k_max: int, box: int
     vars_ = sizes.pop()
     check_enumeration_guard(vars_, k_max)
     check_sweep_guard(specs, k_max, 1, box)
-    specs = list(specs)
+    rules = [spec.member_rule() for spec in specs]
     top = max(k_max, box)
     reach = min(top, vars_ * box)
     shares = []  # each spec's box counts for the degrees 0..reach
 
     def box_pass() -> Iterator[MultiSeries]:
-        for spec in specs:
-            points = product(range(box + 1), repeat=vars_)
-            # bytes turns the member bools into the ints 0 and 1
-            fine = MultiSeries(vars_, box, tuple(bytes(map(spec.member, points))))
-            shares.append(fine.coarse_sums(reach))
-            yield fine
+        columns = _statistics(list(product(range(box + 1), repeat=vars_)), vars_)
+        tables = {column: _degree_shares(columns[column], columns[vars_], reach)
+                  for column in {column for column, _ in rules}}
+        for column, bound in rules:
+            table = tables[column]
+            shares.append(table[min(bound, len(table) - 1)])
+            # bytes turns the comparisons into the ints 0 and 1
+            yield MultiSeries(vars_, box, tuple(bytes(map(bound.__le__, columns[column]))))
 
     def degrees() -> Iterator[tuple[int, list[int]]]:
         for _ in fines:  # the box first, for its shares
             pass
+        outside = _outside_counts(rules, vars_, box, range(box + 1, top + 1))
         for k in range(top + 1):
-            counts = _degree_counts(specs, vars_, k, box) if k > box else [0] * len(specs)
-            if k <= reach:
-                counts = [c + share[k] for c, share in zip(counts, shares)]
-            yield k, counts
+            if k <= box:
+                yield k, [share[k] for share in shares]
+            elif k <= reach:
+                yield k, [c + share[k] for c, share in zip(next(outside), shares)]
+            else:
+                yield k, list(next(outside))
 
     fines = box_pass()
     return fines, degrees()
 
 
-def _degree_counts(specs: Sequence[IdealSpec], vars_: int, k: int,
-                   box: int) -> list[int]:
-    """Per spec, the degree-k compositions outside the box [0, box]^vars_
-    (all of them for box = -1) that spec.member accepts.  The compositions
-    are streamed in chunks of COMPOSITION_CHUNK, each tested by every spec
-    in turn."""
-    counts = [0] * len(specs)
-    stream = degree_compositions(k, vars_)
+def _statistics(points: Sequence[ExponentVector], vars_: int) -> list[Sequence[int]]:
+    """The statistic columns of points in vars_ variables, the columns
+    member_rule names: column 0 holds each point's support size and column
+    j >= 1 the sum of its first j exponents, so column vars_ is its degree."""
+    support = list(map(vars_.__sub__, map(tuple.count, points, repeat(0))))
+    # the head sums, adding one exponent column at a time
+    heads = accumulate(zip(*points), lambda head, exponents: list(map(add, head, exponents)))
+    return [support, *heads]
+
+
+def _degree_shares(column: Sequence[int], degree: Sequence[int],
+                   reach: int) -> list[list[int]]:
+    """table[b][k]: the points of degree k <= reach whose statistic in
+    column is at least b, for b = 0..max(column) + 1 (the last row all 0),
+    from one histogram of the points by statistic and degree."""
+    tally = Counter(zip(column, degree))
+    table = [[0] * (reach + 1)]
+    for value in range(max(column), -1, -1):
+        table.append([c + tally[value, k] for k, c in enumerate(table[-1])])
+    table.reverse()
+    return table
+
+
+def _outside_counts(rules: Sequence[tuple[int, int]], vars_: int, box: int,
+                    degrees: range) -> Iterator[tuple[int, ...]]:
+    """Per degree k in degrees, the compositions of degree k outside the
+    box [0, box]^vars_ (all of them for box = -1) that each member rule
+    accepts, one tuple of counts per degree.
+
+    The compositions stream across degrees in chunks of COMPOSITION_CHUNK,
+    so a ring with few compositions per degree, such as the one of one
+    variable, still fills each chunk.  Each chunk's degree column cuts it
+    into its degrees, and each rule counts its accepted points per degree;
+    a degree cut by a chunk's end is summed across the two chunks.
+    """
+    stream = chain.from_iterable(map(degree_compositions, degrees, repeat(vars_)))
+    held = None  # the counts of the degree the last chunk ended in
     while chunk := list(islice(stream, COMPOSITION_CHUNK)):
-        if k <= vars_ * box:  # the box pass tests the points in the box
-            chunk = list(compress(chunk, map(box.__lt__, map(max, chunk))))
-        counts = [c + sum(map(spec.member, chunk)) for c, spec in zip(counts, specs)]
-    return counts
+        # the box pass counts the points in the box
+        chunk = list(compress(chunk, map(box.__lt__, map(max, chunk))))
+        if not chunk:
+            continue
+        columns = _statistics(chunk, vars_)
+        degree = columns[vars_]
+        cuts = [0, *compress(range(1, len(chunk)), map(ne, degree, degree[1:])), len(chunk)]
+        starts, ends = cuts[:-1], cuts[1:]
+        rows = list(zip(*(map(bytes(map(bound.__le__, columns[column])).count,
+                              repeat(1), starts, ends)
+                          for column, bound in rules)))
+        if held is not None:
+            if held[0] == degree[0]:
+                rows[0] = tuple(map(add, held[1], rows[0]))
+            else:
+                yield held[1]
+        yield from rows[:-1]
+        held = degree[-1], rows[-1]
+    if held is not None:
+        yield held[1]
 
 
 def hilbert_function_oracle(spec: IdealSpec, k: int) -> int:
     """Count of degree-k monomials in the ideal, by direct enumeration.
 
-    ring_oracle's degree stream for the one degree k: the whole pass at
-    k_max = k would test every degree below k as well.
+    ring_oracle's stream outside the box for the one degree k: the whole
+    pass at k_max = k would test every degree below k as well.
     """
     if k < 0:
         raise ValueError("degree must be non-negative")
     check_enumeration_guard(spec.ambient, k)
-    return _degree_counts([spec], spec.ambient, k, -1)[0]
+    return next(_outside_counts([spec.member_rule()], spec.ambient, -1, range(k, k + 1)))[0]
 
 
 def check_enumeration_guard(num_vars: int, k: int) -> None:
@@ -211,13 +263,16 @@ def _box_points(num_vars: int, k: int, box: int) -> int:
 
 def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, s_max: int,
                       box: int) -> None:
-    """Reject an oracle sweep of more than MAX_MEMBER_TESTS spec.member calls.
+    """Reject an oracle sweep of more than MAX_MEMBER_TESTS membership tests.
 
-    ring_oracle tests a spec in r variables once at each point of the union
+    ring_oracle computes the statistic columns of each point of the union
     of the C(k_max + r, r) compositions of degree at most k_max and the
-    (box+1)^r box points; the box points of degree at most k_max are in
-    both.  A spec with a power s stands for its s_max copies, s = 1..s_max,
-    so a large s_max is rejected without building them.
+    (box+1)^r box points once per ring of r variables (the box points of
+    degree at most k_max are in both), and each spec of the ring tests
+    each such point by one comparison of its column with its bound.  So a
+    spec costs one test per point of the union.  A spec with a power s
+    stands for its s_max copies, s = 1..s_max, so a large s_max is
+    rejected without building them.
     """
     tests = sum((s_max if hasattr(spec, "s") else 1)
                 * (math.comb(k_max + spec.ambient, k_max) + (box + 1) ** spec.ambient

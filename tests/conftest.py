@@ -3,6 +3,7 @@
 import pytest
 
 import hilbertdepth.identities as identities
+import hilbertdepth.multigrade as multigrade
 from hilbertdepth.series import RationalFunctionSeries, canonicalize
 from reference import one_minus_t_power
 
@@ -36,3 +37,17 @@ def perturb(monkeypatch):
     def apply(offset, at=None):
         monkeypatch.setattr(identities, "_check", perturbed_check(check, offset, at))
     return apply
+
+
+@pytest.fixture
+def statistics_points(monkeypatch):
+    """The list of every point whose statistic columns a later oracle pass
+    of the test computes, in the order it computes them."""
+    points = []
+    statistics = multigrade._statistics
+
+    def spy(chunk, vars_):
+        points.extend(chunk)
+        return statistics(chunk, vars_)
+    monkeypatch.setattr(multigrade, "_statistics", spy)
+    return points

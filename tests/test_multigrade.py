@@ -4,6 +4,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hilbertdepth.ideals import (
     GeneratedHatPower,
@@ -44,6 +46,23 @@ def all_specs(n_max, s_max):
     return specs
 
 
+@st.composite
+def specs_and_points(draw):
+    """A spec of any family with n <= 6 and s <= 8, and an exponent vector
+    of its ring with zeros, small and very large entries."""
+    n = draw(st.integers(1, 6))
+    cls = draw(st.sampled_from(FAMILY_CLASSES))
+    if cls is Veronese:
+        spec = Veronese(n, draw(st.integers(1, n)))
+    elif cls is MaxPower:
+        spec = MaxPower(n, draw(st.integers(1, 8)))
+    else:
+        spec = cls(n, draw(st.integers(1, n)), draw(st.integers(1, 8)))
+    entries = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 10**30))
+    return spec, tuple(draw(st.lists(entries, min_size=spec.ambient,
+                                     max_size=spec.ambient)))
+
+
 def coefficients(ms):
     """The box's coefficients keyed by exponent vector."""
     return dict(zip(product(range(ms.box + 1), repeat=ms.num_vars), ms.coeffs))
@@ -65,6 +84,28 @@ class TestMembership:
     def test_generated_hat_power_ignores_tail_variables(self):
         assert GeneratedHatPower(3, 2, 2).member((1, 1, 5))
         assert not GeneratedHatPower(3, 2, 2).member((1, 0, 5))
+
+    @given(specs_and_points())
+    def test_rule_agrees_with_member(self, drawn):
+        # the statistic member_rule names, read off the pass's columns
+        spec, alpha = drawn
+        column, bound = spec.member_rule()
+        statistic = multigrade._statistics([alpha], spec.ambient)[column][0]
+        assert (bound <= statistic) == spec.member(alpha)
+
+    def test_rule_agrees_with_member_on_the_box(self):
+        # every spec with n <= 5 and s <= 8 at each point of [0, 6]^r, by
+        # the comparison the ring pass makes with each spec's column
+        rings = {}
+        for spec in all_specs(5, 8):
+            rings.setdefault(spec.ambient, []).append(spec)
+        for r, specs in rings.items():
+            points = list(product(range(7), repeat=r))
+            columns = multigrade._statistics(points, r)
+            for spec in specs:
+                column, bound = spec.member_rule()
+                got = bytes(map(bound.__le__, columns[column]))
+                assert got == bytes(map(spec.member, points)), spec
 
 
 class TestDegreeCompositions:
@@ -111,26 +152,22 @@ class TestHilbertFunctionOracle:
         with pytest.raises(ValueError):
             hilbert_function_oracle(MaxPower(12, 1), 50)
 
-    def test_chunked_counts_match_plain_enumeration(self, monkeypatch):
+    def test_chunked_counts_match_plain_enumeration(self, statistics_points):
         # k = 20 in 5 variables is C(24, 4) = 10626 compositions, more than
-        # two chunks; at box 0 every spec tests each of the C(25, 5)
-        # compositions of degree <= 20 once
+        # two chunks; at box 0 the pass computes the statistics of each of
+        # the C(25, 5) compositions of degree <= 20 once, for every spec
         specs = [Veronese(5, 3), MaxPower(5, 4), HatPower(6, 2, 3),
                  GeneratedHatPower(5, 2, 7), GeneratedHatPower(5, 4, 30)]
         compositions = list(degree_compositions(20, 5))
         assert len(compositions) == math.comb(24, 4) > 2 * COMPOSITION_CHUNK
         want = [sum(map(spec.member, compositions)) for spec in specs]
-        calls = []
-        for cls in FAMILY_CLASSES:
-            member = cls.member
-            monkeypatch.setattr(cls, "member",
-                                lambda self, alpha, member=member:
-                                calls.append(alpha) or member(self, alpha))
         # degrees alone: it draws the box pass that fines was not asked for
         _, degrees = ring_oracle(specs, 20, 0)
         assert dict(degrees)[20] == want
-        assert len(calls) == len(specs) * math.comb(25, 5)
+        assert len(statistics_points) == len(set(statistics_points)) == math.comb(25, 5)
+        statistics_points.clear()
         assert [hilbert_function_oracle(spec, 20) for spec in specs] == want
+        assert statistics_points == len(specs) * compositions
 
     def test_counts_need_one_ring_size(self):
         with pytest.raises(ValueError, match="one number of variables"):
@@ -162,19 +199,13 @@ class TestRingOracle:
         _, degrees = ring_oracle(specs, 9, 2)
         assert list(degrees) == [(k, [int(k >= s) for s in range(1, 5)]) for k in range(10)]
 
-    def test_matches_product_reference(self, monkeypatch):
+    def test_matches_product_reference(self, statistics_points):
         # k_max at the edges of the union of the compositions of degree
         # <= k_max and the box: the box's origin alone, just below and at
         # the box's degree, past it, and past the box's reach r * box
         rings = {}
         for spec in all_specs(4, 3):
             rings.setdefault(spec.ambient, []).append(spec)
-        calls = []
-        for cls in FAMILY_CLASSES:
-            member = cls.member
-            monkeypatch.setattr(cls, "member",
-                                lambda self, alpha, member=member:
-                                calls.append(alpha) or member(self, alpha))
         for r, specs in rings.items():
             counts = {spec: member_counts(spec, max(r * 3 + 1, 3 + 2)) for spec in specs}
             for box in range(4):
@@ -182,14 +213,17 @@ class TestRingOracle:
                 points = list(product(range(box + 1), repeat=r))
                 for k_max in sorted({0, box - 1, box, box + 2, r * box + 1} - {-1}):
                     top = max(k_max, box)
-                    calls.clear()
+                    statistics_points.clear()
                     fines, degrees = ring_oracle(specs, k_max, box)
                     assert list(fines) == [fine[s] for s in specs], (r, box, k_max)
                     assert list(degrees) == [(k, [counts[s][k] for s in specs])
                                              for k in range(top + 1)], (r, box, k_max)
-                    # one test per spec at each point of the union
-                    union = math.comb(k_max + r, r) + sum(sum(p) > k_max for p in points)
-                    assert len(calls) == len(specs) * union, (r, box, k_max)
+                    # the statistics of each point of the union, once per ring
+                    union = {p for p in product(range(k_max + 1), repeat=r)
+                             if sum(p) <= k_max}.union(points)
+                    assert len(union) == math.comb(k_max + r, r) + sum(
+                        sum(p) > k_max for p in points)
+                    assert sorted(statistics_points) == sorted(union), (r, box, k_max)
 
 
 class TestMultiSeries:
