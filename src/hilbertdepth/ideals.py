@@ -21,11 +21,23 @@ latter both per point (member) and as a bound on one statistic of the
 point (member_rule), and FAMILIES lists the classes by CLI name.
 
 Every series is assembled as its exact numerator polynomial first and then
-canonicalized; nothing is expanded coefficient-wise.
+canonicalized; nothing is expanded coefficient-wise.  Each numerator term
+is the one before it times a ratio of small integers, one multiply and
+one exact division per term, starting from a single binomial:
+
+  * Veronese: P_d = C(n, d), P_j = P_(j-1) * -(n-j+1)(j-1) / (j(j-d));
+  * power families: P_s = C(span+s-1, s),
+    P_(s+i) = P_(s+i-1) * -(s+i-1)(span-i) / (i(s+i)).
+
+Every division is exact: its quotient is the next closed-form term.
+veronese_series_alt keeps its own Horner sum over binomials, as the
+independent second presentation.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import comb
 from operator import sub
 from typing import Union
 
@@ -67,17 +79,23 @@ class Veronese(Record):
 
         Numerator sum_{k=d..n} C(n,k) T^k (1-T)^(n-k) over (1-T)^n.  Its T^j
         coefficient is C(n,j) sum_{k=d..j} (-1)^(j-k) C(j,k), and the
-        alternating sum telescopes, so the numerator is built from the
-        closed form
+        alternating sum telescopes to the closed form
 
             P_j = (-1)^(j-d) C(n,j) C(j-1,d-1)    for d <= j <= n
 
-        (and 0 below d) rather than from n - d + 1 dense products.
+        (and 0 below d).  Consecutive terms differ by one ratio, so the
+        numerator is built from P_d = C(n,d) by
+
+            P_j = P_(j-1) * -(n-j+1)(j-1) / (j(j-d))    for d < j <= n,
+
+        one multiply and one exact division per term, rather than from
+        n - d + 1 dense products or two binomials per term.
         """
         n, d = self.n, self.d
-        numer = IntPolynomial((0,) * d + tuple(
-            (-1) ** (j - d) * binomial(n, j) * binomial(j - 1, d - 1)
-            for j in range(d, n + 1)))
+        numer = IntPolynomial((0,) * d + tuple(accumulate(
+            range(d + 1, n + 1),
+            lambda p, j: p * -(n - j + 1) * (j - 1) // (j * (j - d)),
+            initial=comb(n, d))))
         return canonicalize(numer, n)
 
     def closed_depth(self) -> int:
@@ -141,19 +159,25 @@ class _PowerFamily(Record):
         assembled over the common denominator (1-T)^span.  The numerator is
         the alternating sum of the graded Betti numbers of the linear
         (Eagon-Northcott) resolution of m^s, whose i-th module has
-        C(s+i-1, i) C(span+s-1, s+i) generators in degree s+i, so it is
-        built from the closed form
+        C(s+i-1, i) C(span+s-1, s+i) generators in degree s+i, so
 
             P_(s+i) = (-1)^i C(s+i-1, i) C(span+s-1, s+i)    for 0 <= i < span
 
-        (and 0 below T^s) rather than from the product of an s-term
-        polynomial with (1-T)^span.  P(1) = 1, so the extra variables only
-        raise the denominator power to ambient.
+        (and 0 below T^s).  Consecutive terms differ by one ratio, so the
+        numerator is built from P_s = C(span+s-1, s) by
+
+            P_(s+i) = P_(s+i-1) * -(s+i-1)(span-i) / (i(s+i))    for 0 < i < span,
+
+        one multiply and one exact division per term, rather than from the
+        product of an s-term polynomial with (1-T)^span or two binomials
+        per term.  P(1) = 1, so the extra variables only raise the
+        denominator power to ambient.
         """
         span, s = self.span, self.s
-        numer = IntPolynomial((0,) * s + tuple(
-            (-1) ** i * binomial(s + i - 1, i) * binomial(span + s - 1, s + i)
-            for i in range(span)))
+        numer = IntPolynomial((0,) * s + tuple(accumulate(
+            range(1, span),
+            lambda p, i: p * -(s + i - 1) * (span - i) // (i * (s + i)),
+            initial=comb(span + s - 1, s))))
         return canonicalize(numer, self.ambient)
 
     def closed_depth(self) -> int:

@@ -79,22 +79,6 @@ class MultiSeries(Record):
         if len(self.coeffs) != (self.box + 1) ** self.num_vars:
             raise ValueError("coefficient array does not fill the box")
 
-    def coarse_sums(self, max_degree: int) -> list[int]:
-        """Sum of coefficients over each total degree 0..max_degree.
-
-        Complete only for degrees <= box, where the box holds every
-        composition of the degree.
-        """
-        if max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
-        if max_degree > self.num_vars * self.box:
-            raise ValueError("degree beyond the box's reach")
-        sums = [0] * (self.num_vars * self.box + 1)
-        points = product(range(self.box + 1), repeat=self.num_vars)
-        for k, c in zip(map(sum, points), self.coeffs):
-            sums[k] += c
-        return sums[:max_degree + 1]
-
 
 def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
     """All exponent vectors of the given total degree, lexicographically.

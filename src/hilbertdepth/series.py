@@ -27,10 +27,11 @@ representation sit three decisions, all exact:
 from __future__ import annotations
 
 from itertools import accumulate
+from math import comb
 from operator import add
 from typing import Iterator
 
-from .exactalg import IntPolynomial, Record, binomial
+from .exactalg import IntPolynomial, Record
 
 __all__ = [
     "RationalFunctionSeries",
@@ -104,7 +105,9 @@ def coefficient(h: RationalFunctionSeries, k: int) -> int:
     """Exact k-th coefficient of the power-series expansion of H.
 
     For den_pow = m >= 1 this is the convolution
-    sum_{j <= k} P_j * C(m-1+k-j, m-1); for m = 0 it is P_k itself.
+    sum_{j <= k} P_j * C(m-1+k-j, m-1); for m = 0 it is P_k itself.  No
+    binomial argument is negative, so each is one math.comb call, with
+    nothing cached per degree.
     """
     if k < 0:
         raise ValueError("coefficient index must be non-negative")
@@ -116,7 +119,7 @@ def coefficient(h: RationalFunctionSeries, k: int) -> int:
     for j in range(min(k, len(cs) - 1) + 1):
         pj = cs[j]
         if pj:
-            total += pj * binomial(m - 1 + k - j, m - 1)
+            total += pj * comb(m - 1 + k - j, m - 1)
     return total
 
 
@@ -146,8 +149,16 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
     head non-negative, so p only moves right, each entry is checked once
     over the whole scan, and a step whose row[p] is still negative rejects
     in O(1).
+
+    If P = T^v Q with Q(0) != 0, the j-fold prefix sums of P are v zeros
+    followed by those of Q, so T^v Q / (1 - T)^j and Q / (1 - T)^j are
+    non-negative together.  The row therefore starts at P's first nonzero
+    coefficient: its last entry, the table and P(1) = Q(1) are the same,
+    and no step sums the v zeros.
     """
-    row, table, total, p, size = list(numer), [], sum(numer), 0, len(numer)
+    v = next((i for i, c in enumerate(numer) if c), 0)
+    row, table, total, p = list(numer[v:]), [], sum(numer), 0
+    size = len(row)
     for j in range(m + 1):
         if j:
             row = list(accumulate(row))

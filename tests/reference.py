@@ -13,6 +13,21 @@ def one_minus_t_power(m):
     return IntPolynomial((-1) ** k * comb(m, k) for k in range(m + 1))
 
 
+def veronese_numerator(n, d):
+    """Numerator of the Veronese(n, d) series over (1-T)^n, each term the
+    closed-form product (-1)^(j-d) C(n, j) C(j-1, d-1) for d <= j <= n."""
+    return IntPolynomial([0] * d + [(-1) ** (j - d) * comb(n, j) * comb(j - 1, d - 1)
+                                    for j in range(d, n + 1)])
+
+
+def power_numerator(span, s):
+    """Eagon-Northcott numerator of the s-th power of the maximal ideal in
+    span variables, each term the closed-form product
+    (-1)^i C(s+i-1, i) C(span+s-1, s+i) at T^(s+i), 0 <= i < span."""
+    return IntPolynomial([0] * s + [(-1) ** i * comb(s + i - 1, i) * comb(span + s - 1, s + i)
+                                    for i in range(span)])
+
+
 def convolution_sum(n, d, k):
     """sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k), term by term as Lemma 4.1
     states it."""
@@ -90,6 +105,17 @@ def member_box(spec, box):
     (last index fastest)."""
     return tuple(int(spec.member(alpha))
                  for alpha in product(range(box + 1), repeat=spec.ambient))
+
+
+def coarse_sums(ms, max_degree):
+    """Sum of the coefficients of the MultiSeries ms over each total degree
+    0..max_degree, point by point.  Complete only for degrees <= ms.box,
+    where the box holds every composition of the degree."""
+    sums = [0] * (ms.num_vars * ms.box + 1)
+    points = product(range(ms.box + 1), repeat=ms.num_vars)
+    for k, c in zip(map(sum, points), ms.coeffs):
+        sums[k] += c
+    return sums[:max_degree + 1]
 
 
 def t_power(e):

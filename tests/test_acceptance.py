@@ -37,7 +37,7 @@ from hilbertdepth.series import (
     is_nonnegative,
     mul_power_one_minus_t,
 )
-from reference import evaluate, eventual_polynomial
+from reference import coarse_sums, evaluate, eventual_polynomial
 
 N_SWEEP = 40
 N_CHAIN = 40
@@ -162,7 +162,7 @@ def test_criterion_7_fine_oracle_equivalence():
             if formula != oracle:
                 failures.append((spec, box, "formula"))
                 continue
-            sums = formula.coarse_sums(box)
+            sums = coarse_sums(formula, box)
             h = spec.series()
             for k in range(box + 1):
                 if sums[k] != hilbert_function_oracle(spec, k):

@@ -1,5 +1,6 @@
 """Series constructors and closed depth formulas for the four families."""
 
+from functools import cache
 from math import comb
 
 import pytest
@@ -22,7 +23,7 @@ from hilbertdepth.series import (
     mul_power_one_minus_t,
 )
 from hilbertdepth.exactalg import binomial
-from reference import one_minus_t_power, t_power
+from reference import one_minus_t_power, power_numerator, t_power, veronese_numerator
 
 
 class TestSpecValidation:
@@ -129,6 +130,32 @@ class TestMaxPowerSeries:
                     low = IntPolynomial(tuple(binomial(span + k - 1, k) for k in range(s)))
                     numer = IntPolynomial((1,)) + -1 * low * one_minus_t_power(span)
                     assert spec.series() == canonicalize(numer, ambient), spec
+
+
+class TestNumeratorRecurrence:
+    """Each numerator is built term by term from the one before it; every
+    term must equal its closed-form product of binomials."""
+
+    def test_every_spec_up_to_40(self):
+        # every valid spec with n <= 40 whose other parameters are <= n + 1;
+        # the power families share one numerator per (span, s)
+        want = cache(power_numerator)
+        for n in range(1, 41):
+            for d in range(1, n + 1):
+                assert Veronese(n, d).series().numer == veronese_numerator(n, d)
+            for s in range(1, n + 2):
+                assert MaxPower(n, s).series().numer == want(n, s)
+                for t in range(1, n + 1):
+                    assert HatPower(n, t, s).series().numer == want(n - t + 1, s)
+                    assert GeneratedHatPower(n, t, s).series().numer == want(n - t + 1, s)
+
+    # the two shallow depth-large scans and a numerator of 1200 terms
+    @pytest.mark.parametrize("spec", [MaxPower(404, 397), GeneratedHatPower(404, 2, 398),
+                                      MaxPower(1200, 1190)], ids=str)
+    def test_large_specs(self, spec):
+        h = spec.series()
+        assert h.numer == power_numerator(spec.span, spec.s)
+        assert h.den_pow == spec.ambient
 
 
 class TestHatPowerSeries:

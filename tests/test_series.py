@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertdepth.exactalg import IntPolynomial, binomial
-from hilbertdepth.ideals import FAMILIES
+from hilbertdepth.ideals import FAMILIES, MaxPower
 from hilbertdepth.series import (
     RationalFunctionSeries,
     _search,
@@ -176,6 +176,14 @@ class TestCoefficient:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             coefficient(rfs((1,), 1), -1)
+
+    def test_sweep_leaves_binomial_cache_alone(self):
+        # one math.comb per term, so a long sweep caches nothing per degree
+        h = MaxPower(7, 3).series()
+        before = binomial.cache_info().currsize
+        values = [coefficient(h, k) for k in range(3000)]
+        assert binomial.cache_info().currsize == before
+        assert values[2999] == comb(2999 + 6, 6)
 
     @given(st.lists(st.integers(-9, 9), max_size=8), st.integers(0, 6))
     def test_matches_prefix_sum_expansion(self, coeffs, den_pow):
@@ -383,6 +391,23 @@ class TestScanCarry:
     def test_zero_series(self):
         # the empty row: p starts at its length
         assert list(_verdicts((), 0)) == [True]
+        # zero coefficients leave no first nonzero one to start the row at
+        assert is_nonnegative(rfs((0, 0, 0), 0))
+
+    # T^v P / (1-T)^j and P / (1-T)^j are non-negative together, so the
+    # scan starts its row at P's first nonzero coefficient
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any),
+           st.integers(0, 6), st.integers(0, 6))
+    @example(coeffs=[0, 7, -20, 17], v=3, m=3)
+    @example(coeffs=[7, -18, 12], v=6, m=4)
+    def test_leading_zeros_change_no_verdict(self, coeffs, v, m):
+        h, shifted = rfs(coeffs, m), rfs([0] * v + coeffs, m)
+        assert shifted.den_pow == h.den_pow
+        assert (list(_verdicts(shifted.numer.coefficients, h.den_pow))
+                == list(_verdicts(h.numer.coefficients, h.den_pow)))
+        assert is_nonnegative(shifted) == is_nonnegative(h)
+        if is_nonnegative(h):
+            assert hilbert_depth(shifted) == hilbert_depth(h)
 
 
 class TestHilbertDepth:
