@@ -32,8 +32,7 @@ _LAZY = {
     **dict.fromkeys(("Counterexample", "VerificationResult", "verify_eq_chain",
                      "verify_lemma_2_2", "verify_lemma_4_1", "verify_prop_2_3",
                      "verify_theorem_1_3", "verify_theorem_1_4"), "identities"),
-    **dict.fromkeys(("MultiSeries", "fine_series_formula", "fine_series_oracle",
-                     "hilbert_function_oracle"), "multigrade"),
+    **dict.fromkeys(("MultiSeries", "fine_series_formula"), "multigrade"),
 }
 
 

@@ -270,10 +270,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     _require(args.k_max, "--k-max", 0)
     _require(args.s_max, "--s-max", 1)
     _require(args.box, "--box", 0)
-    # both work counts grow with the ring size, so checking the largest
-    # ring, n_max variables, covers every spec before the coarse pass
+    # the fine work grows with the ring size, so checking the largest
+    # ring, n_max variables, covers every spec before the first pass
     multigrade.check_fine_guard(args.n_max, args.box)
-    multigrade.check_enumeration_guard(args.n_max, args.k_max)
     multigrade.check_sweep_guard(chain.from_iterable(_oracle_specs(args.n_max, 1).values()),
                                  args.k_max, args.s_max, args.box)
     specs = _oracle_specs(args.n_max, args.s_max)

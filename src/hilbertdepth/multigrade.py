@@ -1,5 +1,5 @@
 """Fine (multigraded) Hilbert series over truncated exponent boxes, plus the
-brute-force spec.member and enumeration oracles that ground-truth the closed
+brute-force membership oracle (ring_oracle) that ground-truths the closed
 forms.
 
 A box bound b means every variable exponent runs 0..b.  Truncation is sound
@@ -7,7 +7,7 @@ for products because all exponents are non-negative: terms outside the box
 never influence terms inside it.  Fine/coarse consistency is only meaningful
 for total degrees k <= b, where no composition of k escapes the box.
 
-One pass per ring size serves both oracles (ring_oracle).  Every spec
+One pass per ring size serves both the coarse and the fine check.  Every spec
 decides membership by comparing one statistic of the point with a bound
 (spec.member_rule): the support size for Veronese, the sum of the first
 span exponents for the power families.  So the pass computes the r + 1
@@ -48,16 +48,13 @@ __all__ = [
     "MultiSeries",
     "degree_compositions",
     "ring_oracle",
-    "hilbert_function_oracle",
     "fine_series_formula",
-    "fine_series_oracle",
 ]
 
 ExponentVector = tuple[int, ...]
 
 MAX_FINE_VARS = 5
 MAX_FINE_BOX = 6
-MAX_ENUMERATION = 10**7
 # membership tests, one per spec and point, one oracle sweep may make
 MAX_MEMBER_TESTS = 10**7
 # compositions outside the box held at once by ring_oracle
@@ -100,7 +97,7 @@ def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
             for sums in combinations_with_replacement(range(total + 1), parts - 1))
 
 
-def ring_oracle(specs: Sequence[IdealSpec], k_max: int, box: int
+def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
                 ) -> tuple[Iterator[MultiSeries], Iterator[tuple[int, list[int]]]]:
     """Fine series and member counts per degree of specs of one ring size,
     from the statistic columns of each point of the box [0, box]^r and of
@@ -120,11 +117,11 @@ def ring_oracle(specs: Sequence[IdealSpec], k_max: int, box: int
         raise ValueError("degree must be non-negative")
     if box < 0:
         raise ValueError("box bound must be non-negative")
+    specs = list(specs)  # read by the size check, the guard and the rules
     sizes = {spec.ambient for spec in specs}
     if len(sizes) != 1:
         raise ValueError("specs must share one number of variables")
     vars_ = sizes.pop()
-    check_enumeration_guard(vars_, k_max)
     check_sweep_guard(specs, k_max, 1, box)
     rules = [spec.member_rule() for spec in specs]
     top = max(k_max, box)
@@ -183,8 +180,8 @@ def _degree_shares(column: Sequence[int], degree: Sequence[int],
 def _outside_counts(rules: Sequence[tuple[int, int]], vars_: int, box: int,
                     degrees: range) -> Iterator[tuple[int, ...]]:
     """Per degree k in degrees, the compositions of degree k outside the
-    box [0, box]^vars_ (all of them for box = -1) that each member rule
-    accepts, one tuple of counts per degree.
+    box [0, box]^vars_ that each member rule accepts, one tuple of counts
+    per degree.
 
     The compositions stream across degrees in chunks of COMPOSITION_CHUNK,
     so a ring with few compositions per degree, such as the one of one
@@ -217,24 +214,6 @@ def _outside_counts(rules: Sequence[tuple[int, int]], vars_: int, box: int,
         yield held[1]
 
 
-def hilbert_function_oracle(spec: IdealSpec, k: int) -> int:
-    """Count of degree-k monomials in the ideal, by direct enumeration.
-
-    ring_oracle's stream outside the box for the one degree k: the whole
-    pass at k_max = k would test every degree below k as well.
-    """
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    check_enumeration_guard(spec.ambient, k)
-    return next(_outside_counts([spec.member_rule()], spec.ambient, -1, range(k, k + 1)))[0]
-
-
-def check_enumeration_guard(num_vars: int, k: int) -> None:
-    """Reject enumerating more than MAX_ENUMERATION degree-k monomials."""
-    if math.comb(k + num_vars - 1, num_vars - 1) > MAX_ENUMERATION:
-        raise ValueError("degree too large to enumerate")
-
-
 def _box_points(num_vars: int, k: int, box: int) -> int:
     """Points of [0, box]^num_vars of degree <= k, k >= 0: by inclusion-
     exclusion, the compositions of degree <= k less those with a chosen j
@@ -256,7 +235,9 @@ def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, s_max: int,
     each such point by one comparison of its column with its bound.  So a
     spec costs one test per point of the union.  A spec with a power s
     stands for its s_max copies, s = 1..s_max, so a large s_max is
-    rejected without building them.
+    rejected without building them.  A spec's count is at least the
+    C(k_max + r - 1, r - 1) compositions of degree k_max alone, so the
+    guard also bounds the compositions of any one degree the pass draws.
     """
     tests = sum((s_max if hasattr(spec, "s") else 1)
                 * (math.comb(k_max + spec.ambient, k_max) + (box + 1) ** spec.ambient
@@ -296,7 +277,7 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     of the in-box points of degree c, c < min(s, i*box + 1)), and each
     zeroes the contiguous block of the remaining axes under it: (box+1)^n to
     fill the box plus one slice per point zeroed.  Membership is never
-    consulted, so fine_series_oracle stays an independent check.
+    consulted, so ring_oracle's fine arrays stay an independent check.
     """
     vars_ = spec.ambient
     check_fine_guard(vars_, box)
@@ -332,9 +313,3 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
             coeffs[o:o + block] = zeros
     return MultiSeries(vars_, box, tuple(coeffs))
 
-
-def fine_series_oracle(spec: IdealSpec, box: int) -> MultiSeries:
-    """Fine series by testing spec.member at every point of the box."""
-    check_fine_guard(spec.ambient, box)
-    fines, _ = ring_oracle([spec], 0, box)
-    return next(fines)

@@ -25,11 +25,7 @@ from hilbertdepth.identities import (
     verify_theorem_1_3,
     verify_theorem_1_4,
 )
-from hilbertdepth.multigrade import (
-    fine_series_formula,
-    fine_series_oracle,
-    hilbert_function_oracle,
-)
+from hilbertdepth.multigrade import fine_series_formula, ring_oracle
 from hilbertdepth.series import (
     canonicalize,
     coefficient,
@@ -142,33 +138,50 @@ def _oracle_specs():
     return specs
 
 
+def _rings(specs):
+    rings = {}
+    for spec in specs:
+        rings.setdefault(spec.ambient, []).append(spec)
+    return rings.values()
+
+
+def _enumerated_counts(ring, k_max):
+    """counts[k][i]: the degree-k monomials in the ideal of ring[i], all but
+    the origin counted from the compositions outside the box [0, 0]^r."""
+    _, degrees = ring_oracle(ring, k_max, 0)
+    return [counts for _, counts in degrees]
+
+
 def test_criterion_6_coarse_oracle_equivalence():
     failures = []
-    for spec in _oracle_specs():
-        h = spec.series()
-        for k in range(ORACLE_K + 1):
-            if hilbert_function_oracle(spec, k) != coefficient(h, k):
-                failures.append((spec, k))
+    for ring in _rings(_oracle_specs()):
+        counts = _enumerated_counts(ring, ORACLE_K)
+        for i, spec in enumerate(ring):
+            h = spec.series()
+            failures.extend((spec, k) for k in range(ORACLE_K + 1)
+                            if counts[k][i] != coefficient(h, k))
     report(6, "enumeration equals closed-form coefficients, n <= 5, k <= 12", failures)
 
 
 def test_criterion_7_fine_oracle_equivalence():
     failures = []
     specs = [s for s in _oracle_specs() if s.ambient <= FINE_VARS]
-    for spec in specs:
+    for ring in _rings(specs):
+        counts = _enumerated_counts(ring, FINE_BOX)
         for box in range(1, FINE_BOX + 1):
-            formula = fine_series_formula(spec, box)
-            oracle = fine_series_oracle(spec, box)
-            if formula != oracle:
-                failures.append((spec, box, "formula"))
-                continue
-            sums = coarse_sums(formula, box)
-            h = spec.series()
-            for k in range(box + 1):
-                if sums[k] != hilbert_function_oracle(spec, k):
-                    failures.append((spec, box, k, "oracle sum"))
-                if sums[k] != coefficient(h, k):
-                    failures.append((spec, box, k, "coarse sum"))
+            fines, _ = ring_oracle(ring, 0, box)
+            for i, (spec, oracle) in enumerate(zip(ring, fines, strict=True)):
+                formula = fine_series_formula(spec, box)
+                if formula != oracle:
+                    failures.append((spec, box, "formula"))
+                    continue
+                sums = coarse_sums(formula, box)
+                h = spec.series()
+                for k in range(box + 1):
+                    if sums[k] != counts[k][i]:
+                        failures.append((spec, box, k, "oracle sum"))
+                    if sums[k] != coefficient(h, k):
+                        failures.append((spec, box, k, "coarse sum"))
     report(7, "fine formula equals pointwise membership and refines the "
               "coarse series", failures)
 

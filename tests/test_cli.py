@@ -309,21 +309,13 @@ class TestOracleCommand:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("limit, code", [(27, 2), (28, 0)])
-    def test_enumeration_guard_checked_up_front(self, capsys, monkeypatch, limit, code):
-        # the largest count is C(6+3-1, 3-1) = 28 compositions, at (n_max, k_max)
-        monkeypatch.setattr(multigrade, "MAX_ENUMERATION", limit)
-        calls = []
-        ring_oracle = multigrade.ring_oracle
-        monkeypatch.setattr(multigrade, "ring_oracle",
-                            lambda specs, k_max, box: calls.append(k_max)
-                            or ring_oracle(specs, k_max, box))
-        got, out, err = run_cli(["oracle", "--n-max", "3", "--k-max", "6"], capsys)
-        assert got == code
-        if code == 2:
-            assert (out, err, calls) == ("", "error: degree too large to enumerate\n", [])
-        else:
-            assert out.endswith("OVERALL PASS\n") and calls
+    def test_huge_k_max_rejected_up_front(self, capsys, statistics_points):
+        # degree 10^12 alone has C(10^12 + 4, 4) compositions in 5 variables;
+        # the sweep guard counts them, and more, before any pass
+        code, out, err = run_cli(["oracle", "--n-max", "5", "--k-max", str(10**12)], capsys)
+        assert (code, out, statistics_points) == (2, "", [])
+        assert re.fullmatch(r"error: the sweep would make \d+ membership tests, more than "
+                            r"10000000; lower --s-max, --k-max or --box\n", err)
 
     @pytest.mark.parametrize("excess, code", [(1, 2), (0, 0)])
     def test_sweep_guard_checked_up_front(self, capsys, monkeypatch, statistics_points,
@@ -466,7 +458,7 @@ class TestImportFootprint:
                                 "print(all(getattr(hd, n) is getattr(m, n) for n, m in ("
                                 "('verify_eq_chain', identities), ('Counterexample', identities), "
                                 "('MultiSeries', multigrade), "
-                                "('hilbert_function_oracle', multigrade))))"])
+                                "('fine_series_formula', multigrade))))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False", "True"]
         proc = run_child(["-X", "importtime", "-m", "hilbertdepth", *PLAIN_RUNS[0]])

@@ -1,4 +1,4 @@
-"""Fine series, membership, and enumeration oracles."""
+"""Fine series, membership, and the ring oracle."""
 
 import math
 from itertools import product
@@ -19,8 +19,6 @@ from hilbertdepth.multigrade import (
     MultiSeries,
     degree_compositions,
     fine_series_formula,
-    fine_series_oracle,
-    hilbert_function_oracle,
     ring_oracle,
 )
 from hilbertdepth.series import coefficient
@@ -62,6 +60,27 @@ def specs_and_points(draw):
     entries = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 10**30))
     return spec, tuple(draw(st.lists(entries, min_size=spec.ambient,
                                      max_size=spec.ambient)))
+
+
+def rings_of(specs):
+    """specs grouped by ring size, in order."""
+    rings = {}
+    for spec in specs:
+        rings.setdefault(spec.ambient, []).append(spec)
+    return rings.values()
+
+
+def oracle_fine(spec, box):
+    """spec's member values over the box, from a one-spec ring pass."""
+    fines, _ = ring_oracle([spec], 0, box)
+    return next(fines)
+
+
+def oracle_counts(specs, k_max):
+    """counts[k][i]: the degree-k monomials in the ideal of specs[i], k <=
+    k_max, all but the origin counted outside the box [0, 0]^r."""
+    _, degrees = ring_oracle(specs, k_max, 0)
+    return [counts for _, counts in degrees]
 
 
 def coefficients(ms):
@@ -138,20 +157,18 @@ class TestDegreeCompositions:
 
 
 class TestHilbertFunctionOracle:
+    """The coarse side of ring_oracle: member counts per degree."""
+
     def test_veronese_degree_three(self):
         # 10 degree-3 monomials in 3 variables minus the 3 pure cubes
-        assert hilbert_function_oracle(Veronese(3, 2), 3) == 7
+        assert oracle_counts([Veronese(3, 2)], 3)[3] == [7]
 
     def test_max_power_degree_two(self):
         # all C(4, 2) monomials of degree 2 qualify
-        assert hilbert_function_oracle(MaxPower(3, 2), 2) == 6
+        assert oracle_counts([MaxPower(3, 2)], 2)[2] == [6]
 
     def test_veronese_degree_one_empty(self):
-        assert hilbert_function_oracle(Veronese(3, 2), 1) == 0
-
-    def test_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            hilbert_function_oracle(MaxPower(12, 1), 50)
+        assert oracle_counts([Veronese(3, 2)], 1)[1] == [0]
 
     def test_chunked_counts_match_plain_enumeration(self, statistics_points):
         # k = 20 in 5 variables is C(24, 4) = 10626 compositions, more than
@@ -166,9 +183,6 @@ class TestHilbertFunctionOracle:
         _, degrees = ring_oracle(specs, 20, 0)
         assert dict(degrees)[20] == want
         assert len(statistics_points) == len(set(statistics_points)) == math.comb(25, 5)
-        statistics_points.clear()
-        assert [hilbert_function_oracle(spec, 20) for spec in specs] == want
-        assert statistics_points == len(specs) * compositions
 
     def test_counts_need_one_ring_size(self):
         with pytest.raises(ValueError, match="one number of variables"):
@@ -177,10 +191,11 @@ class TestHilbertFunctionOracle:
             ring_oracle([], 2, 1)
 
     def test_matches_coarse_coefficients(self):
-        for spec in all_specs(4, 3):
-            h = spec.series()
-            for k in range(9):
-                assert hilbert_function_oracle(spec, k) == coefficient(h, k), (spec, k)
+        for specs in rings_of(all_specs(4, 3)):
+            counts = oracle_counts(specs, 8)
+            for i, spec in enumerate(specs):
+                h = spec.series()
+                assert [row[i] for row in counts] == [coefficient(h, k) for k in range(9)], spec
 
 
 class TestRingOracle:
@@ -199,6 +214,24 @@ class TestRingOracle:
         monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 40)
         _, degrees = ring_oracle(specs, 9, 2)
         assert list(degrees) == [(k, [int(k >= s) for s in range(1, 5)]) for k in range(10)]
+
+    def test_sweep_count_bounds_each_degree(self, monkeypatch):
+        # a spec's sweep count is at least the C(k_max + r - 1, r - 1)
+        # compositions of degree k_max, so a limit one below that rejects it
+        for r in range(1, 7):
+            for k_max in range(61):
+                compositions = math.comb(k_max + r - 1, r - 1)
+                monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", compositions - 1)
+                for box in range(7):
+                    with pytest.raises(ValueError, match="membership tests"):
+                        multigrade.check_sweep_guard([MaxPower(r, 1)], k_max, 1, box)
+
+    def test_specs_may_be_an_iterator(self):
+        specs = [Veronese(2, 1), MaxPower(2, 2), GeneratedHatPower(2, 2, 3)]
+        fines, degrees = ring_oracle(specs, 5, 1)
+        want = list(fines), list(degrees)
+        fines, degrees = ring_oracle(iter(specs), 5, 1)
+        assert (list(fines), list(degrees)) == want
 
     def test_matches_product_reference(self, statistics_points):
         # k_max at the edges of the union of the compositions of degree
@@ -234,7 +267,7 @@ class TestMultiSeries:
         # (membership here ignores the last variable, so a transposed
         # layout would not pass)
         spec = GeneratedHatPower(3, 2, 2)
-        ms = fine_series_oracle(spec, 2)
+        ms = oracle_fine(spec, 2)
         for alpha in product(range(3), repeat=3):
             assert ms.coeffs[9 * alpha[0] + 3 * alpha[1] + alpha[2]] == spec.member(alpha)
 
@@ -287,9 +320,11 @@ class TestFineSeries:
             fine_series_formula(spec, 3)
 
     def test_formula_matches_oracle_everywhere(self):
-        for spec in all_specs(3, 3):
+        for specs in rings_of(all_specs(3, 3)):
             for box in (0, 1, 2, 3):
-                assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
+                fines, _ = ring_oracle(specs, 0, box)
+                for spec, fine in zip(specs, fines, strict=True):
+                    assert fine_series_formula(spec, box) == fine, (spec, box)
 
     def test_power_at_and_far_beyond_the_box_degree(self):
         # the box holds degrees up to span * box only; powers around and far
@@ -299,7 +334,7 @@ class TestFineSeries:
                                     (GeneratedHatPower, (3, 2), 2)):
                 for s in (span * box, span * box + 1, span * box + 2, 10**6, 10**30):
                     spec = cls(*head, max(s, 1))
-                    assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
+                    assert fine_series_formula(spec, box) == oracle_fine(spec, box), spec
 
     @pytest.mark.parametrize("box", [3, 4])
     def test_formula_matches_oracle_in_five_variables(self, box):
@@ -314,8 +349,9 @@ class TestFineSeries:
                 if t == 1:
                     specs.append(MaxPower(5, s))
         assert all(spec.ambient == 5 for spec in specs)
-        for spec in specs:
-            assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
+        fines, _ = ring_oracle(specs, 0, box)
+        for spec, fine in zip(specs, fines, strict=True):
+            assert fine_series_formula(spec, box) == fine, spec
 
     @pytest.mark.parametrize("box", [0, 1, 2, 6])
     def test_veronese_core_edges(self, box):
@@ -323,9 +359,10 @@ class TestFineSeries:
         # corner; boxes 2 and 6 read its value at 1 again at every exponent
         # past 1, up to the widest box check_fine_guard allows
         for n in range(1, 6):
-            for d in range(1, n + 1):
-                spec = Veronese(n, d)
-                assert fine_series_formula(spec, box) == fine_series_oracle(spec, box), spec
+            specs = [Veronese(n, d) for d in range(1, n + 1)]
+            fines, _ = ring_oracle(specs, 0, box)
+            for spec, fine in zip(specs, fines, strict=True):
+                assert fine_series_formula(spec, box) == fine, spec
 
     def test_power_matches_composition_walk(self):
         for n in range(1, 5):
@@ -354,16 +391,19 @@ class TestFineSeries:
         with pytest.raises(ValueError):
             fine_series_formula(MaxPower(6, 2), 2)
         with pytest.raises(ValueError):
-            fine_series_oracle(MaxPower(3, 2), 7)
+            fine_series_formula(MaxPower(3, 2), 7)
 
     def test_fine_coarse_consistency(self):
         # summing the box over a total degree k <= box reproduces the
-        # enumerated Hilbert function and the closed-form coefficient
-        for spec in all_specs(3, 2):
+        # Hilbert function enumerated outside the box [0, 0]^r and the
+        # closed-form coefficient
+        for specs in rings_of(all_specs(3, 2)):
+            counts = oracle_counts(specs, 3)
             for box in (1, 2, 3):
-                ms = fine_series_oracle(spec, box)
-                sums = coarse_sums(ms, box)
-                h = spec.series()
-                for k in range(box + 1):
-                    assert sums[k] == hilbert_function_oracle(spec, k)
-                    assert sums[k] == coefficient(h, k)
+                fines, _ = ring_oracle(specs, 0, box)
+                for i, (spec, ms) in enumerate(zip(specs, fines, strict=True)):
+                    sums = coarse_sums(ms, box)
+                    h = spec.series()
+                    for k in range(box + 1):
+                        assert sums[k] == counts[k][i]
+                        assert sums[k] == coefficient(h, k)
