@@ -21,22 +21,22 @@ outside the box run across degrees, their degree column telling the
 degrees apart, so memory stays bounded by the box's columns, one chunk's
 columns, one fine array and r * box + 1 sums per spec, whatever k_max.
 
-The fine formula expands its closed form on the dense box array: the
-Veronese numerator from its signed binomial at each point of the 2^n
-corner, summed along every axis of the corner and read at each box point
-through min(alpha, 1), and the power families by a per-axis walk over the
-points of degree below s (see fine_series_formula).  It never consults
-membership, so the oracle stays an independent check.  check_sweep_guard
-bounds the membership tests, spec by point, of a whole oracle sweep before
-it starts.
+The fine formula counts, at each box point, the pieces of the family's
+Stanley decomposition that cover it: one piece per minimal generator, each
+a few contiguous runs of the lexicographic box, summed by one difference
+array (see fine_series_formula).  The count is 1 on the ideal and 0 off it
+because the pieces partition the ideal, a theorem about stable ideals and
+not a restatement of membership, so the oracle stays an independent check.
+check_sweep_guard bounds the membership tests, spec by point, of a whole
+oracle sweep before it starts.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import (accumulate, chain, combinations_with_replacement, compress,
-                       islice, product, repeat)
+from itertools import (accumulate, chain, combinations, combinations_with_replacement,
+                       compress, islice, product, repeat)
 from operator import add, ne, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -257,59 +257,51 @@ def check_fine_guard(num_vars: int, box: int) -> None:
 
 
 def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
-    """Closed-form fine Hilbert series, expanded over the truncated box.
+    """Closed-form fine Hilbert series over the box [0, box]^ambient: the
+    number of pieces of the family's Stanley decomposition covering each
+    box point.  Both families are (squarefree) strongly stable ideals, so
+    each has one piece per minimal generator:
 
-    Veronese: product of the truncated geometric series of every variable
-    times sum over subsets S of >= d variables of T^S * prod_{j not in S}
-    (1 - T_j).  Power families: the truncated geometric product over the
-    first span = n-t+1 variables minus the monomials of total degree < s in
-    them, times the truncated geometric product over the remaining ones.
+      * m^s, the power families (Eliahou & Kervaire 1990): the pieces
+        x^u K[x_j : j >= max u], over the generators u of degree s in the
+        span axes, max u the last axis u uses; the axes past span are free
+        in every piece.
+      * Veronese (Aramova, Herzog & Hibi 1998): the pieces
+        x_U K[x_i : i in U or i > max U], over the d-subsets U.
 
-    The Veronese numerator lives on the 2^n corner {0, 1}^n.  At the corner
-    point with support U its coefficient is sum_{k=d..|U|} (-1)^(|U|-k)
-    C(|U|,k), which telescopes to (-1)^(|U|-d) C(|U|-1, d-1) (0 below d), as
-    the coarse numerator does.  The geometric factors are prefix sums along
-    every axis of the corner, n * 2^n additions; past exponent 1 the
-    numerator is 0, so a prefix sum repeats its value at 1 and each box
-    point reads the corner at min(alpha, 1).  The power-family series is 1
-    at every box point but those of degree < s in the span axes.  These are
-    listed one span axis at a time (after i axes, list c holds the offsets
-    of the in-box points of degree c, c < min(s, i*box + 1)), and each
-    zeroes the contiguous block of the remaining axes under it: (box+1)^n to
-    fill the box plus one slice per point zeroed.  Membership is never
-    consulted, so ring_oracle's fine arrays stay an independent check.
+    Only the pieces of the in-box generators meet the box.  The power
+    generators are found by carrying the (offset, degree) prefixes that the
+    remaining span axes can still complete, axis by axis; so s > span * box
+    gives no piece.  In the lexicographic box a piece is one contiguous run
+    for each value of its free axes below max u: one run per power piece,
+    box^(d-1) runs per Veronese piece.  One difference array over the runs
+    and one accumulate give each point's cover count, which is 1 on the
+    ideal and 0 off it, since the pieces partition the ideal.  Membership
+    is never consulted, so comparing with ring_oracle's fine arrays also
+    checks that partition.
     """
     vars_ = spec.ambient
     check_fine_guard(vars_, box)
     side = box + 1
-    if isinstance(spec, Veronese):
-        d = spec.d
-        corner = [(-1) ** (u - d) * math.comb(u - 1, d - 1) if u >= d else 0
-                  for u in map(sum, product(range(2), repeat=vars_))]
-        for i in range(vars_):
-            bit = 1 << i
-            corner = [c + corner[j - bit] if j & bit else c for j, c in enumerate(corner)]
-        reads = [min(a, 1) for a in range(side)]
-        index = [0]
-        for _ in range(vars_):
-            index = [2 * j + r for j in index for r in reads]
-        return MultiSeries(vars_, box, tuple(map(corner.__getitem__, index)))
     strides = [side ** (vars_ - 1 - i) for i in range(vars_)]
-    span = spec.span
-    levels = [[0]]
-    for i, stride in enumerate(strides[:span], 1):
-        # a degree above i * box has a part above box, outside the box
-        reach = min(spec.s, i * box + 1)
-        grown = [[] for _ in range(reach)]
-        for c, offsets in enumerate(levels):
-            for a in range(min(side, reach - c)):
-                grown[c + a] += [o + a * stride for o in offsets]
-        levels = grown
-    block = strides[span - 1]
-    zeros = [0] * block
-    coeffs = [1] * side ** vars_
-    for offsets in levels:
-        for o in offsets:
-            coeffs[o:o + block] = zeros
-    return MultiSeries(vars_, box, tuple(coeffs))
-
+    runs = []  # (start, end) of each run of a piece in the box
+    if isinstance(spec, Veronese):
+        for *head, last in combinations(range(vars_), spec.d):
+            # one run per value 1..box of each axis of U before the last
+            heads = product(*(range(strides[i], side * strides[i], strides[i]) for i in head))
+            runs += [(o + strides[last], o + side * strides[last]) for o in map(sum, heads)]
+    else:
+        s, span = spec.s, spec.span
+        prefixes = [(0, 0)]
+        for i, stride in enumerate(strides[:span]):
+            # a prefix through axis i below degree low cannot reach s
+            low = s - (span - 1 - i) * box
+            runs += [(o + (s - c) * stride, o + side * stride)
+                     for o, c in prefixes if s - c <= box]
+            prefixes = [(o + a * stride, c + a) for o, c in prefixes
+                        for a in range(max(0, low - c), min(side, s - c))]
+    cover = [0] * (side ** vars_ + 1)
+    for start, end in runs:
+        cover[start] += 1
+        cover[end] -= 1
+    return MultiSeries(vars_, box, tuple(accumulate(cover[:-1])))

@@ -311,11 +311,16 @@ class TestFineSeries:
                     assert got == veronese_fine_by_subsets(n, d, box), (n, d, box)
 
     def test_formula_never_consults_membership(self, monkeypatch):
-        def member(self, alpha):
-            raise AssertionError("fine_series_formula called member")
+        # the oracle decides through member_rule, so neither way of testing
+        # membership may reach the formula
+        def refuse(name):
+            def method(self, *args):
+                raise AssertionError(f"fine_series_formula called {name}")
+            return method
 
         for cls in FAMILY_CLASSES:
-            monkeypatch.setattr(cls, "member", member)
+            for name in ("member", "member_rule"):
+                monkeypatch.setattr(cls, name, refuse(name))
         for spec in all_specs(4, 3):
             fine_series_formula(spec, 3)
 
@@ -355,9 +360,10 @@ class TestFineSeries:
 
     @pytest.mark.parametrize("box", [0, 1, 2, 6])
     def test_veronese_core_edges(self, box):
-        # box 0 reads only the corner's origin and box 1 is the whole 2^n
-        # corner; boxes 2 and 6 read its value at 1 again at every exponent
-        # past 1, up to the widest box check_fine_guard allows
+        # box 0 meets no Veronese piece, so every count is 0; at box 1 each
+        # piece x_U K[...] is one run, the axes of U before the last all at
+        # 1; at boxes 2 and 6 they take box values each, box^(d-1) runs,
+        # up to the widest box check_fine_guard allows
         for n in range(1, 6):
             specs = [Veronese(n, d) for d in range(1, n + 1)]
             fines, _ = ring_oracle(specs, 0, box)
