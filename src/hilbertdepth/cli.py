@@ -277,8 +277,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                                  args.k_max, args.s_max, args.box)
     specs = _oracle_specs(args.n_max, args.s_max)
     # one pass per ring size tests every spec of that size, whatever its
-    # family, once at each point: its fine arrays serve the fine check, its
-    # counts the coarse one, and those of degree <= box the fine one too
+    # family, once at each box point for its fine arrays, which serve the
+    # fine check, and once at each composition of degree <= max(k_max, box)
+    # for its counts, which serve the coarse one and, to degree box, the
+    # fine one too
     rings: dict[int, list[IdealSpec]] = {}
     for spec in chain.from_iterable(specs.values()):
         rings.setdefault(spec.ambient, []).append(spec)

@@ -29,12 +29,17 @@ Catalog tags and statements:
                 formula reproduces the max-power formula shifted by s-1.
 
 Four check points repeat another point's comparison and are not
-independent evidence: eq_chain ("rational",) is theorem_1_4 ("series",)
-by the same calls; eq_chain ("unshifted", k) are lemma_4_1's points;
-eq_chain ("shifted", k) for k >= d repeats ("unshifted", k-d), the same
-row entry against the same value, since C(n-d+k, k) = C(n+(k-d), (k-d)+d);
-and prop_2_3 ("numerator",) reads its right-hand side off the
-veronese_series_alt numerator that ("series",) already compared.
+independent evidence.  eq_chain ("rational",) and theorem_1_4 ("series",)
+take different calls, GeneratedHatPower(n, d, d).series() against
+HatPower(n, d, d).series() raised by mul_power_one_minus_t, but both build
+the one Eagon-Northcott numerator of m^d in n-d+1 variables over
+(1-T)^n, so they compare the same pair.  eq_chain ("unshifted", k) are
+lemma_4_1's points.  eq_chain ("shifted", k) for k >= d repeats
+("unshifted", k-d), the same row entry against the same value, since
+C(n-d+k, k) = C(n+(k-d), (k-d)+d).  prop_2_3 ("numerator",) reads its
+right-hand side off the veronese_series_alt numerator that ("series",)
+already compared; it stays a repeat because an independent right side,
+sum_i C(i+d-1, d-1) (1-T)^i expanded anew, costs O(n) per coefficient.
 """
 
 from __future__ import annotations
@@ -189,7 +194,7 @@ def verify_prop_2_3(n: int, d: int) -> VerificationResult:
     right-hand side is read off veronese_series_alt(n, d), whose numerator
     is that sum times T^d and stays whole because it is 1 at T = 1; so
     ("numerator",) reuses the second presentation of ("series",) rather
-    than summing it again.
+    than summing it again, which would cost O(n) per coefficient.
     """
     _require_params(n, d)
 
@@ -225,7 +230,9 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
                          prop_2_3's series check this also gives the
                          numerator identity, since both sides are canonical
                          over (1-T)^n); theorem_1_4's ("series",) point
-                         builds the same right-hand side by the same calls;
+                         builds the same numerator through HatPower and
+                         mul_power_one_minus_t, so it compares the same
+                         pair;
       ("shifted", k)     sum_i C(i,d-1) C(n-i+k-d-1, k-d) = C(n-d+k, k)
                          for d <= k, checked for k = 0..k_max (both sides
                          vanish below d);
@@ -263,8 +270,10 @@ def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
     Check points: ("series",) for the canonical-form equality
     veronese(n, d) = (1-T)^(-(d-1)) * hat(n, d, d), and ("depth",) for
     depth(veronese) = depth(hat) + d - 1.  The hat series has numerator
-    1 at T = 1, so the ("series",) comparison is eq_chain's ("rational",)
-    one, made by the same calls.
+    1 at T = 1, and mul_power_one_minus_t only raises its denominator to
+    (1-T)^n; GeneratedHatPower(n, d, d).series() builds the same numerator
+    over (1-T)^n, so the ("series",) comparison is eq_chain's
+    ("rational",) one, made through other calls.
     """
     _require_params(n, d)
 

@@ -3,7 +3,7 @@ brute-force membership oracle (ring_oracle) that ground-truths the closed
 forms.
 
 A box bound b means every variable exponent runs 0..b.  Truncation is sound
-for products because all exponents are non-negative: terms outside the box
+for products because all exponents are non-negative: terms beyond the box
 never influence terms inside it.  Fine/coarse consistency is only meaningful
 for total degrees k <= b, where no composition of k escapes the box.
 
@@ -12,14 +12,13 @@ decides membership by comparing one statistic of the point with a bound
 (spec.member_rule): the support size for Veronese, the sum of the first
 span exponents for the power families.  So the pass computes the r + 1
 statistics of each point once per ring, as columns over the box [0, box]^r
-and over each chunk of COMPOSITION_CHUNK compositions of degree <= k_max
-outside the box, and each spec compares the one column it reads with its
-bound: one comparison per spec and point, made in C.  The box's columns
-give each spec's fine array and, through one histogram per column by
-statistic and degree, its box share of every degree's count.  The chunks
-outside the box run across degrees, their degree column telling the
-degrees apart, so memory stays bounded by the box's columns, one chunk's
-columns, one fine array and r * box + 1 sums per spec, whatever k_max.
+and over each chunk of COMPOSITION_CHUNK compositions of degree
+<= max(k_max, box), and each spec compares the one column it reads with
+its bound: one comparison per spec and point, made in C.  The box's
+columns give each spec's fine array, and the compositions alone its count
+of every degree.  The chunks run across degrees, their degree column
+telling the degrees apart, so memory stays bounded by the box's columns,
+one chunk's columns and one fine array, whatever k_max.
 
 The fine formula counts, at each box point, the pieces of the family's
 Stanley decomposition that cover it: one piece per minimal generator, each
@@ -34,7 +33,6 @@ oracle sweep before it starts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import (accumulate, chain, combinations, combinations_with_replacement,
                        compress, islice, product, repeat)
 from operator import add, ne, sub
@@ -57,7 +55,7 @@ MAX_FINE_VARS = 5
 MAX_FINE_BOX = 6
 # membership tests, one per spec and point, one oracle sweep may make
 MAX_MEMBER_TESTS = 10**7
-# compositions outside the box held at once by ring_oracle
+# compositions held at once by ring_oracle's degree counts
 COMPOSITION_CHUNK = 1024
 
 
@@ -101,17 +99,16 @@ def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
                 ) -> tuple[Iterator[MultiSeries], Iterator[tuple[int, list[int]]]]:
     """Fine series and member counts per degree of specs of one ring size,
     from the statistic columns of each point of the box [0, box]^r and of
-    each composition of degree <= k_max outside it, computed once per ring.
+    each composition of degree <= max(k_max, box), computed once per ring.
 
     Returns (fines, degrees).  fines yields each spec's member values over
-    the box as a MultiSeries, spec by spec.  degrees yields (k, counts) for
-    k = 0..max(k_max, box), counts[i] the number of degree-k monomials in
-    the ideal of specs[i]: every composition of degree k <= box lies in the
-    box.  Each degree up to r * box takes a share from the box, so degrees
-    first draws whatever fines has not.  Every spec decides each point by
-    one comparison of the column its member_rule names with its bound.
-    Arguments and work guards are checked at the call; the points are
-    tested as the results are drawn.
+    the box as a MultiSeries, spec by spec, from the box's points alone.
+    degrees yields (k, counts) for k = 0..max(k_max, box), counts[i] the
+    number of degree-k monomials in the ideal of specs[i], from the
+    compositions alone; either may be drawn without the other.  Every spec
+    decides each point by one comparison of the column its member_rule
+    names with its bound.  Arguments and work guards are checked at the
+    call; the points are tested as the results are drawn.
     """
     if k_max < 0:
         raise ValueError("degree must be non-negative")
@@ -124,34 +121,15 @@ def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
     vars_ = sizes.pop()
     check_sweep_guard(specs, k_max, 1, box)
     rules = [spec.member_rule() for spec in specs]
-    top = max(k_max, box)
-    reach = min(top, vars_ * box)
-    shares = []  # each spec's box counts for the degrees 0..reach
 
     def box_pass() -> Iterator[MultiSeries]:
         columns = _statistics(list(product(range(box + 1), repeat=vars_)), vars_)
-        tables = {column: _degree_shares(columns[column], columns[vars_], reach)
-                  for column in {column for column, _ in rules}}
         for column, bound in rules:
-            table = tables[column]
-            shares.append(table[min(bound, len(table) - 1)])
             # bytes turns the comparisons into the ints 0 and 1
             yield MultiSeries(vars_, box, tuple(bytes(map(bound.__le__, columns[column]))))
 
-    def degrees() -> Iterator[tuple[int, list[int]]]:
-        for _ in fines:  # the box first, for its shares
-            pass
-        outside = _outside_counts(rules, vars_, box, range(box + 1, top + 1))
-        for k in range(top + 1):
-            if k <= box:
-                yield k, [share[k] for share in shares]
-            elif k <= reach:
-                yield k, [c + share[k] for c, share in zip(next(outside), shares)]
-            else:
-                yield k, list(next(outside))
-
-    fines = box_pass()
-    return fines, degrees()
+    degrees = _degree_counts(rules, vars_, max(k_max, box))
+    return box_pass(), ((k, list(counts)) for k, counts in enumerate(degrees))
 
 
 def _statistics(points: Sequence[ExponentVector], vars_: int) -> list[Sequence[int]]:
@@ -164,24 +142,10 @@ def _statistics(points: Sequence[ExponentVector], vars_: int) -> list[Sequence[i
     return [support, *heads]
 
 
-def _degree_shares(column: Sequence[int], degree: Sequence[int],
-                   reach: int) -> list[list[int]]:
-    """table[b][k]: the points of degree k <= reach whose statistic in
-    column is at least b, for b = 0..max(column) + 1 (the last row all 0),
-    from one histogram of the points by statistic and degree."""
-    tally = Counter(zip(column, degree))
-    table = [[0] * (reach + 1)]
-    for value in range(max(column), -1, -1):
-        table.append([c + tally[value, k] for k, c in enumerate(table[-1])])
-    table.reverse()
-    return table
-
-
-def _outside_counts(rules: Sequence[tuple[int, int]], vars_: int, box: int,
-                    degrees: range) -> Iterator[tuple[int, ...]]:
-    """Per degree k in degrees, the compositions of degree k outside the
-    box [0, box]^vars_ that each member rule accepts, one tuple of counts
-    per degree.
+def _degree_counts(rules: Sequence[tuple[int, int]], vars_: int,
+                   top: int) -> Iterator[tuple[int, ...]]:
+    """Per degree k = 0..top, the compositions of degree k in vars_
+    variables that each member rule accepts, one tuple of counts per degree.
 
     The compositions stream across degrees in chunks of COMPOSITION_CHUNK,
     so a ring with few compositions per degree, such as the one of one
@@ -189,13 +153,9 @@ def _outside_counts(rules: Sequence[tuple[int, int]], vars_: int, box: int,
     into its degrees, and each rule counts its accepted points per degree;
     a degree cut by a chunk's end is summed across the two chunks.
     """
-    stream = chain.from_iterable(map(degree_compositions, degrees, repeat(vars_)))
+    stream = chain.from_iterable(map(degree_compositions, range(top + 1), repeat(vars_)))
     held = None  # the counts of the degree the last chunk ended in
     while chunk := list(islice(stream, COMPOSITION_CHUNK)):
-        # the box pass counts the points in the box
-        chunk = list(compress(chunk, map(box.__lt__, map(max, chunk))))
-        if not chunk:
-            continue
         columns = _statistics(chunk, vars_)
         degree = columns[vars_]
         cuts = [0, *compress(range(1, len(chunk)), map(ne, degree, degree[1:])), len(chunk)]
@@ -214,34 +174,24 @@ def _outside_counts(rules: Sequence[tuple[int, int]], vars_: int, box: int,
         yield held[1]
 
 
-def _box_points(num_vars: int, k: int, box: int) -> int:
-    """Points of [0, box]^num_vars of degree <= k, k >= 0: by inclusion-
-    exclusion, the compositions of degree <= k less those with a chosen j
-    parts above box, sum_j (-1)^j C(num_vars, j) C(k - j(box+1) + num_vars,
-    num_vars)."""
-    side = box + 1
-    return sum((-1) ** j * math.comb(num_vars, j) * math.comb(k - j * side + num_vars, num_vars)
-               for j in range(min(num_vars, k // side) + 1))
-
-
 def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, s_max: int,
                       box: int) -> None:
     """Reject an oracle sweep of more than MAX_MEMBER_TESTS membership tests.
 
-    ring_oracle computes the statistic columns of each point of the union
-    of the C(k_max + r, r) compositions of degree at most k_max and the
-    (box+1)^r box points once per ring of r variables (the box points of
-    degree at most k_max are in both), and each spec of the ring tests
-    each such point by one comparison of its column with its bound.  So a
-    spec costs one test per point of the union.  A spec with a power s
-    stands for its s_max copies, s = 1..s_max, so a large s_max is
-    rejected without building them.  A spec's count is at least the
-    C(k_max + r - 1, r - 1) compositions of degree k_max alone, so the
-    guard also bounds the compositions of any one degree the pass draws.
+    ring_oracle computes the statistic columns of each of the (box+1)^r
+    box points and of each of the C(max(k_max, box) + r, r) compositions
+    of degree at most max(k_max, box) once per ring of r variables, and
+    each spec of the ring tests each such point by one comparison of its
+    column with its bound.  So a spec costs one test per point of the two.
+    A spec with a power s stands for its s_max copies, s = 1..s_max, so a
+    large s_max is rejected without building them.  A spec's count is at
+    least the C(k_max + r - 1, r - 1) compositions of degree k_max alone,
+    so the guard also bounds the compositions of any one degree the pass
+    draws.
     """
+    top = max(k_max, box)
     tests = sum((s_max if hasattr(spec, "s") else 1)
-                * (math.comb(k_max + spec.ambient, k_max) + (box + 1) ** spec.ambient
-                   - _box_points(spec.ambient, k_max, box))
+                * (math.comb(top + spec.ambient, top) + (box + 1) ** spec.ambient)
                 for spec in specs)
     if tests > MAX_MEMBER_TESTS:
         raise ValueError(f"the sweep would make {tests} membership tests, more than "

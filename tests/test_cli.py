@@ -322,22 +322,22 @@ class TestOracleCommand:
                                           excess, code):
         # n_max 2 holds Veronese(1, 1), (2, 1), (2, 2) and, for each s, two
         # max-power, three hat-power and three generated-hat-power specs; a
-        # spec in r variables tests each point of the union of the
-        # C(3 + r, r) compositions of degree <= 3 and the 2^r box points
-        # once, and every box point has degree <= r <= 3.  The pass computes
-        # each such point's statistics once per ring, for all its specs.
-        tests = {1: 4, 2: 10}
+        # spec in r variables tests each of the C(3 + r, r) compositions of
+        # degree <= 3 and each of the 2^r box points once.  The pass
+        # computes each such point's statistics once per ring, for all its
+        # specs.
+        tests = {1: 4 + 2, 2: 10 + 4}
         ambients = [1, 2, 2] + 2 * ([1, 2] + [1, 2, 1] + [1, 2, 2])
         limit = sum(tests[r] for r in ambients)
-        assert limit == 136
+        assert limit == 194
         monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", limit - excess)
         got, out, err = run_cli(["oracle", "--n-max", "2", "--k-max", "3",
                                  "--s-max", "2", "--box", "1"], capsys)
         assert got == code
         if code == 2:
             assert (out, statistics_points) == ("", [])
-            assert err == ("error: the sweep would make 136 membership tests, more "
-                           "than 135; lower --s-max, --k-max or --box\n")
+            assert err == ("error: the sweep would make 194 membership tests, more "
+                           "than 193; lower --s-max, --k-max or --box\n")
         else:
             assert out.endswith("OVERALL PASS\n")
             assert len(statistics_points) == sum(tests.values())

@@ -179,7 +179,7 @@ class TestHilbertFunctionOracle:
         compositions = list(degree_compositions(20, 5))
         assert len(compositions) == math.comb(24, 4) > 2 * COMPOSITION_CHUNK
         want = [sum(map(spec.member, compositions)) for spec in specs]
-        # degrees alone: it draws the box pass that fines was not asked for
+        # degrees alone: the compositions give every count
         _, degrees = ring_oracle(specs, 20, 0)
         assert dict(degrees)[20] == want
         assert len(statistics_points) == len(set(statistics_points)) == math.comb(25, 5)
@@ -206,12 +206,13 @@ class TestRingOracle:
             ring_oracle([Veronese(2, 1)], k_max, box)
 
     def test_sweep_guard_at_the_call(self, monkeypatch):
-        # 4 specs in 1 variable, each testing degrees 0..9: 40 tests
+        # 4 specs in 1 variable, each testing degrees 0..9 and the 3 box
+        # points: 52 tests
         specs = [MaxPower(1, s) for s in range(1, 5)]
-        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 39)
-        with pytest.raises(ValueError, match="40 membership tests"):
+        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 51)
+        with pytest.raises(ValueError, match="52 membership tests"):
             ring_oracle(specs, 9, 2)
-        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 40)
+        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 52)
         _, degrees = ring_oracle(specs, 9, 2)
         assert list(degrees) == [(k, [int(k >= s) for s in range(1, 5)]) for k in range(10)]
 
@@ -233,10 +234,22 @@ class TestRingOracle:
         fines, degrees = ring_oracle(iter(specs), 5, 1)
         assert (list(fines), list(degrees)) == want
 
+    def test_each_stream_has_one_source(self, statistics_points):
+        # degrees alone computes no box point, and fines alone only the
+        # (box+1)^r box points
+        specs = [Veronese(3, 2), MaxPower(3, 2), GeneratedHatPower(3, 2, 2)]
+        _, degrees = ring_oracle(specs, 1, 2)
+        assert [k for k, _ in degrees] == [0, 1, 2]
+        assert sorted(statistics_points) == sorted(
+            p for k in range(3) for p in degree_compositions(k, 3))
+        statistics_points.clear()
+        fines, _ = ring_oracle(specs, 6, 2)
+        assert len(list(fines)) == len(specs)
+        assert statistics_points == list(product(range(3), repeat=3))
+
     def test_matches_product_reference(self, statistics_points):
-        # k_max at the edges of the union of the compositions of degree
-        # <= k_max and the box: the box's origin alone, just below and at
-        # the box's degree, past it, and past the box's reach r * box
+        # k_max at the box's edges: the box's origin alone, just below and
+        # at the box's degree, past it, and past the box's reach r * box
         rings = {}
         for spec in all_specs(4, 3):
             rings.setdefault(spec.ambient, []).append(spec)
@@ -252,12 +265,13 @@ class TestRingOracle:
                     assert list(fines) == [fine[s] for s in specs], (r, box, k_max)
                     assert list(degrees) == [(k, [counts[s][k] for s in specs])
                                              for k in range(top + 1)], (r, box, k_max)
-                    # the statistics of each point of the union, once per ring
-                    union = {p for p in product(range(k_max + 1), repeat=r)
-                             if sum(p) <= k_max}.union(points)
-                    assert len(union) == math.comb(k_max + r, r) + sum(
-                        sum(p) > k_max for p in points)
-                    assert sorted(statistics_points) == sorted(union), (r, box, k_max)
+                    # the statistics of each box point and each composition
+                    # of degree <= top, each once per ring
+                    compositions = [p for p in product(range(top + 1), repeat=r)
+                                    if sum(p) <= top]
+                    assert len(compositions) == math.comb(top + r, r)
+                    assert sorted(statistics_points) == sorted(points + compositions), (
+                        r, box, k_max)
 
 
 class TestMultiSeries:
