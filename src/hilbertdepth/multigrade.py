@@ -199,11 +199,13 @@ def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, s_max: int,
 
 
 def check_fine_guard(num_vars: int, box: int) -> None:
-    """Reject fine-series work beyond MAX_FINE_VARS variables or box MAX_FINE_BOX."""
+    """Reject fine-series work beyond MAX_FINE_VARS variables or box
+    MAX_FINE_BOX; the messages name the oracle flag that sets each."""
     if num_vars > MAX_FINE_VARS:
-        raise ValueError(f"fine series limited to {MAX_FINE_VARS} variables")
+        raise ValueError(f"fine series limited to {MAX_FINE_VARS} variables; "
+                         "lower --n-max")
     if box > MAX_FINE_BOX or box < 0:
-        raise ValueError(f"box bound must lie in 0..{MAX_FINE_BOX}")
+        raise ValueError(f"box bound must lie in 0..{MAX_FINE_BOX}; set --box within it")
 
 
 def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:

@@ -12,9 +12,10 @@ representation sit three decisions, all exact:
     finite time because the sequence agrees with a polynomial in k once k
     exceeds the numerator degree; the prefix-sum passes that expand the head
     also carry that polynomial's forward-difference table, one step each,
-    and the tail is settled by a short walk of that table and then, if
-    still open, a sign-change search over its differences, in time
-    polynomial in the bit size of the numerator;
+    and the tail is accepted at once if that table is non-negative (Newton's
+    certificate at the numerator degree), and otherwise settled by a
+    sign-change search over its differences, in time polynomial in the bit
+    size of the numerator;
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
     found by one pass of the same prefix sums over P / (1 - T)^j,
     j = 0, 1, ..., stopping at the first non-negative j, valid because
@@ -148,7 +149,9 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
     also carries p, with row[:p] >= 0: prefix sums keep a non-negative
     head non-negative, so p only moves right, each entry is checked once
     over the whole scan, and a step whose row[p] is still negative rejects
-    in O(1).
+    in O(1).  A step whose row passes and whose P(1) is not negative is
+    accepted if every table entry is >= 0 (Newton's certificate at base D)
+    and otherwise decided by _search.
 
     If P = T^v Q with Q(0) != 0, the j-fold prefix sums of P are v zeros
     followed by those of Q, so T^v Q / (1 - T)^j and Q / (1 - T)^j are
@@ -166,38 +169,14 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
         if j >= first:
             while p < size and row[p] >= 0:
                 p += 1
-            yield p == size and not (table and total < 0) and _walk(table[:])
-
-
-# Steps of the plain walk before the sign-change search takes over.  Family
-# tables are decided at step 0 or 1, so they never reach the search.
-_WALK_STEPS = 64
-
-
-def _walk(diffs: list[int]) -> bool:
-    """Tail decision on a forward-difference table whose first entry is >= 0
-    and whose last entry is > 0.
-
-    Advances the table in place one k at a time, for at most _WALK_STEPS
-    steps: accept once every entry is >= 0, reject once the first entry
-    (the coefficient itself) is negative.  A table still undecided after
-    that many steps goes to _search, whose cost grows with the bit size of
-    the table, not with the distance to the last sign change.
-    """
-    e = len(diffs) - 1
-    for _ in range(_WALK_STEPS):
-        if all(x >= 0 for x in diffs):
-            return True
-        for j in range(e):
-            diffs[j] += diffs[j + 1]
-        if diffs[0] < 0:
-            return False
-    return _search(diffs)
+            yield (p == size and not (table and total < 0)
+                   and (all(x >= 0 for x in table) or _search(table)))
 
 
 def _search(t: list[int]) -> bool:
     """Whether q(b + x) >= 0 for every integer x >= 0, where t is q's
     forward-difference table at base b, t[e] > 0; a sign-change search.
+    It only reads t.
 
     Let f_i(x) = Delta^i q(b + x) = sum_l C(x, l) * t[i + l], so that
     f_i(x + 1) - f_i(x) = f_(i+1)(x) and f_e = t[e] > 0 is constant.  A
@@ -266,11 +245,10 @@ def is_nonnegative(h: RationalFunctionSeries) -> bool:
     Reject if a row entry or numer(1) (eventually negative) is negative.
     Otherwise decide the tail from the table: Newton's expansion
     q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that once every
-    difference is >= 0 at some k0 the whole tail is >= 0.  A short walk
-    advances the table a bounded number of steps, looking for such a k0 or
-    a negative q(k0).  If neither turns up, a sign-change search takes over
-    from the table the walk stopped at (see _search): each difference
-    Delta^i q is monotone between consecutive sign changes of
+    difference is >= 0 at some k0 the whole tail is >= 0.  So the tail is
+    accepted at once if every difference is >= 0 at k0 = D.  Otherwise a
+    sign-change search decides it from that table (see _search): each
+    difference Delta^i q is monotone between consecutive sign changes of
     Delta^(i+1) q, so each such interval holds at most one sign change of
     Delta^i q, found by binary search, or by exponential search on the
     last, unbounded one; the tail is non-negative iff q has no sign change.

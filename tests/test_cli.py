@@ -342,6 +342,14 @@ class TestOracleCommand:
             assert out.endswith("OVERALL PASS\n")
             assert len(statistics_points) == sum(tests.values())
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n-max", "6"], "fine series limited to 5 variables; lower --n-max"),
+        (["--n-max", "3", "--box", "7"], "box bound must lie in 0..6; set --box within it"),
+    ])
+    def test_fine_guard_names_its_flag(self, capsys, statistics_points, args, message):
+        code, out, err = run_cli(["oracle", *args], capsys)
+        assert (code, out, err, statistics_points) == (2, "", f"error: {message}\n", [])
+
     def test_bounds_rejected_by_name(self, capsys):
         code, out, err = run_cli(["oracle", "--n-max", "3", "--k-max", "-1"], capsys)
         assert (code, out, err) == (2, "", "error: --k-max must be non-negative\n")

@@ -3,18 +3,19 @@
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hilbertdepth import series
 from hilbertdepth.exactalg import IntPolynomial, binomial
-from hilbertdepth.ideals import FAMILIES, MaxPower
+from hilbertdepth.ideals import FAMILIES, GeneratedHatPower, HatPower, MaxPower, Veronese
 from hilbertdepth.series import (
     RationalFunctionSeries,
     _search,
     _verdicts,
-    _walk,
     canonicalize,
     coefficient,
     expansion,
@@ -315,9 +316,9 @@ class TestIsNonnegative:
                 r for r in range(h.den_pow + 1)
                 if reference_nonnegative(mul_power_one_minus_t(h, r)))
 
-    # Ground truth by construction, independent of both the walk and the
-    # search: c_A = b (A+shift)^e is the only coefficient that can be
-    # negative, and with b = +1, c_A < c_(A-1) (A >= 100, e <= 2), so
+    # Ground truth by construction, independent of the search:
+    # c_A = b (A+shift)^e is the only coefficient that can be negative, and
+    # with b = +1, c_A < c_(A-1) (A >= 100, e <= 2), so
     # (1-T)H has a negative coefficient.  A walk would need about A steps.
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
            st.integers(100, 10**30), st.sampled_from((-1, 0, 1)),
@@ -332,8 +333,34 @@ class TestIsNonnegative:
         if b == 1:
             assert hilbert_depth(h) == 0
 
-    # Tables of q(x) = lead (x-a)^2 prod(x - r) + c with a up to 500, so the
-    # bounded walk decides some and hands the rest to the search.
+    # Ground truth by construction: past the prefix,
+    # c_k = ((k-a)^2 + b) (k+shift)^(e-2) has the sign of b at k = a, 1..64
+    # steps past the numerator degree D, and is > 0 elsewhere.  A plain
+    # walk decides almost all of these tails within 64 steps.  With b = -1
+    # the row and P(1) pass, so the search rejects.  With shift = 10^6 the
+    # slowly varying factor leaves the minimum at a, so the tail falls from
+    # D to a, the table at D is no certificate, and for b >= 0,
+    # c_a < c_(a-1) makes the depth 0.
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+           st.integers(10, 60), st.integers(1, 64), st.sampled_from((-1, 0, 1)),
+           st.sampled_from((1, 10**6)))
+    @example(prefix=[1], e=60, offset=64, b=1, shift=10**6)
+    @example(prefix=[1], e=60, offset=64, b=-1, shift=1)
+    @example(prefix=[5, 0], e=10, offset=1, b=0, shift=10**6)
+    def test_minimum_near_numerator_degree(self, prefix, e, offset, b, shift):
+        a = len(prefix) + e + offset
+        h = tail_series(prefix, a, b, e - 2, shift)
+        assert (h.den_pow - 1, a - h.numer.degree) == (e, offset)
+        with mock.patch.object(series, "_search", wraps=series._search) as search:
+            assert is_nonnegative(h) == (b >= 0)
+        if b < 0 or shift > 1:
+            assert search.call_count == 1
+        if b >= 0 and shift > 1:
+            assert hilbert_depth(h) == 0
+
+    # Tables of q(x) = lead (x-a)^2 prod(x - r) + c with a up to 500: the
+    # search must agree with the plain walk, from a table whose first
+    # entry has either sign.
     @settings(max_examples=300)
     @given(st.integers(0, 500), st.lists(st.integers(0, 500), max_size=4),
            st.integers(1, 3), st.integers(-3, 3))
@@ -345,8 +372,6 @@ class TestIsNonnegative:
             [lead * (x - a) ** 2 * prod(x - r for r in others) + c for x in range(e + 1)])
         want = table[0] >= 0 and plain_walk(table[:])
         assert _search(table) == want
-        if table[0] >= 0:  # the walk's precondition
-            assert _walk(table[:]) == want
 
 
 class TestScanCarry:
@@ -408,6 +433,37 @@ class TestScanCarry:
         assert is_nonnegative(shifted) == is_nonnegative(h)
         if is_nonnegative(h):
             assert hilbert_depth(shifted) == hilbert_depth(h)
+
+
+class TestCertificateTraffic:
+    """Every family table is accepted by Newton's certificate at base D or
+    rejected by its row, so no family depth scan reaches the search."""
+
+    @staticmethod
+    def scan(series_list):
+        with mock.patch.object(series, "_search", wraps=series._search) as search:
+            depths = [(hilbert_depth(h), h.den_pow) for h in series_list]
+        assert search.call_count == 0
+        # a depth below den_pow means the scan accepted a nonempty table
+        assert any(depth < den_pow for depth, den_pow in depths)
+
+    def test_every_family_spec_up_to_40(self):
+        # HatPower(n, t, s) has MaxPower(n - t + 1, s)'s series and MaxPower
+        # is GeneratedHatPower with t = 1, so Veronese and GeneratedHatPower
+        # with n <= 40 and s <= n + 1 give every distinct family series
+        self.scan([Veronese(n, d).series() for n in range(1, 41) for d in range(1, n + 1)]
+                  + [GeneratedHatPower(n, t, s).series() for n in range(1, 41)
+                     for t in range(1, n + 1) for s in range(1, n + 2)])
+
+    # the extreme shapes of the benchmark's depth-large scans: deep ones
+    # with s = 3 or d = 3, and shallow ones with s within 8 of n
+    def test_depth_large_shapes(self):
+        self.scan([spec.series() for spec in (
+            MaxPower(240, 3), Veronese(198, 3), Veronese(202, 3),
+            HatPower(228, 18, 3), HatPower(232, 22, 3),
+            GeneratedHatPower(198, 28, 3), GeneratedHatPower(202, 32, 3),
+            MaxPower(396, 388), MaxPower(404, 404),
+            GeneratedHatPower(396, 2, 386), GeneratedHatPower(404, 4, 400))])
 
 
 class TestHilbertDepth:
