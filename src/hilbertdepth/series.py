@@ -13,9 +13,9 @@ representation sit three decisions, all exact:
     exceeds the numerator degree; the prefix-sum passes that expand the head
     also carry that polynomial's forward-difference table, one step each,
     and the tail is accepted at once if that table is non-negative (Newton's
-    certificate at the numerator degree), and otherwise settled by a
-    sign-change search over its differences, in time polynomial in the bit
-    size of the numerator;
+    certificate at the numerator degree), and otherwise settled by the
+    sign-change search of the tails module over its differences, in time
+    polynomial in the bit size of the numerator;
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
     found by one pass of the same prefix sums over P / (1 - T)^j,
     j = 0, 1, ..., stopping at the first non-negative j, valid because
@@ -33,6 +33,7 @@ from operator import add
 from typing import Iterator
 
 from .exactalg import IntPolynomial, Record
+from .tails import search as _search
 
 __all__ = [
     "RationalFunctionSeries",
@@ -151,7 +152,7 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
     over the whole scan, and a step whose row[p] is still negative rejects
     in O(1).  A step whose row passes and whose P(1) is not negative is
     accepted if every table entry is >= 0 (Newton's certificate at base D)
-    and otherwise decided by _search.
+    and otherwise decided by _search (tails.search).
 
     If P = T^v Q with Q(0) != 0, the j-fold prefix sums of P are v zeros
     followed by those of Q, so T^v Q / (1 - T)^j and Q / (1 - T)^j are
@@ -173,66 +174,6 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
                    and (all(x >= 0 for x in table) or _search(table)))
 
 
-def _search(t: list[int]) -> bool:
-    """Whether q(b + x) >= 0 for every integer x >= 0, where t is q's
-    forward-difference table at base b, t[e] > 0; a sign-change search.
-    It only reads t.
-
-    Let f_i(x) = Delta^i q(b + x) = sum_l C(x, l) * t[i + l], so that
-    f_i(x + 1) - f_i(x) = f_(i+1)(x) and f_e = t[e] > 0 is constant.  A
-    sign change of f_i is an x >= 1 with f_i(x - 1) < 0 <= f_i(x) or the
-    reverse.  Between consecutive sign changes p < p' of f_(i+1) (with 0
-    before the first), f_(i+1) keeps one sign on p .. p' - 1, so f_i is
-    monotone on the closed interval [p, p'] and changes sign in (p, p'] at
-    most once: binary search finds it when f_i's signs at p and p' differ.
-    Beyond the last sign change of f_(i+1), f_(i+1) keeps the sign it has
-    for large x, which is >= 0 because its leading coefficient is
-    t[e] / (e-i-1)! > 0; so f_i is non-decreasing there and changes sign
-    at most once, from negative.  If it is negative at the interval's
-    start, exponential search (doubling the step) finds a point where it
-    is >= 0, and binary search the change.  The doubling ends because f_i
-    (i < e) also has a positive leading coefficient, and every f_i is > 0
-    past R - b, where R is the Cauchy bound of q's roots (by the mean value
-    theorem and Gauss-Lucas).  Level i thus has at most e - i sign changes,
-    found with O(log R) evaluations each, of O(e) integer operations:
-    O(e^3 log R) in all.  q >= 0 on the whole tail iff f_0 has no sign
-    change: f_0 is eventually positive, so f_0(0) < 0 forces one.
-    """
-    e = len(t) - 1
-
-    def negative(i: int, x: int) -> bool:
-        total, c = 0, 1
-        for j in range(e - i + 1):
-            total += c * t[i + j]
-            c = c * (x - j) // (j + 1)
-        return total < 0
-
-    def first(i: int, lo: int, hi: int) -> int:
-        # the least x in (lo, hi] with f_i(x) on hi's side of 0; f_i is
-        # monotone on [lo, hi] and its signs at lo and hi differ
-        side = negative(i, hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if negative(i, mid) == side:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    changes: list[int] = []
-    for i in range(e - 1, -1, -1):
-        ends = [0, *changes]
-        changes = [first(i, lo, hi) for lo, hi in zip(ends, ends[1:])
-                   if negative(i, lo) != negative(i, hi)]
-        lo = ends[-1]
-        if negative(i, lo):
-            step = 1
-            while negative(i, lo + step):
-                step *= 2
-            changes.append(first(i, lo + step // 2, lo + step))
-    return not changes
-
-
 def is_nonnegative(h: RationalFunctionSeries) -> bool:
     """True iff every power-series coefficient of H is >= 0, decided exactly.
 
@@ -247,14 +188,17 @@ def is_nonnegative(h: RationalFunctionSeries) -> bool:
     q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that once every
     difference is >= 0 at some k0 the whole tail is >= 0.  So the tail is
     accepted at once if every difference is >= 0 at k0 = D.  Otherwise a
-    sign-change search decides it from that table (see _search): each
+    sign-change search decides it from that table (see tails.search): each
     difference Delta^i q is monotone between consecutive sign changes of
     Delta^(i+1) q, so each such interval holds at most one sign change of
-    Delta^i q, found by binary search, or by exponential search on the
-    last, unbounded one; the tail is non-negative iff q has no sign change.
-    The search makes O(e^2 log R) evaluations of O(e) integer operations
-    each (e = m-1, R the Cauchy bound of q's roots), so the decision takes
-    time polynomial in the bit size of numer.
+    Delta^i q.  The sign changes of Delta^(e-1) q and Delta^(e-2) q, of
+    degree 1 and 2, come in closed form from a floor division and an
+    integer square root; each lower one is found by binary search, or by
+    exponential search on the last, unbounded interval.  The tail is
+    non-negative iff q has no sign change.  The search makes
+    O(e^2 log R) evaluations of O(e) integer operations each (e = m-1,
+    R the Cauchy bound of q's roots), so the decision takes time
+    polynomial in the bit size of numer.
     """
     return next(_verdicts(h.numer.coefficients, h.den_pow, h.den_pow))
 

@@ -151,6 +151,38 @@ def evaluate(q, k):
     return acc
 
 
+def bisection_search(t):
+    """Whether q(b + x) >= 0 for every integer x >= 0, from q's
+    forward-difference table t at b (t[-1] > 0), by the sign-change cascade
+    with binary and exponential search on every level, the top two as well:
+    f_i(x) = sum_l C(x, l) t[i + l] is monotone between consecutive sign
+    changes of f_(i+1), so each such interval, and the unbounded last one,
+    holds at most one sign change of f_i.  q >= 0 iff f_0 has none."""
+    e = len(t) - 1
+
+    def negative(i, x):
+        return sum(comb(x, l) * t[i + l] for l in range(min(x, e - i) + 1)) < 0
+
+    def first(i, lo, hi):
+        side = negative(i, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if negative(i, mid) == side else (mid, hi)
+        return hi
+
+    changes = []
+    for i in range(e - 1, -1, -1):
+        ends = [0, *changes]
+        changes = [first(i, lo, hi) for lo, hi in zip(ends, ends[1:])
+                   if negative(i, lo) != negative(i, hi)]
+        if negative(i, ends[-1]):
+            step = 1
+            while negative(i, ends[-1] + step):
+                step *= 2
+            changes.append(first(i, ends[-1] + step // 2, ends[-1] + step))
+    return not changes
+
+
 def alternating_sum(n, d, i):
     """sum_{l=0..i} C(n, i-l) (-1)^l C(n-d-i+l, l), term by term as Lemma 2.2
     states it."""

@@ -6,10 +6,10 @@ from math import ceil, comb, prod
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hilbertdepth import series
+from hilbertdepth import series, tails
 from hilbertdepth.exactalg import IntPolynomial, binomial
 from hilbertdepth.ideals import FAMILIES, GeneratedHatPower, HatPower, MaxPower, Veronese
 from hilbertdepth.series import (
@@ -23,7 +23,7 @@ from hilbertdepth.series import (
     is_nonnegative,
     mul_power_one_minus_t,
 )
-from reference import evaluate, eventual_polynomial, one_minus_t_power
+from reference import bisection_search, evaluate, eventual_polynomial, one_minus_t_power
 
 
 def expand_by_prefix_sums(numer_coeffs, den_pow, upto):
@@ -67,11 +67,16 @@ def tail_series(prefix, a, b, e, shift):
     return rfs(numer, m)
 
 
-def plain_walk(diffs):
+def plain_walk(diffs, steps=None):
     """The unbounded tail walk: advance the forward-difference table one k at
     a time until every entry is >= 0 (accept) or the first is < 0 (reject).
-    Its cost grows with the distance to the last sign change."""
+    Its cost grows with the distance to the last sign change.  With a step
+    budget it returns None when the budget runs out undecided."""
     while not all(x >= 0 for x in diffs):
+        if steps is not None:
+            if steps == 0:
+                return None
+            steps -= 1
         for j in range(len(diffs) - 1):
             diffs[j] += diffs[j + 1]
         if diffs[0] < 0:
@@ -317,20 +322,26 @@ class TestIsNonnegative:
                 if reference_nonnegative(mul_power_one_minus_t(h, r)))
 
     # Ground truth by construction, independent of the search:
-    # c_A = b (A+shift)^e is the only coefficient that can be negative, and
-    # with b = +1, c_A < c_(A-1) (A >= 100, e <= 2), so
-    # (1-T)H has a negative coefficient.  A walk would need about A steps.
+    # c_A = b (A+shift)^e is the only coefficient that can be negative.  The
+    # tail has degree e + 2 <= 10, so from e = 1 on the closed-form levels
+    # feed searched ones.  With b >= 0, c_A < c_(A-1): for b = +1,
+    # c_A / c_(A-1) = (1 + 1/(A-1+shift))^e / 2 <= 1.01^8 / 2 < 1
+    # (A >= 100, e <= 8), so (1-T)H has a negative coefficient and the
+    # depth is 0.  A walk would need about A steps.
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
            st.integers(100, 10**30), st.sampled_from((-1, 0, 1)),
-           st.integers(0, 2), st.integers(1, 50))
+           st.integers(0, 8), st.integers(1, 50))
     @example(prefix=[3, 0, 7], a=10**6, b=1, e=2, shift=5)
     @example(prefix=[1], a=10**9, b=-1, e=1, shift=1)
     @example(prefix=[0, 9], a=10**30, b=0, e=0, shift=50)
     @example(prefix=[8] * 12, a=10**30, b=1, e=2, shift=17)
+    @example(prefix=[2], a=10**30, b=1, e=8, shift=1)
+    @example(prefix=[2], a=10**30, b=-1, e=8, shift=50)
+    @example(prefix=[5, 5], a=100, b=0, e=8, shift=1)
     def test_minimum_far_out(self, prefix, a, b, e, shift):
         h = tail_series(prefix, a, b, e, shift)
         assert is_nonnegative(h) == (b >= 0)
-        if b == 1:
+        if b >= 0:
             assert hilbert_depth(h) == 0
 
     # Ground truth by construction: past the prefix,
@@ -340,7 +351,9 @@ class TestIsNonnegative:
     # the row and P(1) pass, so the search rejects.  With shift = 10^6 the
     # slowly varying factor leaves the minimum at a, so the tail falls from
     # D to a, the table at D is no certificate, and for b >= 0,
-    # c_a < c_(a-1) makes the depth 0.
+    # c_a < c_(a-1) makes the depth 0.  D is len(prefix) + e unless the
+    # prefix's last entry happens to equal the polynomial's value there, so
+    # that the drawn prefix is not all free; such examples are left out.
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
            st.integers(10, 60), st.integers(1, 64), st.sampled_from((-1, 0, 1)),
            st.sampled_from((1, 10**6)))
@@ -350,6 +363,7 @@ class TestIsNonnegative:
     def test_minimum_near_numerator_degree(self, prefix, e, offset, b, shift):
         a = len(prefix) + e + offset
         h = tail_series(prefix, a, b, e - 2, shift)
+        assume(h.numer.degree == len(prefix) + e)
         assert (h.den_pow - 1, a - h.numer.degree) == (e, offset)
         with mock.patch.object(series, "_search", wraps=series._search) as search:
             assert is_nonnegative(h) == (b >= 0)
@@ -372,6 +386,110 @@ class TestIsNonnegative:
             [lead * (x - a) ** 2 * prod(x - r for r in others) + c for x in range(e + 1)])
         want = table[0] >= 0 and plain_walk(table[:])
         assert _search(table) == want
+
+
+def level_values(t, i, count):
+    """f_i(0), ..., f_i(count - 1) for f_i(x) = Delta^i q(b + x), q's
+    forward-difference table at b being t, by stepping the table."""
+    diffs, values = t[i:], []
+    for _ in range(count):
+        values.append(diffs[0])
+        for j in range(len(diffs) - 1):
+            diffs[j] += diffs[j + 1]
+    return values
+
+
+def quadratic_edge_tables():
+    """(table, verdict) pairs at the closed forms' edges, each verdict known
+    by construction."""
+    def table(q, e=2):
+        return difference_table([q(x) for x in range(e + 1)])
+    return [
+        # f_1 = 2x - 6: t[1] divisible by t[2], f_0 flat on its minimum 3, 4
+        ([12, -6, 2], True), ([11, -6, 2], False),
+        # a double root at the minimum touches 0
+        (table(lambda x: (x - 10**20) ** 2), True),
+        # real minimum -1/4 between two integer roots: no negative value
+        (table(lambda x: (x - 10**9) * (x - 10**9 - 1)), True),
+        # square discriminant, integer roots 3 and 10; non-square, 5 +- 2^(1/2)
+        (table(lambda x: (x - 3) * (x - 10)), False),
+        (table(lambda x: 3 * (x - 3) * (x - 10) + 1), False),
+        (table(lambda x: (x - 5) ** 2 - 2), False),
+        # f_(e-2)(0) < 0: no falling change, only the rising one
+        (table(lambda x: (x + 2) * (x - 3)), False),
+        (table(lambda x: (x - 5) ** 2 * (x + 10), 3), True),
+        (table(lambda x: (x - 5) ** 2 * (x + 10) - 1, 3), False),
+        # A = 10^300, with linear factors below the quadratic levels
+        *((table(lambda x, b=b, k=k: ((x - 10**300) ** 2 + b) * (x + 1) ** k, 2 + k), b >= 0)
+          for b in (-1, 0, 1) for k in (0, 1, 3)),
+    ]
+
+
+class TestTailSearch:
+    """The sign-change search with its top two levels in closed form."""
+
+    # Random tables of degree 1 to 6 with entries of both signs: the plain
+    # walk decides those it settles within 10^4 steps, and the search with
+    # bisection on every level the rest.
+    @settings(max_examples=200)
+    @given(st.integers(1, 6).flatmap(lambda e: st.tuples(
+        st.lists(st.integers(-10**40, 10**40), min_size=e, max_size=e),
+        st.integers(1, 10**40))))
+    @example(([-2, 3], 1))
+    @example(([7, -18], 4))
+    def test_random_tables_match_walk_or_bisection(self, drawn):
+        t = [*drawn[0], drawn[1]]
+        want = t[0] >= 0 and plain_walk(t[:], 10**4)
+        if want is None:
+            want = bisection_search(t)
+        assert _search(t) == want
+
+    @pytest.mark.parametrize("table, verdict", quadratic_edge_tables())
+    def test_closed_form_edges(self, table, verdict):
+        assert _search(table) == verdict
+
+    # The closed forms against the sign changes of f_(e-2) (of f_0 when
+    # e = 1) read off point by point: every x >= 1 with f(x-1) and f(x) on
+    # opposite sides of 0.  With entries of at most 1000 in absolute value
+    # every change lies below 2100.
+    @settings(max_examples=200)
+    @given(st.integers(1, 4).flatmap(lambda e: st.tuples(
+        st.lists(st.integers(-1000, 1000), min_size=e, max_size=e), st.integers(1, 20))))
+    @example(([12, -6], 2))
+    @example(([-6, -1], 2))
+    def test_top_changes_point_by_point(self, drawn):
+        t = [*drawn[0], drawn[1]]
+        signs = [v < 0 for v in level_values(t, max(len(t) - 3, 0), 2100)]
+        assert tails._top_changes(t) == [x for x in range(1, 2100) if signs[x - 1] != signs[x]]
+
+    # Far out: a quadratic level g(x) = b (x - p)(x - p') + c with |c| <= 10
+    # is > 0 below p - 11 and < 0 from p + 11 to p' - 11, so its sign
+    # changes lie within 11 of p and of p', read off there point by point.
+    @given(st.integers(20, 10**300), st.integers(30, 10**300), st.integers(1, 5),
+           st.integers(-10, 10), st.lists(st.integers(-10**40, 10**40), max_size=3))
+    @example(p=10**300, gap=10**300, b=1, c=-1, lower=[])
+    @example(p=10**30, gap=30, b=5, c=7, lower=[-1, 1])
+    def test_top_changes_far_out(self, p, gap, b, c, lower):
+        def g(x):
+            return b * (x - p) * (x - p - gap) + c
+        t = [*lower, g(0), g(1) - g(0), 2 * b]
+        changes = [x for end in (p, p + gap) for x in range(end - 10, end + 12)
+                   if (g(x - 1) < 0) != (g(x) < 0)]
+        assert tails._top_changes(t) == changes
+
+    # The linear level costs no evaluation; the quadratic one costs one at
+    # its minimum and one fix-up per sign change, at most two.
+    @given(st.integers(1, 2).flatmap(lambda e: st.tuples(
+        st.lists(st.integers(-10**40, 10**40), min_size=e, max_size=e),
+        st.integers(1, 10**40))))
+    @example(([12, -6], 2))
+    @example(([10**18, -2 * 10**9], 1))
+    def test_closed_forms_evaluate_at_most_three_times(self, drawn):
+        t = [*drawn[0], drawn[1]]
+        with mock.patch.object(tails, "_negative", wraps=tails._negative) as negative:
+            verdict = _search(t)
+        assert negative.call_count <= (0 if len(t) == 2 else 3)
+        assert verdict == bisection_search(t)
 
 
 class TestScanCarry:
