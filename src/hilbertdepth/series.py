@@ -14,8 +14,8 @@ representation sit three decisions, all exact:
     also carry that polynomial's forward-difference table, one step each,
     and the tail is accepted at once if that table is non-negative (Newton's
     certificate at the numerator degree), and otherwise settled by the
-    sign-change search of the tails module over its differences, in time
-    polynomial in the bit size of the numerator;
+    search of the tails module for the polynomial's integer local minima,
+    in time polynomial in the bit size of the numerator;
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
     found by one pass of the same prefix sums over P / (1 - T)^j,
     j = 0, 1, ..., stopping at the first non-negative j, valid because
@@ -188,16 +188,18 @@ def is_nonnegative(h: RationalFunctionSeries) -> bool:
     q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that once every
     difference is >= 0 at some k0 the whole tail is >= 0.  So the tail is
     accepted at once if every difference is >= 0 at k0 = D.  Otherwise a
-    sign-change search decides it from that table (see tails.search): each
-    difference Delta^i q is monotone between consecutive sign changes of
-    Delta^(i+1) q, so each such interval holds at most one sign change of
-    Delta^i q.  The sign changes of Delta^(e-1) q and Delta^(e-2) q, of
+    search decides it from that table (see tails.search): the tail is
+    non-negative iff q(D) >= 0 and q >= 0 at each of its integer local
+    minima past D, the points where Delta q turns from negative to >= 0.
+    Each difference Delta^i q is monotone between consecutive sign changes
+    of Delta^(i+1) q, so each such interval holds at most one sign change
+    of Delta^i q.  The sign changes of Delta^(e-1) q and Delta^(e-2) q, of
     degree 1 and 2, come in closed form from a floor division and an
     integer square root; each lower one is found by binary search, or by
-    exponential search on the last, unbounded interval.  The tail is
-    non-negative iff q has no sign change.  The search makes
-    O(e^2 log R) evaluations of O(e) integer operations each (e = m-1,
-    R the Cauchy bound of q's roots), so the decision takes time
+    exponential search on the last, unbounded interval, and of Delta q
+    only the rising ones, where q is evaluated once each.  The search
+    makes O(e^2 log R) evaluations of O(e) integer operations each
+    (e = m-1, R the Cauchy bound of q's roots), so the decision takes time
     polynomial in the bit size of numer.
     """
     return next(_verdicts(h.numer.coefficients, h.den_pow, h.den_pow))

@@ -425,8 +425,43 @@ def quadratic_edge_tables():
     ]
 
 
+def small_tables():
+    """Difference tables of degree 1 to 5 with lower entries of at most 1000
+    in absolute value and 1 <= t[e] <= 20."""
+    return st.integers(1, 5).flatmap(lambda e: st.builds(
+        lambda lower, top: [*lower, top],
+        st.lists(st.integers(-1000, 1000), min_size=e, max_size=e), st.integers(1, 20)))
+
+
+def small_table_reach(t):
+    """A point from which every f_i of a small_tables() table is > 0: for
+    x >= 2001 e and f_i of degree d <= e,
+    C(x, l) / C(x, d) <= (d / (x - d + 1))^(d - l) < 2000^(l - d) for l < d,
+    so its lower terms sum to less than 1000 / 1999 of its leading one."""
+    return 2001 * (len(t) - 1)
+
+
+def local_minimum_tables():
+    """(table, verdict) pairs where q's least value is 0 or is taken at
+    x = 0, each verdict known by construction."""
+    def table(q, e):
+        return difference_table([q(x) for x in range(e + 1)])
+    return [
+        # q touches 0 at its minima: 50; 7 and 20
+        (table(lambda x: (x - 50) ** 2 * (x + 1) ** 2, 4), True),
+        (table(lambda x: (x - 7) ** 2 * (x - 20) ** 2 * (x + 1), 5), True),
+        (table(lambda x: (x - 7) ** 2 * (x - 20) ** 2 * (x + 1) - 1, 5), False),
+        (table(lambda x: (x - 7) ** 2 * (x + 3), 3), True),
+        # q's least value is q(0) = t[0], below its local minimum near 10
+        (table(lambda x: x * ((x - 10) ** 2 + 1), 3), True),
+        (table(lambda x: x * ((x - 10) ** 2 + 1) - 1, 3), False),
+        (table(lambda x: x * ((x - 10) ** 2 + 1) * (x + 2) ** 2, 5), True),
+    ]
+
+
 class TestTailSearch:
-    """The sign-change search with its top two levels in closed form."""
+    """The tail search: the sign changes of f_(e-1), ..., f_2, the rising
+    ones of f_1, and f_0 at those, q's integer local minima."""
 
     # Random tables of degree 1 to 6 with entries of both signs: the plain
     # walk decides those it settles within 10^4 steps, and the search with
@@ -448,19 +483,22 @@ class TestTailSearch:
     def test_closed_form_edges(self, table, verdict):
         assert _search(table) == verdict
 
-    # The closed forms against the sign changes of f_(e-2) (of f_0 when
-    # e = 1) read off point by point: every x >= 1 with f(x-1) and f(x) on
-    # opposite sides of 0.  With entries of at most 1000 in absolute value
-    # every change lies below 2100.
+    # The closed form against the sign changes of f_(e-2) read off point by
+    # point: every x >= 1 with f(x-1) and f(x) on opposite sides of 0, or
+    # with rising only those with f(x-1) < 0.  With entries of at most 1000
+    # in absolute value every change lies below 2100.
     @settings(max_examples=200)
-    @given(st.integers(1, 4).flatmap(lambda e: st.tuples(
+    @given(st.integers(2, 4).flatmap(lambda e: st.tuples(
         st.lists(st.integers(-1000, 1000), min_size=e, max_size=e), st.integers(1, 20))))
     @example(([12, -6], 2))
     @example(([-6, -1], 2))
+    @example(([3, -1, 0], 2))
     def test_top_changes_point_by_point(self, drawn):
         t = [*drawn[0], drawn[1]]
-        signs = [v < 0 for v in level_values(t, max(len(t) - 3, 0), 2100)]
-        assert tails._top_changes(t) == [x for x in range(1, 2100) if signs[x - 1] != signs[x]]
+        signs = [v < 0 for v in level_values(t, len(t) - 3, 2100)]
+        changes = [x for x in range(1, 2100) if signs[x - 1] != signs[x]]
+        assert tails._top_changes(t, False) == changes
+        assert tails._top_changes(t, True) == [x for x in changes if signs[x - 1]]
 
     # Far out: a quadratic level g(x) = b (x - p)(x - p') + c with |c| <= 10
     # is > 0 below p - 11 and < 0 from p + 11 to p' - 11, so its sign
@@ -475,21 +513,80 @@ class TestTailSearch:
         t = [*lower, g(0), g(1) - g(0), 2 * b]
         changes = [x for end in (p, p + gap) for x in range(end - 10, end + 12)
                    if (g(x - 1) < 0) != (g(x) < 0)]
-        assert tails._top_changes(t) == changes
+        assert tails._top_changes(t, False) == changes
+        assert tails._top_changes(t, True) == changes[-1:]
 
-    # The linear level costs no evaluation; the quadratic one costs one at
-    # its minimum and one fix-up per sign change, at most two.
-    @given(st.integers(1, 2).flatmap(lambda e: st.tuples(
+    # The linear level costs no evaluation, so e = 1 costs none (the verdict
+    # is t[0] >= 0) and e = 2 at most one, of f_0 at f_1's rising change.
+    # At e = 3 the quadratic level f_1 costs one at its minimum and one
+    # fix-up for its rising change, and f_0 one there: at most three.
+    @given(st.integers(1, 3).flatmap(lambda e: st.tuples(
         st.lists(st.integers(-10**40, 10**40), min_size=e, max_size=e),
         st.integers(1, 10**40))))
     @example(([12, -6], 2))
     @example(([10**18, -2 * 10**9], 1))
+    @example(([1, 10**18, -2 * 10**9], 1))
     def test_closed_forms_evaluate_at_most_three_times(self, drawn):
         t = [*drawn[0], drawn[1]]
         with mock.patch.object(tails, "_negative", wraps=tails._negative) as negative:
             verdict = _search(t)
-        assert negative.call_count <= (0 if len(t) == 2 else 3)
+        assert negative.call_count <= (0, 1, 3)[len(t) - 2]
         assert verdict == bisection_search(t)
+
+    # The verdict against q's values read off point by point up to where
+    # every f_i is > 0, which holds every sign change.
+    @given(small_tables())
+    @example([0, -1, 1])
+    @example([-1, 5, 1])
+    @example([5, -6, 0, 1])
+    def test_small_tables_point_by_point(self, t):
+        assert _search(t) == (min(level_values(t, 0, small_table_reach(t) + 1)) >= 0)
+
+    # q's least value is at 0, read as t[0], or where f_1 rises, so level 0
+    # evaluates f_0 only there: at most once per rising change of f_1, and
+    # never between (no bisection).  No level evaluates f_i(0) = t[i].
+    @given(small_tables())
+    @example([1, -30, 1, 1])
+    @example([150, -1, -20, 0, 1])
+    @example([0, 0, 3, -1, 1])
+    @example([0, -1, 3, 1])
+    def test_level_zero_evaluates_only_where_f1_rises(self, t):
+        f1 = [v < 0 for v in level_values(t, 1, small_table_reach(t) + 1)]
+        rising = {x for x in range(1, len(f1)) if f1[x - 1] and not f1[x]}
+        with mock.patch.object(tails, "_negative", wraps=tails._negative) as negative:
+            _search(t)
+        assert 0 not in [c.args[2] for c in negative.call_args_list]
+        level0 = [c.args[2] for c in negative.call_args_list if c.args[1] == 0]
+        assert len(level0) == len(set(level0)) and set(level0) <= rising
+
+    @pytest.mark.parametrize("table, verdict", local_minimum_tables())
+    def test_local_minimum_edges(self, table, verdict):
+        assert _search(table) == verdict == bisection_search(table)
+
+    # ((x - 1000)^2 + b)(x + 1)^2 rises to a maximum near 500 and falls to
+    # its minimum near 1000.  f_1's only rising change, near 1000, lies past
+    # both of f_2's (near 210 and 788), in the unbounded last interval of
+    # level 1.
+    @pytest.mark.parametrize("b", (-1, 0, 1))
+    def test_rising_change_past_last_f2_change(self, b):
+        t = difference_table([((x - 1000) ** 2 + b) * (x + 1) ** 2 for x in range(5)])
+        f1, f2 = ([v < 0 for v in level_values(t, i, 1100)] for i in (1, 2))
+        rising = [x for x in range(1, 1100) if f1[x - 1] and not f1[x]]
+        assert len(rising) == 1 and rising[0] > max(x for x in range(1, 1100) if f2[x - 1] != f2[x])
+        assert _search(t) == (b >= 0)
+
+    # (x - 10)^2 (x - 30)^2 + b has minima at 10 and 30 and a maximum at 20,
+    # where f_1 falls.  f_1 is monotone between f_2's sign changes p < p'
+    # around 20, so level 1 evaluates it at p and p' and nowhere between.
+    @pytest.mark.parametrize("b", (-1, 0, 1))
+    def test_falling_change_not_searched(self, b):
+        t = difference_table([(x - 10) ** 2 * (x - 30) ** 2 + b for x in range(5)])
+        f2 = [v < 0 for v in level_values(t, 2, 60)]
+        p, p2 = [x for x in range(1, 60) if f2[x - 1] != f2[x]]
+        with mock.patch.object(tails, "_negative", wraps=tails._negative) as negative:
+            assert _search(t) == (b >= 0)
+        level1 = [c.args[2] for c in negative.call_args_list if c.args[1] == 1]
+        assert {p, p2} <= set(level1) and not [x for x in level1 if p < x < p2]
 
 
 class TestScanCarry:
