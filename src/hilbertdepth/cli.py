@@ -1,5 +1,5 @@
 """Command-line front end: series expansion, depth reports, identity
-verification, parameter-sweep tables, and oracle cross-checks.
+verification, parameter-sweep tables, and multigrade.oracle_sweep's checks.
 
 Output is byte-deterministic for fixed arguments.  Exit codes: 0 when every
 check in the invocation passed, 1 on a verification or oracle failure, 2 on
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain, islice, product
+from itertools import chain, islice
 from operator import is_
 from typing import Iterable, Optional
 
 from .ideals import FAMILIES, IdealSpec, depth_report
-from .series import coefficient, expansion
+from .series import expansion
 
 __all__ = ["main", "build_parser"]
 
@@ -248,20 +248,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0 if all(r["agree"] for r in rows) else 1
 
 
-def _oracle_specs(n_max: int, s_max: int) -> dict[str, list[IdealSpec]]:
-    """Every spec of every family with n <= n_max: each parameter after n
-    runs over 1..n, except the power s, which runs over 1..s_max."""
-    specs = {}
-    for family, cls in FAMILIES.items():
-        specs[family] = [
-            cls(n, *values)
-            for n in range(1, n_max + 1)
-            for values in product(*(range(1, (s_max if name == "s" else n) + 1)
-                                    for name in cls.__slots__[1:]))
-        ]
-    return specs
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     # imported here, so that no other command loads the oracles
     from . import multigrade
@@ -270,43 +256,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     _require(args.k_max, "--k-max", 0)
     _require(args.s_max, "--s-max", 1)
     _require(args.box, "--box", 0)
-    # the fine work grows with the ring size, so checking the largest
-    # ring, n_max variables, covers every spec before the first pass
-    multigrade.check_fine_guard(args.n_max, args.box)
-    multigrade.check_sweep_guard(chain.from_iterable(_oracle_specs(args.n_max, 1).values()),
-                                 args.k_max, args.s_max, args.box)
-    specs = _oracle_specs(args.n_max, args.s_max)
-    # one pass per ring size tests every spec of that size, whatever its
-    # family, once at each box point for its fine arrays, which serve the
-    # fine check, and once at each composition of degree <= max(k_max, box)
-    # for its counts, which serve the coarse one and, to degree box, the
-    # fine one too
-    rings: dict[int, list[IdealSpec]] = {}
-    for spec in chain.from_iterable(specs.values()):
-        rings.setdefault(spec.ambient, []).append(spec)
-    coarse_failed, fine_failed = set(), set()
-    for ring in rings.values():
-        fines, degrees = multigrade.ring_oracle(ring, args.k_max, args.box)
-        fine_failed.update(spec for spec, fine in zip(ring, fines)
-                           if multigrade.fine_series_formula(spec, args.box) != fine)
-        series = [spec.series() for spec in ring]
-        for k, counts in degrees:
-            failed = {spec for spec, h, count in zip(ring, series, counts)
-                      if count != coefficient(h, k)}
-            if k <= args.k_max:
-                coarse_failed |= failed
-            if k <= args.box:
-                fine_failed |= failed
-    coarse = [{"check": "coarse", "family": family, "specs": len(family_specs),
-               "cases": len(family_specs) * (args.k_max + 1),
-               "passed": coarse_failed.isdisjoint(family_specs)}
-              for family, family_specs in specs.items()]
-    fine = [{"check": "fine", "family": family, "specs": len(family_specs),
-             "cases": sum((args.box + 1) ** spec.ambient + args.box + 1
-                          for spec in family_specs),
-             "passed": fine_failed.isdisjoint(family_specs)}
-            for family, family_specs in specs.items()]
-    rows = coarse + fine
+    rows = multigrade.oracle_sweep(args.n_max, args.k_max, args.s_max, args.box)
     all_ok = all(r["passed"] for r in rows)
     _emit(args, {"n_max": args.n_max, "k_max": args.k_max,
                  "s_max": args.s_max, "box": args.box},

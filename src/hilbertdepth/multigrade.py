@@ -1,6 +1,6 @@
 """Fine (multigraded) Hilbert series over truncated exponent boxes, plus the
-brute-force membership oracle (ring_oracle) that ground-truths the closed
-forms.
+brute-force membership oracle (oracle_sweep, one ring_oracle pass per ring
+size) that ground-truths the closed forms.
 
 A box bound b means every variable exponent runs 0..b.  Truncation is sound
 for products because all exponents are non-negative: terms beyond the box
@@ -26,8 +26,7 @@ a few contiguous runs of the lexicographic box, summed by one difference
 array (see fine_series_formula).  The count is 1 on the ideal and 0 off it
 because the pieces partition the ideal, a theorem about stable ideals and
 not a restatement of membership, so the oracle stays an independent check.
-check_sweep_guard bounds the membership tests, spec by point, of a whole
-oracle sweep before it starts.
+The two guards bound a sweep's work before its first pass.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ from operator import add, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Record
-from .ideals import IdealSpec, Veronese
+from .ideals import FAMILIES, IdealSpec, Veronese
+from .series import coefficient
 
 __all__ = [
     "ExponentVector",
@@ -47,6 +47,7 @@ __all__ = [
     "degree_compositions",
     "ring_oracle",
     "fine_series_formula",
+    "oracle_sweep",
 ]
 
 ExponentVector = tuple[int, ...]
@@ -105,10 +106,9 @@ def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
     the box as a MultiSeries, spec by spec, from the box's points alone.
     degrees yields (k, counts) for k = 0..max(k_max, box), counts[i] the
     number of degree-k monomials in the ideal of specs[i], from the
-    compositions alone; either may be drawn without the other.  Every spec
-    decides each point by one comparison of the column its member_rule
-    names with its bound.  Arguments and work guards are checked at the
-    call; the points are tested as the results are drawn.
+    compositions alone; either may be drawn without the other.  Arguments
+    and the sweep guard are checked at the call; the points are tested, one
+    member_rule comparison per spec and point, as the results are drawn.
     """
     if k_max < 0:
         raise ValueError("degree must be non-negative")
@@ -119,7 +119,7 @@ def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
     if len(sizes) != 1:
         raise ValueError("specs must share one number of variables")
     vars_ = sizes.pop()
-    check_sweep_guard(specs, k_max, 1, box)
+    check_sweep_guard(specs, k_max, box)
     rules = [spec.member_rule() for spec in specs]
 
     def box_pass() -> Iterator[MultiSeries]:
@@ -174,25 +174,23 @@ def _degree_counts(rules: Sequence[tuple[int, int]], vars_: int,
         yield held[1]
 
 
-def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, s_max: int,
-                      box: int) -> None:
-    """Reject an oracle sweep of more than MAX_MEMBER_TESTS membership tests.
-
-    ring_oracle computes the statistic columns of each of the (box+1)^r
-    box points and of each of the C(max(k_max, box) + r, r) compositions
-    of degree at most max(k_max, box) once per ring of r variables, and
-    each spec of the ring tests each such point by one comparison of its
-    column with its bound.  So a spec costs one test per point of the two.
-    A spec with a power s stands for its s_max copies, s = 1..s_max, so a
-    large s_max is rejected without building them.  A spec's count is at
-    least the C(k_max + r - 1, r - 1) compositions of degree k_max alone,
-    so the guard also bounds the compositions of any one degree the pass
-    draws.
+def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, box: int) -> None:
+    """Reject ring passes over specs of more than MAX_MEMBER_TESTS
+    membership tests.  A pass computes the statistic columns of each of the
+    (box+1)^r box points and the C(max(k_max, box) + r, r) compositions of
+    degree <= max(k_max, box) once per ring of r variables, and each spec
+    tests each such point by one comparison.  A spec's count is at least
+    the C(k_max + r - 1, r - 1) compositions of degree k_max alone, so the
+    guard also bounds the compositions of any one degree the pass draws.
     """
+    _check_tests(zip(repeat(1), specs), k_max, box)
+
+
+def _check_tests(weighted: Iterable[tuple[int, IdealSpec]], k_max: int, box: int) -> None:
+    """check_sweep_guard over (copies, spec) pairs, each spec counted copies times."""
     top = max(k_max, box)
-    tests = sum((s_max if hasattr(spec, "s") else 1)
-                * (math.comb(top + spec.ambient, top) + (box + 1) ** spec.ambient)
-                for spec in specs)
+    tests = sum(copies * (math.comb(top + spec.ambient, top) + (box + 1) ** spec.ambient)
+                for copies, spec in weighted)
     if tests > MAX_MEMBER_TESTS:
         raise ValueError(f"the sweep would make {tests} membership tests, more than "
                          f"{MAX_MEMBER_TESTS}; lower --s-max, --k-max or --box")
@@ -202,8 +200,7 @@ def check_fine_guard(num_vars: int, box: int) -> None:
     """Reject fine-series work beyond MAX_FINE_VARS variables or box
     MAX_FINE_BOX; the messages name the oracle flag that sets each."""
     if num_vars > MAX_FINE_VARS:
-        raise ValueError(f"fine series limited to {MAX_FINE_VARS} variables; "
-                         "lower --n-max")
+        raise ValueError(f"fine series limited to {MAX_FINE_VARS} variables; lower --n-max")
     if box > MAX_FINE_BOX or box < 0:
         raise ValueError(f"box bound must lie in 0..{MAX_FINE_BOX}; set --box within it")
 
@@ -257,3 +254,56 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
         cover[start] += 1
         cover[end] -= 1
     return MultiSeries(vars_, box, tuple(accumulate(cover[:-1])))
+
+
+def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
+    """Cross-check every spec with n <= n_max (each parameter after n over
+    1..n, the power s over 1..s_max) against its closed forms: one row
+    {check, family, specs, cases, passed} per check and family, coarse
+    first.  A spec fails the coarse check if its count of some degree
+    k <= k_max differs from coefficient(h, k) of its series h, and the fine
+    check if its fine array differs from fine_series_formula or its count
+    of some degree k <= box from coefficient(h, k).  It makes k_max + 1
+    coarse and (box+1)^r + box + 1 fine cases.  The arguments, the fine
+    guard and the sweep guard are checked in that order before any pass.
+    """
+    def grid(s_top: int) -> dict[str, list[IdealSpec]]:
+        return {family: [cls(n, *values) for n in range(1, n_max + 1)
+                         for values in product(*(range(1, (s_top if name == "s" else n) + 1)
+                                                 for name in cls.__slots__[1:]))]
+                for family, cls in FAMILIES.items()}
+
+    if n_max < 1 or s_max < 1 or k_max < 0:
+        raise ValueError("need n_max >= 1, s_max >= 1 and k_max >= 0")
+    # the fine work grows with the ring size: n_max variables bound every ring
+    check_fine_guard(n_max, box)
+    # a spec with a power s stands for its s_max copies, which share its
+    # ring, so a large s_max is counted without building them
+    _check_tests(((s_max if "s" in FAMILIES[family].__slots__ else 1, spec)
+                  for family, specs in grid(1).items() for spec in specs), k_max, box)
+    specs = grid(s_max)
+    # one pass per ring size, whatever the family: its fine arrays serve the
+    # fine check, and its counts the coarse one and, to degree box, the fine
+    rings: dict[int, list[IdealSpec]] = {}
+    for spec in chain.from_iterable(specs.values()):
+        rings.setdefault(spec.ambient, []).append(spec)
+    coarse_failed, fine_failed = set(), set()
+    for ring in rings.values():
+        fines, degrees = ring_oracle(ring, k_max, box)
+        fine_failed.update(spec for spec, fine in zip(ring, fines)
+                           if fine_series_formula(spec, box) != fine)
+        series = [spec.series() for spec in ring]
+        for k, counts in degrees:
+            failed = {spec for spec, h, count in zip(ring, series, counts)
+                      if count != coefficient(h, k)}
+            if k <= k_max:
+                coarse_failed |= failed
+            if k <= box:
+                fine_failed |= failed
+    cases = {"coarse": lambda spec: k_max + 1,
+             "fine": lambda spec: (box + 1) ** spec.ambient + box + 1}
+    return [{"check": check, "family": family, "specs": len(family_specs),
+             "cases": sum(map(cases[check], family_specs)),
+             "passed": failed.isdisjoint(family_specs)}
+            for check, failed in (("coarse", coarse_failed), ("fine", fine_failed))
+            for family, family_specs in specs.items()]

@@ -1,12 +1,15 @@
 """Fine series, membership, and the ring oracle."""
 
+import json
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hilbertdepth.cli import main
 from hilbertdepth.ideals import (
     GeneratedHatPower,
     HatPower,
@@ -19,6 +22,7 @@ from hilbertdepth.multigrade import (
     MultiSeries,
     degree_compositions,
     fine_series_formula,
+    oracle_sweep,
     ring_oracle,
 )
 from hilbertdepth.series import coefficient
@@ -225,7 +229,7 @@ class TestRingOracle:
                 monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", compositions - 1)
                 for box in range(7):
                     with pytest.raises(ValueError, match="membership tests"):
-                        multigrade.check_sweep_guard([MaxPower(r, 1)], k_max, 1, box)
+                        multigrade.check_sweep_guard([MaxPower(r, 1)], k_max, box)
 
     def test_specs_may_be_an_iterator(self):
         specs = [Veronese(2, 1), MaxPower(2, 2), GeneratedHatPower(2, 2, 3)]
@@ -272,6 +276,93 @@ class TestRingOracle:
                     assert len(compositions) == math.comb(top + r, r)
                     assert sorted(statistics_points) == sorted(points + compositions), (
                         r, box, k_max)
+
+
+class TestOracleSweep:
+    @pytest.mark.parametrize("n_max, k_max, s_max, box", [
+        (3, 4, 1, 0),  # box 0: the fine check is the origin alone
+        (3, 1, 2, 3),  # k_max < box: the counts run to degree box
+        (2, 5, 3, 2),  # s_max > 1
+    ])
+    def test_rows_are_the_cli_results(self, capsys, n_max, k_max, s_max, box):
+        code = main(["oracle", "--n-max", str(n_max), "--k-max", str(k_max),
+                     "--s-max", str(s_max), "--box", str(box), "--format", "json"])
+        assert code == 0
+        rows = oracle_sweep(n_max, k_max, s_max, box)
+        assert json.loads(capsys.readouterr().out)["results"] == rows
+        counts = Counter(spec.family for spec in all_specs(n_max, s_max))
+        assert [(r["check"], r["family"], r["specs"]) for r in rows] == [
+            (check, family, count) for check in ("coarse", "fine")
+            for family, count in counts.items()]
+
+    @pytest.mark.parametrize("n_max, k_max, s_max", [
+        (2, 10**12, 1), (2, 10, 10**12), (5, 10**12, 10**12)])
+    def test_huge_sweeps_rejected_before_any_pass(self, statistics_points,
+                                                  n_max, k_max, s_max):
+        with pytest.raises(ValueError, match="membership tests"):
+            oracle_sweep(n_max, k_max, s_max, 2)
+        assert statistics_points == []
+
+    def test_fine_guard_fires_first(self, statistics_points):
+        # six variables exceed the fine guard, whatever the sweep's size
+        with pytest.raises(ValueError, match="fine series limited to 5 variables"):
+            oracle_sweep(6, 10**12, 1, 2)
+        assert statistics_points == []
+
+    def test_weighted_count_at_the_limit(self, monkeypatch, statistics_points):
+        # every spec of the sweep, power copies included, tests each box
+        # point and each composition of degree <= max(k_max, box)
+        n_max, k_max, s_max, box = 3, 2, 3, 1
+        tests = sum(math.comb(k_max + spec.ambient, k_max) + (box + 1) ** spec.ambient
+                    for spec in all_specs(n_max, s_max))
+        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", tests - 1)
+        with pytest.raises(ValueError, match=f"make {tests} membership tests"):
+            oracle_sweep(n_max, k_max, s_max, box)
+        assert statistics_points == []
+        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", tests)
+        assert all(r["passed"] for r in oracle_sweep(n_max, k_max, s_max, box))
+        assert statistics_points
+
+    @pytest.mark.parametrize("n_max, k_max, s_max, box", [
+        (0, 3, 1, 1), (-1, 3, 1, 1), (2, 3, 0, 1), (2, -1, 1, 1), (2, 3, 1, -1)])
+    def test_rejects_bad_arguments(self, statistics_points, n_max, k_max, s_max, box):
+        # n_max or s_max below 1 would otherwise sweep no spec and pass
+        with pytest.raises(ValueError):
+            oracle_sweep(n_max, k_max, s_max, box)
+        assert statistics_points == []
+
+    @pytest.mark.parametrize("degree, failed", [
+        (3, {("coarse", "max-power")}),  # box < degree <= k_max
+        (1, {("coarse", "max-power"), ("fine", "max-power")}),  # degree <= box
+    ])
+    def test_coefficient_fault_fails_its_rows(self, monkeypatch, degree, failed):
+        # one wrong closed-form coefficient, of the max-power series alone
+        marked = []
+        series = MaxPower.series
+
+        def marked_series(spec):
+            marked.append(h := series(spec))
+            return h
+
+        def faulty(h, k):
+            return coefficient(h, k) + (k == degree and any(h is m for m in marked))
+        monkeypatch.setattr(MaxPower, "series", marked_series)
+        monkeypatch.setattr(multigrade, "coefficient", faulty)
+        rows = oracle_sweep(3, 4, 2, 2)
+        assert {(r["check"], r["family"]) for r in rows if not r["passed"]} == failed
+
+    def test_fine_formula_fault_fails_the_fine_row(self, monkeypatch):
+        formula = multigrade.fine_series_formula
+
+        def faulty(spec, box):
+            ms = formula(spec, box)
+            if not isinstance(spec, Veronese):
+                return ms
+            return MultiSeries(ms.num_vars, ms.box, (1 - ms.coeffs[0],) + ms.coeffs[1:])
+        monkeypatch.setattr(multigrade, "fine_series_formula", faulty)
+        rows = oracle_sweep(3, 4, 2, 2)
+        assert {(r["check"], r["family"]) for r in rows if not r["passed"]} == {
+            ("fine", "veronese")}
 
 
 class TestMultiSeries:
