@@ -21,17 +21,17 @@ latter both per point (member) and as a bound on one statistic of the
 point (member_rule), and FAMILIES lists the classes by CLI name.
 
 Every series is assembled as its exact numerator polynomial first and then
-canonicalized; nothing is expanded coefficient-wise.  Each numerator term
-is the one before it times a ratio of small integers, one multiply and
-one exact division per term, starting from a single binomial:
+canonicalized; nothing is expanded coefficient-wise.  All four families
+share one numerator recurrence (_power_series), that of m^s in span
+variables: P_s = C(span+s-1, s) and
 
-  * Veronese: P_d = C(n, d), P_j = P_(j-1) * -(n-j+1)(j-1) / (j(j-d));
-  * power families: P_s = C(span+s-1, s),
-    P_(s+i) = P_(s+i-1) * -(s+i-1)(span-i) / (i(s+i)).
+    P_(s+i) = P_(s+i-1) * -(s+i-1)(span-i) / (i(s+i)),
 
-Every division is exact: its quotient is the next closed-form term.
-veronese_series_alt keeps its own Horner sum over binomials, as the
-independent second presentation.
+one multiply and one exact division per term, each quotient the next
+closed-form term.  Veronese(n, d) has the numerator of m^d in n-d+1
+variables, over (1-T)^n (span = n-d+1, s = d), which is the paper's link
+between the families.  veronese_series_alt keeps its own Horner sum over
+binomials, as the independent second presentation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from math import comb
 from operator import sub
 from typing import Union
 
-from .exactalg import IntPolynomial, Record, binomial
+from .exactalg import IntPolynomial, Record
 from .series import RationalFunctionSeries, canonicalize, hilbert_depth
 
 __all__ = [
@@ -75,28 +75,9 @@ class Veronese(Record):
         return self.n
 
     def series(self) -> RationalFunctionSeries:
-        """Coarse Hilbert series.
-
-        Numerator sum_{k=d..n} C(n,k) T^k (1-T)^(n-k) over (1-T)^n.  Its T^j
-        coefficient is C(n,j) sum_{k=d..j} (-1)^(j-k) C(j,k), and the
-        alternating sum telescopes to the closed form
-
-            P_j = (-1)^(j-d) C(n,j) C(j-1,d-1)    for d <= j <= n
-
-        (and 0 below d).  Consecutive terms differ by one ratio, so the
-        numerator is built from P_d = C(n,d) by
-
-            P_j = P_(j-1) * -(n-j+1)(j-1) / (j(j-d))    for d < j <= n,
-
-        one multiply and one exact division per term, rather than from
-        n - d + 1 dense products or two binomials per term.
-        """
-        n, d = self.n, self.d
-        numer = IntPolynomial((0,) * d + tuple(accumulate(
-            range(d + 1, n + 1),
-            lambda p, j: p * -(n - j + 1) * (j - 1) // (j * (j - d)),
-            initial=comb(n, d))))
-        return canonicalize(numer, n)
+        """Coarse Hilbert series: the numerator of m^d in n-d+1 variables
+        over (1-T)^n (see _power_series)."""
+        return _power_series(self.n - self.d + 1, self.d, self.n)
 
     def closed_depth(self) -> int:
         """Closed-form depth, checked in all three spellings:
@@ -108,7 +89,7 @@ class Veronese(Record):
         The three must agree; a mismatch would be an implementation bug.
         """
         n, d = self.n, self.d
-        ratio_form = d + binomial(n, d + 1) // binomial(n, d)
+        ratio_form = d + comb(n, d + 1) // comb(n, d)
         floor_form = d + (n - d) // (d + 1)
         ceil_form = d - 1 + -(-(n - d + 1) // (d + 1))
         if not ratio_form == floor_form == ceil_form:
@@ -153,32 +134,8 @@ class _PowerFamily(Record):
         return self.n
 
     def series(self) -> RationalFunctionSeries:
-        """Coarse Hilbert series.
-
-        In span variables, H = (1-T)^(-span) - sum_{k<s} C(span+k-1,k) T^k,
-        assembled over the common denominator (1-T)^span.  The numerator is
-        the alternating sum of the graded Betti numbers of the linear
-        (Eagon-Northcott) resolution of m^s, whose i-th module has
-        C(s+i-1, i) C(span+s-1, s+i) generators in degree s+i, so
-
-            P_(s+i) = (-1)^i C(s+i-1, i) C(span+s-1, s+i)    for 0 <= i < span
-
-        (and 0 below T^s).  Consecutive terms differ by one ratio, so the
-        numerator is built from P_s = C(span+s-1, s) by
-
-            P_(s+i) = P_(s+i-1) * -(s+i-1)(span-i) / (i(s+i))    for 0 < i < span,
-
-        one multiply and one exact division per term, rather than from the
-        product of an s-term polynomial with (1-T)^span or two binomials
-        per term.  P(1) = 1, so the extra variables only raise the
-        denominator power to ambient.
-        """
-        span, s = self.span, self.s
-        numer = IntPolynomial((0,) * s + tuple(accumulate(
-            range(1, span),
-            lambda p, i: p * -(s + i - 1) * (span - i) // (i * (s + i)),
-            initial=comb(span + s - 1, s))))
-        return canonicalize(numer, self.ambient)
+        """Coarse Hilbert series (see _power_series)."""
+        return _power_series(self.span, self.s, self.ambient)
 
     def closed_depth(self) -> int:
         """Closed-form depth ceil(span / (s+1)) of m^s in span variables,
@@ -237,6 +194,40 @@ class DepthReport(Record):
         return self.computed_depth == self.closed_form_depth
 
 
+def _power_series(span: int, s: int, ambient: int) -> RationalFunctionSeries:
+    """Coarse Hilbert series of m^s in span variables, over (1-T)^ambient.
+
+    In span variables, H = (1-T)^(-span) - sum_{k<s} C(span+k-1,k) T^k,
+    assembled over the common denominator (1-T)^span.  The numerator is
+    the alternating sum of the graded Betti numbers of the linear
+    (Eagon-Northcott) resolution of m^s, whose i-th module has
+    C(s+i-1, i) C(span+s-1, s+i) generators in degree s+i, so
+
+        P_(s+i) = (-1)^i C(s+i-1, i) C(span+s-1, s+i)    for 0 <= i < span
+
+    (and 0 below T^s).  Consecutive terms differ by one ratio, so the
+    numerator is built from P_s = C(span+s-1, s) by
+
+        P_(s+i) = P_(s+i-1) * -(s+i-1)(span-i) / (i(s+i))    for 0 < i < span,
+
+    one multiply and one exact division per term, rather than from the
+    product of an s-term polynomial with (1-T)^span or two binomials
+    per term.  P(1) = 1, so the extra variables only raise the
+    denominator power to ambient.
+
+    This is also the Veronese(n, d) series, with span = n-d+1, s = d and
+    ambient = n: the paper's link veronese(n, d) = (1-T)^-(d-1) *
+    hat(n, d, d).  At i = j-d the term above is the Veronese closed form
+    (-1)^(j-d) C(n, j) C(j-1, d-1), the telescoped T^j coefficient of
+    sum_{k=d..n} C(n,k) T^k (1-T)^(n-k).
+    """
+    numer = IntPolynomial((0,) * s + tuple(accumulate(
+        range(1, span),
+        lambda p, i: p * -(s + i - 1) * (span - i) // (i * (s + i)),
+        initial=comb(span + s - 1, s))))
+    return canonicalize(numer, ambient)
+
+
 def veronese_series_alt(n: int, d: int) -> RationalFunctionSeries:
     """Coarse Hilbert series of Veronese(n, d), second presentation.
 
@@ -252,7 +243,7 @@ def veronese_series_alt(n: int, d: int) -> RationalFunctionSeries:
     acc = [0] * (n - d + 1)
     for j, i in enumerate(range(n - 1, d - 2, -1)):
         acc[1:j + 1] = map(sub, acc[1:j + 1], acc[:j])
-        acc[0] += binomial(i, d - 1)
+        acc[0] += comb(i, d - 1)
     return canonicalize(IntPolynomial([0] * d + acc), n)
 
 

@@ -28,12 +28,14 @@ Catalog tags and statements:
                 sweep, and substituting (n+s-1, s) into the Veronese
                 formula reproduces the max-power formula shifted by s-1.
 
-Four check points repeat another point's comparison and are not
+Five check points repeat another point's comparison and are not
 independent evidence.  eq_chain ("rational",) and theorem_1_4 ("series",)
-take different calls, GeneratedHatPower(n, d, d).series() against
-HatPower(n, d, d).series() raised by mul_power_one_minus_t, but both build
-the one Eagon-Northcott numerator of m^d in n-d+1 variables over
-(1-T)^n, so they compare the same pair.  eq_chain ("unshifted", k) are
+compare veronese_series_alt(n, d) with the Eagon-Northcott numerator of
+m^d in n-d+1 variables over (1-T)^n, built as GeneratedHatPower(n, d, d)
+.series() and as HatPower(n, d, d).series() raised by
+mul_power_one_minus_t.  That is the pair prop_2_3 ("series",) compares,
+with the numerator built as Veronese(n, d).series(); no point compares
+that numerator with itself.  eq_chain ("unshifted", k) are
 lemma_4_1's points.  eq_chain ("shifted", k) for k >= d repeats
 ("unshifted", k-d), the same row entry against the same value, since
 C(n-d+k, k) = C(n+(k-d), (k-d)+d).  prop_2_3 ("numerator",) reads its
@@ -225,14 +227,12 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
     """Check the three-step chain linking the two ideal families.
 
     Steps and check points:
-      ("rational",)      veronese(n, d) equals the generated hat-power
-                         series with t = s = d, as canonical forms (with
-                         prop_2_3's series check this also gives the
-                         numerator identity, since both sides are canonical
-                         over (1-T)^n); theorem_1_4's ("series",) point
-                         builds the same numerator through HatPower and
-                         mul_power_one_minus_t, so it compares the same
-                         pair;
+      ("rational",)      veronese(n, d), as veronese_series_alt, equals
+                         the generated hat-power series with t = s = d, as
+                         canonical forms (so it also gives the numerator
+                         identity, since both sides are canonical over
+                         (1-T)^n); prop_2_3's and theorem_1_4's ("series",)
+                         points compare the same pair through other calls;
       ("shifted", k)     sum_i C(i,d-1) C(n-i+k-d-1, k-d) = C(n-d+k, k)
                          for d <= k, checked for k = 0..k_max (both sides
                          vanish below d);
@@ -252,7 +252,7 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
     _require_params(n, d, k_max)
 
     def points() -> Iterator[CheckPoint]:
-        yield ("rational",), Veronese(n, d).series(), GeneratedHatPower(n, d, d).series()
+        yield ("rational",), veronese_series_alt(n, d), GeneratedHatPower(n, d, d).series()
         row = _convolution_row(n, d, k_max)
         for k in range(k_max + 1):
             if k < d:
@@ -269,16 +269,17 @@ def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
 
     Check points: ("series",) for the canonical-form equality
     veronese(n, d) = (1-T)^(-(d-1)) * hat(n, d, d), and ("depth",) for
-    depth(veronese) = depth(hat) + d - 1.  The hat series has numerator
-    1 at T = 1, and mul_power_one_minus_t only raises its denominator to
-    (1-T)^n; GeneratedHatPower(n, d, d).series() builds the same numerator
-    over (1-T)^n, so the ("series",) comparison is eq_chain's
-    ("rational",) one, made through other calls.
+    depth(veronese) = depth(hat) + d - 1.  Both points read veronese
+    from veronese_series_alt, which shares no code with the hat series.
+    The hat series has numerator 1 at T = 1, and mul_power_one_minus_t
+    only raises its denominator to (1-T)^n; GeneratedHatPower(n, d, d)
+    .series() builds the same numerator over (1-T)^n, so the ("series",)
+    comparison is eq_chain's ("rational",) one, made through other calls.
     """
     _require_params(n, d)
 
     def points() -> Iterator[CheckPoint]:
-        veronese = Veronese(n, d).series()
+        veronese = veronese_series_alt(n, d)
         hat = HatPower(n, d, d).series()
         yield ("series",), veronese, mul_power_one_minus_t(hat, -(d - 1))
         yield ("depth",), hilbert_depth(veronese), hilbert_depth(hat) + d - 1

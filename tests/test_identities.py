@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import hilbertdepth.ideals as ideals
 import hilbertdepth.identities as identities
 from hilbertdepth.identities import (
     Counterexample,
@@ -199,6 +200,30 @@ class TestTheorem14:
         res = verify_theorem_1_4(3, 2)
         assert not res.passed
         assert res.counterexample == Counterexample(("depth",), 2, 3)
+
+
+class TestSharedKernelFault:
+    """Veronese and the power families build their series with one kernel,
+    so a fault in it must fail every series point: none may compare the
+    kernel's output with itself."""
+
+    @pytest.fixture
+    def faulty_kernel(self, monkeypatch):
+        # wrong but canonical: the denominator power is one too high
+        kernel = ideals._power_series
+
+        def raised(span, s, ambient):
+            h = kernel(span, s, ambient)
+            return canonicalize(h.numer, h.den_pow + 1)
+        monkeypatch.setattr(ideals, "_power_series", raised)
+
+    @pytest.mark.parametrize("verify, args, point", [
+        (verify_prop_2_3, (6, 3), ("series", 4)),
+        (verify_eq_chain, (6, 3, 8), ("rational", 4)),
+        (verify_theorem_1_4, (6, 3), ("series", 4)),
+    ])
+    def test_every_series_point_fails(self, faulty_kernel, verify, args, point):
+        assert verify(*args).counterexample.params == point
 
 
 class TestTheorem13:
