@@ -54,10 +54,13 @@ def _emit(args: argparse.Namespace, params: dict, body: dict,
           title: Optional[str] = None) -> None:
     """Write one command's result in the format args asks for.
 
-    json: {"command", "params", **body}; csv: `rows`, header first; plain:
-    `lines` under a "# command title" banner (dropped by --quiet), the
-    title defaulting to the params as key=value words.  Only the chosen
-    representation is consumed, so `rows` and `lines` may be lazy.
+    json: {"command", "params", **body}, made JSON-safe by one _json_safe
+    walk; csv: `rows`, header first; plain: `lines` under a "# command
+    title" banner (dropped by --quiet), the title defaulting to the params
+    as key=value words.  Only the chosen representation is consumed, so
+    `rows` and `lines` may be lazy.  So may a value in body: an iterator is
+    written as a list, and the walk passes it by, so it must yield values
+    that are JSON-safe already.
     """
     # json and csv are imported here, off the start-up path of plain output
     if args.format == "json":
@@ -66,8 +69,11 @@ def _emit(args: argparse.Namespace, params: dict, body: dict,
         # written a slice of chunks at a time: json.dumps would hold every
         # chunk of a long series at once, about 2 MiB at --upto 3000.  1024
         # chunks keep each slice under 70 KB there, below glibc's 128 KiB
-        # mmap threshold; slices of 4096, up to 190 KB, were mapped afresh
-        chunks = json.JSONEncoder(indent=2).iterencode(_json_safe(doc))
+        # mmap threshold; slices of 4096, up to 190 KB, were mapped afresh.
+        # Every doc is a tree built afresh, so no reference can be circular,
+        # and checking for one cost a quarter of the encoding time
+        encoder = json.JSONEncoder(indent=2, default=list, check_circular=False)
+        chunks = encoder.iterencode(_json_safe(doc))
         while text := "".join(islice(chunks, 1024)):
             sys.stdout.write(text)
         print()
@@ -145,11 +151,12 @@ def cmd_series(args: argparse.Namespace) -> int:
     h = spec.series()
     numer = list(h.numer.coefficients)
     coeffs = expansion(h, args.upto)
-    # each coefficient is made JSON-safe once, and results share it
+    # each coefficient is made JSON-safe once, here; the coefficients and
+    # the results that share them are iterators, which _emit does not walk
     shown = _json_safe(coeffs) if args.format == "json" else coeffs
     _emit(args, {"ideal": spec.family, **spec._asdict(), "upto": args.upto},
-          {"numerator": numer, "den_pow": h.den_pow, "coefficients": shown,
-           "results": [{"k": k, "coefficient": c} for k, c in enumerate(shown)]},
+          {"numerator": numer, "den_pow": h.den_pow, "coefficients": iter(shown),
+           "results": ({"k": k, "coefficient": c} for k, c in enumerate(shown))},
           chain([("field", "index", "value")],
                 (("numer", j, c) for j, c in enumerate(numer)),
                 [("den_pow", "", h.den_pow)],

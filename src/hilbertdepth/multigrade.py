@@ -11,14 +11,26 @@ One pass per ring size serves both the coarse and the fine check.  Every spec
 decides membership by comparing one statistic of the point with a bound
 (spec.member_rule): the support size for Veronese, the sum of the first
 span exponents for the power families.  So the pass computes the r + 1
-statistics of each point once per ring, as columns over the box [0, box]^r
-and over each chunk of COMPOSITION_CHUNK compositions of degree
-<= max(k_max, box), and each spec compares the one column it reads with
-its bound: one comparison per spec and point, made in C.  The box's
-columns give each spec's fine array, and the compositions alone its count
-of every degree.  The chunks run across degrees, their degree column
-telling the degrees apart, so memory stays bounded by the box's columns,
-one chunk's columns and one fine array, whatever k_max.
+statistics of each point once per ring, and decides every spec's points in
+bulk, never one comparison at a time:
+
+  * the box [0, box]^r: its columns are bytes, built axis by axis without
+    listing the points (every statistic there is at most r * box <= 30),
+    and each spec's fine array is the column it reads translated through a
+    256-byte threshold table for its bound, compared with the formula's
+    bytes by one memcmp;
+  * the compositions of degree <= max(k_max, box), in chunks of
+    COMPOSITION_CHUNK that run across degrees: each column some rule reads
+    is sorted once per chunk by (degree, value), the chunk's cumulative
+    histogram of that column per degree, and each spec's count of a degree
+    is one lookup of its bound there, exact at any statistic size;
+  * the closed forms: each spec's coefficients are read off its expansion
+    in windows of at most COMPOSITION_CHUNK degrees, each window's
+    prefix-sum passes started from the last window's carries.
+
+So memory stays bounded by the box's r + 1 columns (at most 6 * 7^5 bytes)
+and one fine array, one chunk's columns and one window per spec, whatever
+k_max.
 
 The fine formula counts, at each box point, the pieces of the family's
 Stanley decomposition that cover it: one piece per minimal generator, each
@@ -32,14 +44,15 @@ The two guards bound a sweep's work before its first pass.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import (accumulate, chain, combinations, combinations_with_replacement,
                        compress, islice, product, repeat)
-from operator import add, ne, sub
+from operator import add, mul, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Record
 from .ideals import FAMILIES, IdealSpec, Veronese
-from .series import coefficient
+from .series import RationalFunctionSeries
 
 __all__ = [
     "ExponentVector",
@@ -56,15 +69,19 @@ MAX_FINE_VARS = 5
 MAX_FINE_BOX = 6
 # membership tests, one per spec and point, one oracle sweep may make
 MAX_MEMBER_TESTS = 10**7
-# compositions held at once by ring_oracle's degree counts
-COMPOSITION_CHUNK = 1024
+# compositions held at once by ring_oracle's degree counts, and degrees of
+# each window of oracle_sweep's closed-form coefficients: a one-variable
+# sweep then holds about 0.25 MB at once, whatever k_max
+COMPOSITION_CHUNK = 512
 
 
 class MultiSeries(Record):
     """Dense truncated multivariate series over the box [0, box]^num_vars.
 
     Coefficients are stored in lexicographic order of the exponent vector
-    (last index fastest), which makes equality a tuple comparison.
+    (last index fastest), as bytes, which makes equality one memcmp; only
+    counts outside 0..255, which a member array or a partition never
+    holds, take a tuple of ints.
     """
 
     __slots__ = ("num_vars", "box", "coeffs")
@@ -99,16 +116,16 @@ def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
 def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
                 ) -> tuple[Iterator[MultiSeries], Iterator[tuple[int, list[int]]]]:
     """Fine series and member counts per degree of specs of one ring size,
-    from the statistic columns of each point of the box [0, box]^r and of
-    each composition of degree <= max(k_max, box), computed once per ring.
+    from the statistic columns of the box [0, box]^r and of each
+    composition of degree <= max(k_max, box), computed once per ring.
 
     Returns (fines, degrees).  fines yields each spec's member values over
-    the box as a MultiSeries, spec by spec, from the box's points alone.
+    the box as a MultiSeries, spec by spec, from the box's columns alone.
     degrees yields (k, counts) for k = 0..max(k_max, box), counts[i] the
     number of degree-k monomials in the ideal of specs[i], from the
     compositions alone; either may be drawn without the other.  Arguments
-    and the sweep guard are checked at the call; the points are tested, one
-    member_rule comparison per spec and point, as the results are drawn.
+    and the sweep guard are checked at the call; the points are decided,
+    in bulk per column and rule, as the results are drawn.
     """
     if k_max < 0:
         raise ValueError("degree must be non-negative")
@@ -123,10 +140,12 @@ def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
     rules = [spec.member_rule() for spec in specs]
 
     def box_pass() -> Iterator[MultiSeries]:
-        columns = _statistics(list(product(range(box + 1), repeat=vars_)), vars_)
+        columns = _box_statistics(vars_, box)
         for column, bound in rules:
-            # bytes turns the comparisons into the ints 0 and 1
-            yield MultiSeries(vars_, box, tuple(bytes(map(bound.__le__, columns[column]))))
+            # maps each statistic v <= 255 to whether v >= bound
+            below = min(bound, 256)
+            at_least = bytes(below) + b"\1" * (256 - below)
+            yield MultiSeries(vars_, box, columns[column].translate(at_least))
 
     degrees = _degree_counts(rules, vars_, max(k_max, box))
     return box_pass(), ((k, list(counts)) for k, counts in enumerate(degrees))
@@ -142,6 +161,34 @@ def _statistics(points: Sequence[ExponentVector], vars_: int) -> list[Sequence[i
     return [support, *heads]
 
 
+def _box_statistics(vars_: int, box: int) -> list[bytes]:
+    """_statistics of the points of the box [0, box]^vars_, lexicographic
+    (last index fastest), as bytes, without listing the points.
+
+    The columns grow axis by axis from those of the box of no axes, whose
+    one point has support 0 and head sum 0.  Appending an axis, fastest,
+    puts box + 1 entries in place of each: the axis's value a = 0..box is
+    added to the new head sum (the last one plus a) and a > 0 to the
+    support, while the older head sums repeat.  Every value is at most
+    vars_ * box, so it fits a byte whenever check_fine_guard passes.
+    """
+    side = box + 1
+    plus = [bytes(range(a, 256)) + bytes(a) for a in range(side)]  # v -> v + a
+
+    def spread(column: bytes, shifts: Iterable[int]) -> bytes:
+        out = bytearray(len(column) * side)
+        for a, shift in enumerate(shifts):
+            out[a::side] = column.translate(plus[shift])
+        return bytes(out)
+
+    support, heads = b"\0", [b"\0"]
+    for _ in range(vars_):
+        heads = [*(spread(head, repeat(0, side)) for head in heads),
+                 spread(heads[-1], range(side))]
+        support = spread(support, [0, *repeat(1, box)])
+    return [support, *heads[1:]]
+
+
 def _degree_counts(rules: Sequence[tuple[int, int]], vars_: int,
                    top: int) -> Iterator[tuple[int, ...]]:
     """Per degree k = 0..top, the compositions of degree k in vars_
@@ -150,28 +197,68 @@ def _degree_counts(rules: Sequence[tuple[int, int]], vars_: int,
     The compositions stream across degrees in chunks of COMPOSITION_CHUNK,
     so a ring with few compositions per degree, such as the one of one
     variable, still fills each chunk.  Each chunk's degree column cuts it
-    into its degrees, and each rule counts its accepted points per degree;
-    a degree cut by a chunk's end is summed across the two chunks.
+    into its degrees.  Each column some rule reads is keyed by
+    degree * (top + 1) + value and sorted, once per chunk: a statistic is
+    at most its point's degree, so each degree keeps its range of the chunk,
+    its values sorted, the degree's cumulative histogram.  A rule's count of
+    a degree is that range's end less the place of its bound there, one
+    bisect, exact whatever the size of the statistics or the bound; rules
+    that several specs share are counted once.  A degree cut by a chunk's
+    end is summed across the two chunks.
     """
     stream = chain.from_iterable(map(degree_compositions, range(top + 1), repeat(vars_)))
-    held = None  # the counts of the degree the last chunk ended in
+    bounds: dict[int, set[int]] = {}  # the bounds that rules set on each column
+    for column, bound in rules:
+        bounds.setdefault(column, set()).add(bound)
+    held = None  # the degree last counted and its counts, still open
     while chunk := list(islice(stream, COMPOSITION_CHUNK)):
         columns = _statistics(chunk, vars_)
         degree = columns[vars_]
-        cuts = [0, *compress(range(1, len(chunk)), map(ne, degree, degree[1:])), len(chunk)]
-        starts, ends = cuts[:-1], cuts[1:]
-        rows = list(zip(*(map(bytes(map(bound.__le__, columns[column])).count,
-                              repeat(1), starts, ends)
-                          for column, bound in rules)))
-        if held is not None:
-            if held[0] == degree[0]:
-                rows[0] = tuple(map(add, held[1], rows[0]))
-            else:
-                yield held[1]
-        yield from rows[:-1]
-        held = degree[-1], rows[-1]
+        starts = [0, *compress(range(1, len(chunk)), map(ne, degree, degree[1:]))]
+        ends = [*starts[1:], len(chunk)]
+        range_degrees = [degree[start] for start in starts]
+        counts = {}
+        for column, column_bounds in bounds.items():
+            histogram = sorted(map(add, map(mul, degree, repeat(top + 1)), columns[column]))
+            for bound in column_bounds:
+                # each degree's values >= bound: its range's end less the
+                # place of its key of the value bound
+                keys = map(add, map(mul, range_degrees, repeat(top + 1)), repeat(bound))
+                counts[column, bound] = list(map(sub, ends, map(
+                    bisect_left, repeat(histogram), keys, starts, ends)))
+        for k, row in zip(range_degrees, zip(*map(counts.__getitem__, rules))):
+            if held is not None:
+                if held[0] == k:
+                    row = tuple(map(add, held[1], row))
+                else:
+                    yield held[1]
+            held = k, row
     if held is not None:
         yield held[1]
+
+
+def _coefficient_windows(series: Sequence[RationalFunctionSeries],
+                         top: int) -> Iterator[list[list[int]]]:
+    """coefficient(h, k) of each series h for k = 0..top, in windows of
+    COMPOSITION_CHUNK degrees (the last one cut at top): for each window,
+    one list per series, series.expansion a window at a time.  Each window
+    of h is its numerator cut or zero-padded to the window's degrees and
+    summed by den_pow prefix-sum passes, each pass started from its carry,
+    the value it reached at the last window's end; so only one window and
+    den_pow carries per series are held.
+    """
+    carries = [[0] * h.den_pow for h in series]
+    for start in range(0, top + 1, COMPOSITION_CHUNK):
+        stop = min(start + COMPOSITION_CHUNK, top + 1)
+        windows = []
+        for h, carry in zip(series, carries):
+            row = list(h.numer.coefficients[start:stop])
+            row += repeat(0, stop - start - len(row))
+            for p, value in enumerate(carry):
+                row = list(accumulate(row, initial=value))[1:]
+                carry[p] = row[-1]
+            windows.append(row)
+        yield windows
 
 
 def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, box: int) -> None:
@@ -179,7 +266,8 @@ def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, box: int) -> None:
     membership tests.  A pass computes the statistic columns of each of the
     (box+1)^r box points and the C(max(k_max, box) + r, r) compositions of
     degree <= max(k_max, box) once per ring of r variables, and each spec
-    tests each such point by one comparison.  A spec's count is at least
+    decides each such point, in bulk: one membership test per spec and
+    point is the measure of a pass's work.  A spec's count is at least
     the C(k_max + r - 1, r - 1) compositions of degree k_max alone, so the
     guard also bounds the compositions of any one degree the pass draws.
     """
@@ -249,11 +337,21 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
                      for o, c in prefixes if s - c <= box]
             prefixes = [(o + a * stride, c + a) for o, c in prefixes
                         for a in range(max(0, low - c), min(side, s - c))]
-    cover = [0] * (side ** vars_ + 1)
+    return MultiSeries(vars_, box, _cover(runs, side ** vars_))
+
+
+def _cover(runs: Iterable[tuple[int, int]], size: int) -> bytes | tuple[int, ...]:
+    """Each of size points' count of the runs [start, end) covering it, by
+    one difference array and one accumulate: bytes, or a tuple of ints where
+    a count leaves 0..255, as only pieces that fail to partition can give."""
+    cover = [0] * (size + 1)
     for start, end in runs:
         cover[start] += 1
         cover[end] -= 1
-    return MultiSeries(vars_, box, tuple(accumulate(cover[:-1])))
+    try:
+        return bytes(accumulate(islice(cover, size)))
+    except ValueError:  # a count below 0 or above 255
+        return tuple(accumulate(islice(cover, size)))
 
 
 def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
@@ -263,9 +361,11 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
     first.  A spec fails the coarse check if its count of some degree
     k <= k_max differs from coefficient(h, k) of its series h, and the fine
     check if its fine array differs from fine_series_formula or its count
-    of some degree k <= box from coefficient(h, k).  It makes k_max + 1
-    coarse and (box+1)^r + box + 1 fine cases.  The arguments, the fine
-    guard and the sweep guard are checked in that order before any pass.
+    of some degree k <= box from coefficient(h, k), those coefficients read
+    off h's expansion in windows (_coefficient_windows).  It makes
+    k_max + 1 coarse and (box+1)^r + box + 1 fine cases.  The arguments,
+    the fine guard and the sweep guard are checked in that order before
+    any pass.
     """
     def grid(s_top: int) -> dict[str, list[IdealSpec]]:
         return {family: [cls(n, *values) for n in range(1, n_max + 1)
@@ -282,6 +382,7 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
     _check_tests(((s_max if "s" in FAMILIES[family].__slots__ else 1, spec)
                   for family, specs in grid(1).items() for spec in specs), k_max, box)
     specs = grid(s_max)
+    top = max(k_max, box)
     # one pass per ring size, whatever the family: its fine arrays serve the
     # fine check, and its counts the coarse one and, to degree box, the fine
     rings: dict[int, list[IdealSpec]] = {}
@@ -292,14 +393,15 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
         fines, degrees = ring_oracle(ring, k_max, box)
         fine_failed.update(spec for spec, fine in zip(ring, fines)
                            if fine_series_formula(spec, box) != fine)
-        series = [spec.series() for spec in ring]
-        for k, counts in degrees:
-            failed = {spec for spec, h, count in zip(ring, series, counts)
-                      if count != coefficient(h, k)}
-            if k <= k_max:
-                coarse_failed |= failed
-            if k <= box:
-                fine_failed |= failed
+        for windows in _coefficient_windows([spec.series() for spec in ring], top):
+            # the window's rows first, so that its end draws no degree
+            for row, (k, counts) in zip(zip(*windows), degrees):
+                if counts != list(row):
+                    failed = set(compress(ring, map(ne, counts, row)))
+                    if k <= k_max:
+                        coarse_failed |= failed
+                    if k <= box:
+                        fine_failed |= failed
     cases = {"coarse": lambda spec: k_max + 1,
              "fine": lambda spec: (box + 1) ** spec.ambient + box + 1}
     return [{"check": check, "family": family, "specs": len(family_specs),

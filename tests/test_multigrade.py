@@ -2,8 +2,9 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hilbertdepth.cli import main
 from hilbertdepth.ideals import (
+    FAMILIES,
     GeneratedHatPower,
     HatPower,
     MaxPower,
@@ -119,17 +121,26 @@ class TestMembership:
 
     def test_rule_agrees_with_member_on_the_box(self):
         # every spec with n <= 5 and s <= 8 at each point of [0, 6]^r, by
-        # the comparison the ring pass makes with each spec's column
+        # the comparison with the column the ring pass builds for the box
         rings = {}
         for spec in all_specs(5, 8):
             rings.setdefault(spec.ambient, []).append(spec)
         for r, specs in rings.items():
             points = list(product(range(7), repeat=r))
-            columns = multigrade._statistics(points, r)
+            columns = multigrade._box_statistics(r, 6)
             for spec in specs:
                 column, bound = spec.member_rule()
                 got = bytes(map(bound.__le__, columns[column]))
                 assert got == bytes(map(spec.member, points)), spec
+
+    def test_box_columns_match_pointwise_statistics(self):
+        # every box the fine guard allows, built axis by axis, against the
+        # statistics of its listed points
+        for r in range(1, 6):
+            for box in range(7):
+                points = list(product(range(box + 1), repeat=r))
+                assert multigrade._box_statistics(r, box) == list(
+                    map(bytes, multigrade._statistics(points, r))), (r, box)
 
 
 class TestDegreeCompositions:
@@ -260,7 +271,8 @@ class TestRingOracle:
         for r, specs in rings.items():
             counts = {spec: member_counts(spec, max(r * 3 + 1, 3 + 2)) for spec in specs}
             for box in range(4):
-                fine = {spec: MultiSeries(r, box, member_box(spec, box)) for spec in specs}
+                fine = {spec: MultiSeries(r, box, bytes(member_box(spec, box)))
+                        for spec in specs}
                 points = list(product(range(box + 1), repeat=r))
                 for k_max in sorted({0, box - 1, box, box + 2, r * box + 1} - {-1}):
                     top = max(k_max, box)
@@ -276,6 +288,71 @@ class TestRingOracle:
                     assert len(compositions) == math.comb(top + r, r)
                     assert sorted(statistics_points) == sorted(points + compositions), (
                         r, box, k_max)
+
+
+    def test_box_pass_holds_no_point(self):
+        # the box-6 ring of five variables has 16,807 points, whose tuples
+        # alone took about 1.6 MB; its six columns take about 100 KB
+        specs = [spec for spec in all_specs(5, 4) if spec.ambient == 5]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fines, _ = ring_oracle(specs, 0, 6)
+            assert sum(1 for _ in fines) == len(specs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("specs, top", [
+        ([MaxPower(1, s) for s in (1, 255, 256, 257, 2999, 3000, 3001, 10**30)]
+         + [Veronese(1, 1), HatPower(4, 4, 256), GeneratedHatPower(1, 1, 1024)], 3000),
+        ([Veronese(2, 2), MaxPower(2, 256), HatPower(2, 1, 300), GeneratedHatPower(2, 1, 255),
+          GeneratedHatPower(2, 2, 299), GeneratedHatPower(2, 2, 10**30)], 300),
+    ])
+    def test_counts_past_a_byte_match_reference(self, specs, top):
+        # degrees, so statistics, and bounds that no byte holds, at and
+        # around 256
+        _, degrees = ring_oracle(specs, top, 0)
+        counts = [member_counts(spec, top) for spec in specs]
+        assert list(degrees) == [(k, [c[k] for c in counts]) for k in range(top + 1)]
+
+
+def windowed(series, top):
+    """Each series' coefficients to degree top, joined from its windows,
+    and the windows' widths."""
+    windows = list(multigrade._coefficient_windows(series, top))
+    assert all(len(set(map(len, window))) == 1 for window in windows)
+    return ([list(chain.from_iterable(window[i] for window in windows))
+             for i in range(len(series))], [len(window[0]) for window in windows])
+
+
+class TestCoefficientWindows:
+    def test_windows_match_coefficient_at_every_degree(self):
+        # a one-variable sweep at k_max 2500 crosses several window edges:
+        # every window but the last is full, none runs past the top degree,
+        # and each prefix-sum pass carries across the edges; the numerators
+        # T^s start at, below and past an edge, and the rings of five
+        # variables add den_pow up to 5
+        top, edge = 2500, COMPOSITION_CHUNK
+        specs = [spec for spec in all_specs(1, 3) if spec.ambient == 1]
+        specs += [HatPower(3, 3, edge - 1), GeneratedHatPower(1, 1, edge), MaxPower(1, 2 * edge),
+                  MaxPower(1, top + 1), MaxPower(5, 3), Veronese(5, 2),
+                  GeneratedHatPower(4, 2, 2), HatPower(5, 2, 3)]
+        series = [spec.series() for spec in specs]
+        values, widths = windowed(series, top)
+        assert top // edge >= 2
+        assert widths == [edge] * (top // edge) + [top % edge + 1]
+        for spec, h, got in zip(specs, series, values):
+            assert got == [coefficient(h, k) for k in range(top + 1)], spec
+
+    @pytest.mark.parametrize("top", [0, 1, COMPOSITION_CHUNK - 1, COMPOSITION_CHUNK])
+    def test_windows_stop_at_the_top_degree(self, top):
+        series = [MaxPower(3, 2).series(), Veronese(4, 2).series()]
+        values, widths = windowed(series, top)
+        assert widths == [min(top + 1, COMPOSITION_CHUNK)] + [1] * (top == COMPOSITION_CHUNK)
+        assert values == [[coefficient(h, k) for k in range(top + 1)] for h in series]
 
 
 class TestOracleSweep:
@@ -344,12 +421,55 @@ class TestOracleSweep:
             marked.append(h := series(spec))
             return h
 
-        def faulty(h, k):
-            return coefficient(h, k) + (k == degree and any(h is m for m in marked))
+        def faulty(series, top):
+            start = 0
+            for window in windows(series, top):
+                for h, values in zip(series, window):
+                    if any(h is m for m in marked) and start <= degree < start + len(values):
+                        values[degree - start] += 1
+                start += len(window[0])
+                yield window
+        windows = multigrade._coefficient_windows
         monkeypatch.setattr(MaxPower, "series", marked_series)
-        monkeypatch.setattr(multigrade, "coefficient", faulty)
+        monkeypatch.setattr(multigrade, "_coefficient_windows", faulty)
         rows = oracle_sweep(3, 4, 2, 2)
         assert {(r["check"], r["family"]) for r in rows if not r["passed"]} == failed
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_every_chunk_and_window_edge(self, monkeypatch, chunk):
+        # chunks of compositions and windows of coefficients a few degrees
+        # wide: degrees cut across chunks, and windows ending at every kind
+        # of degree, must give the rows of the default width
+        want = oracle_sweep(3, 12, 2, 2)
+        assert all(r["passed"] for r in want)
+        monkeypatch.setattr(multigrade, "COMPOSITION_CHUNK", chunk)
+        assert oracle_sweep(3, 12, 2, 2) == want
+
+    def test_statistics_and_bounds_past_a_byte(self, monkeypatch):
+        # degrees to 300 and 3000, and powers to 300: the two-variable sweep
+        # makes 55,008,024 membership tests, past the sweep guard, which is
+        # lifted to that count here
+        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 55_008_024)
+        for shape in ((2, 300, 300, 2), (1, 3000, 300, 0)):
+            assert all(r["passed"] for r in oracle_sweep(*shape)), shape
+
+    @pytest.mark.parametrize("extra, count, kind", [
+        (lambda size: (0, size), 2, bytes),  # each point covered once more
+        (lambda size: (size, 0), -1, tuple),  # once less
+    ])
+    def test_cover_fault_is_a_failed_fine_row(self, capsys, monkeypatch, extra, count, kind):
+        # pieces that fail to partition give counts of 2 on the ideal, or of
+        # -1 off it, which no byte holds: a FAIL row each, not an exception
+        cover = multigrade._cover
+        monkeypatch.setattr(multigrade, "_cover",
+                            lambda runs, size: cover([*runs, extra(size)], size))
+        coeffs = fine_series_formula(MaxPower(2, 1), 2).coeffs
+        assert type(coeffs) is kind and count in coeffs
+        code = main(["oracle", "--n-max", "3", "--k-max", "4", "--s-max", "2", "--box", "2"])
+        heads = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert code == 1
+        assert heads == [*(f"PASS coarse {family}" for family in FAMILIES),
+                         *(f"FAIL fine {family}" for family in FAMILIES), "OVERALL FAIL"]
 
     def test_fine_formula_fault_fails_the_fine_row(self, monkeypatch):
         formula = multigrade.fine_series_formula
@@ -358,7 +478,7 @@ class TestOracleSweep:
             ms = formula(spec, box)
             if not isinstance(spec, Veronese):
                 return ms
-            return MultiSeries(ms.num_vars, ms.box, (1 - ms.coeffs[0],) + ms.coeffs[1:])
+            return MultiSeries(ms.num_vars, ms.box, bytes([1 - ms.coeffs[0]]) + ms.coeffs[1:])
         monkeypatch.setattr(multigrade, "fine_series_formula", faulty)
         rows = oracle_sweep(3, 4, 2, 2)
         assert {(r["check"], r["family"]) for r in rows if not r["passed"]} == {
@@ -413,7 +533,7 @@ class TestFineSeries:
             for d in range(1, n + 1):
                 for box in range(5 if n <= 4 else 3):
                     got = fine_series_formula(Veronese(n, d), box).coeffs
-                    assert got == veronese_fine_by_subsets(n, d, box), (n, d, box)
+                    assert got == bytes(veronese_fine_by_subsets(n, d, box)), (n, d, box)
 
     def test_formula_never_consults_membership(self, monkeypatch):
         # the oracle decides through member_rule, so neither way of testing
@@ -486,7 +606,8 @@ class TestFineSeries:
                             specs.append(MaxPower(n, s))
                         for spec in specs:
                             got = fine_series_formula(spec, box).coeffs
-                            assert got == power_fine_by_compositions(spec, box), (spec, box)
+                            assert got == bytes(power_fine_by_compositions(spec, box)), (
+                                spec, box)
 
     def test_generated_hat_is_hat_times_geometric_tail(self):
         spec = GeneratedHatPower(3, 2, 2)
