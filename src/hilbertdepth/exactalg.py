@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import sub
+from operator import attrgetter, sub
 from typing import Iterable
 
 __all__ = [
@@ -25,9 +25,15 @@ class Record:
     importing it costs nothing.  __init__ takes every field, by position or
     keyword (else TypeError), then runs __post_init__.  Equality needs the
     same class; hash and repr Name(field=value, ...) follow the fields.
+    Equality and hash read the class and the fields as one tuple, _key,
+    one C call per record.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the class leads, so a class without fields gets a getter too
+        cls._key = attrgetter("__class__", *cls.__slots__)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names = self.__slots__
@@ -54,10 +60,10 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._asdict() == other._asdict()
+        return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(self._asdict().values()))
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())

@@ -28,7 +28,7 @@ Catalog tags and statements:
                 sweep, and substituting (n+s-1, s) into the Veronese
                 formula reproduces the max-power formula shifted by s-1.
 
-Five check points repeat another point's comparison and are not
+Six check points repeat another point's comparison and are not
 independent evidence.  eq_chain ("rational",) and theorem_1_4 ("series",)
 compare veronese_series_alt(n, d) with the Eagon-Northcott numerator of
 m^d in n-d+1 variables over (1-T)^n, built as GeneratedHatPower(n, d, d)
@@ -42,6 +42,14 @@ C(n-d+k, k) = C(n+(k-d), (k-d)+d).  prop_2_3 ("numerator",) reads its
 right-hand side off the veronese_series_alt numerator that ("series",)
 already compared; it stays a repeat because an independent right side,
 sum_i C(i+d-1, d-1) (1-T)^i expanded anew, costs O(n) per coefficient.
+theorem_1_4 ("depth",) scans one numerator twice: the depth scan judges
+each step from the numerator alone, and ("series",) has just shown that
+both sides share it, so the point fails only if hilbert_depth misreads
+den_pow.  theorem_1_3 ("veronese", n, d) repeats a scan, though not a
+comparison: whenever d <= n-d+1 it scans the numerator that
+("max_power", n-d+1, d) scans, so of the three points
+("max_power", n-d+1, d), ("veronese", n, d) and
+("substitution", n-d+1, d), any two imply the third.
 """
 
 from __future__ import annotations

@@ -9,13 +9,17 @@ representation sit three decisions, all exact:
     (1 - T)^(-m), whose k-th coefficient is C(m-1+k, m-1), and a whole
     prefix of the expansion by m prefix-sum passes;
   * non-negativity of the entire (infinite) coefficient sequence, decided in
-    finite time because the sequence agrees with a polynomial in k once k
-    exceeds the numerator degree; the prefix-sum passes that expand the head
-    also carry that polynomial's forward-difference table, one step each,
-    and the tail is accepted at once if that table is non-negative (Newton's
-    certificate at the numerator degree), and otherwise settled by the
-    search of the tails module for the polynomial's integer local minima,
-    in time polynomial in the bit size of the numerator;
+    finite time because the coefficient at k of P / (1 - T)^j agrees with
+    a polynomial q_j in k once k reaches the base b = max(D - j + 1, 0)
+    (D the numerator degree); step j of the prefix-sum scan keeps the
+    coefficients below b as a row and the rest as q_j's forward-difference
+    table at b, and each step pops the row's last prefix sum and puts it in
+    front of the table, which needs no addition, so the row shrinks by one
+    entry per step; the tail is accepted at once if that table is
+    non-negative (Newton's certificate at b), and otherwise the table moves
+    once, for good, to base D, where the search of the tails module settles
+    it from the polynomial's integer local minima, in time polynomial in
+    the bit size of the numerator;
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
     found by one pass of the same prefix sums over P / (1 - T)^j,
     j = 0, 1, ..., stopping at the first non-negative j, valid because
@@ -140,57 +144,100 @@ def expansion(h: RationalFunctionSeries, upto: int) -> list[int]:
 def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
     """Yield whether numer(T) / (1 - T)^j is non-negative, for j = first..m.
 
-    numer is nonzero when m >= 1.  One pass carries two things from j - 1
-    to j: the row S_j[0..D] of j-fold prefix sums of P (D = deg P), one
-    accumulate of the previous row, and the forward-difference table
-    t_j[i] = S_(j-i)[D+i], i < j, of the eventual polynomial at base D.
-    Differencing S_j once gives S_(j-1) shifted by one, so t_j[0] = S_j[D],
-    t_j[j-1] = P(1) and t_j[i] = t_(j-1)[i-1] + t_(j-1)[i] in between.
-    Rows and tables for j < first are carried but not judged.  The scan
-    also carries p, with row[:p] >= 0: prefix sums keep a non-negative
-    head non-negative, so p only moves right, each entry is checked once
-    over the whole scan, and a step whose row[p] is still negative rejects
-    in O(1).  A step whose row passes and whose P(1) is not negative is
-    accepted if every table entry is >= 0 (Newton's certificate at base D)
-    and otherwise decided by _search (tails.search).
+    numer is nonzero when m >= 1.  The coefficient at k of P / (1 - T)^j
+    is c_j(k) = sum_i P_i C(j-1+k-i, j-1), and once k reaches the base
+    b = max(D - j + 1, 0) (D = deg P) every term is a polynomial in k, so
+    c_j(k) = q_j(k) for the eventual polynomial q_j, of degree j - 1 with
+    leading difference P(1).  Step j holds the row c_j(0..b-1) and q_j's
+    forward-difference table t_j[i] = Delta^i q_j(b), i < j.  One
+    accumulate of the row gives c_(j+1)(0..b-1), whose last entry is
+    q_(j+1)(b - 1); since Delta q_(j+1)(k) = q_j(k + 1), step j + 1's
+    table at base b - 1 is that entry, popped off the row and put in front
+    of t_j.  So a step costs b additions, none in the table.  Once b is 0
+    the row is empty and the table takes a Pascal step instead,
+    t_(j+1) = [c(0), t_j[0] + t_j[1], ..., t_j[j-2] + t_j[j-1], P(1)].
+
+    A step whose row passes is accepted when its table has no negative
+    entry: Newton's certificate at b, which is one at every later base
+    too.  The first time a passing row meets a negative table entry, the
+    scan moves the table to base D, once: D - b shifts
+    t[i] += t[i + 1], whose front entries q_j(b..D) extend the row to the
+    full c_j(0..D).  From then on it carries that full row, one accumulate
+    per step, and the table at base D, t_(j+1) = [c_(j+1)(D),
+    t_j[0] + t_j[1], ..., P(1)]; a step whose row and P(1) pass is
+    accepted if every table entry is >= 0 and otherwise decided by _search
+    (tails.search).  The search thus sees exactly the tables at base D of
+    a scan that carries the full row throughout, and no scan does more
+    than that one's work plus the one move.  Rows and tables for
+    j < first are carried but not judged.
+
+    The scan also carries p, with c_j(k) >= 0 for k < p: prefix sums keep
+    a non-negative head non-negative, so p only moves right, and stays
+    valid past the end of a shrunk row; each entry is checked once over
+    the whole scan, and a step whose row[p] is still negative rejects in
+    O(1).
 
     If P = T^v Q with Q(0) != 0, the j-fold prefix sums of P are v zeros
     followed by those of Q, so T^v Q / (1 - T)^j and Q / (1 - T)^j are
-    non-negative together.  The row therefore starts at P's first nonzero
-    coefficient: its last entry, the table and P(1) = Q(1) are the same,
-    and no step sums the v zeros.
+    non-negative together.  The scan therefore runs on Q, from P's first
+    nonzero coefficient: D, b and the tables are Q's, P(1) = Q(1), and no
+    step sums the v zeros.
     """
     v = next((i for i, c in enumerate(numer) if c), 0)
     row, table, total, p = list(numer[v:]), [], sum(numer), 0
-    size = len(row)
+    top, low = len(row) - 1, True
     for j in range(m + 1):
         if j:
-            row = list(accumulate(row))
-            table = [row[-1], *map(add, table, table[1:]), total] if table else [row[-1]]
+            if not low:
+                row = list(accumulate(row))
+                table = [row[-1], *map(add, table, table[1:]), total]
+            elif row:
+                row = list(accumulate(row))
+                table.insert(0, row.pop())
+            else:
+                table = [numer[v], *map(add, table, table[1:]), total]
         if j >= first:
+            size = len(row)
             while p < size and row[p] >= 0:
                 p += 1
-            yield (p == size and not (table and total < 0)
-                   and (all(x >= 0 for x in table) or _search(table)))
+            if p < size:
+                yield False
+            elif low and not (table and min(table) < 0):
+                yield True
+            else:
+                if low:
+                    low = False
+                    for _ in range(top - size):
+                        row.append(table[0])
+                        table = [*map(add, table, table[1:]), total]
+                    row.append(table[0])
+                    while p <= top and row[p] >= 0:
+                        p += 1
+                yield p > top and total >= 0 and (min(table) >= 0 or _search(table))
 
 
 def is_nonnegative(h: RationalFunctionSeries) -> bool:
     """True iff every power-series coefficient of H is >= 0, decided exactly.
 
     Procedure: the step j = m of the prefix-sum scan (D = numerator degree,
-    m = den_pow), whose earlier steps only carry their rows forward.  Its
-    row is c_0..c_D, the m-fold prefix sums of P cut at D; with m = 0 the
-    row is P.  Beyond D the sequence agrees with a polynomial q of degree
-    m-1 whose leading coefficient is numer(1)/(m-1)!, and the scan carries
-    q's forward-difference table at base D, from q(D) = c_D to numer(1).
-    Reject if a row entry or numer(1) (eventually negative) is negative.
-    Otherwise decide the tail from the table: Newton's expansion
-    q(k0 + x) = sum_j C(x, j) * (difference_j at k0) shows that once every
-    difference is >= 0 at some k0 the whole tail is >= 0.  So the tail is
-    accepted at once if every difference is >= 0 at k0 = D.  Otherwise a
-    search decides it from that table (see tails.search): the tail is
-    non-negative iff q(D) >= 0 and q >= 0 at each of its integer local
-    minima past D, the points where Delta q turns from negative to >= 0.
+    m = den_pow), whose earlier steps only carry their rows and tables
+    forward, each popping its row's last prefix sum to the table's front.
+    Beyond b = max(D - m + 1, 0) the sequence agrees with a polynomial q of
+    degree m-1 whose leading coefficient is numer(1)/(m-1)!.  The step's
+    row is c_0..c_(b-1), the m-fold prefix sums of P cut below b (with
+    m = 0 it is P), and its table is q's forward-difference table at the
+    base b, from q(b) = c_b to numer(1).  Reject if a row entry is
+    negative.  Newton's expansion q(k0 + x) = sum_j C(x, j) *
+    (difference_j at k0) shows that once every difference is >= 0 at some
+    k0 the whole tail is >= 0, so the series is accepted at once if every
+    difference is >= 0 at k0 = b.  Otherwise the scan moves the table to
+    base D by D - b Pascal shifts, whose front entries are the coefficients
+    c_b..c_D, and rejects if one of them or numer(1) (eventually negative)
+    is negative; then it accepts if the table at D is non-negative, and
+    else a search decides the tail from that table (see tails.search): the
+    tail is non-negative iff q(D) >= 0 and q >= 0 at each of its integer
+    local minima past D, the points where Delta q turns from negative to
+    >= 0.
     Each difference Delta^i q is monotone between consecutive sign changes
     of Delta^(i+1) q, so each such interval holds at most one sign change
     of Delta^i q.  The sign changes of Delta^(e-1) q and Delta^(e-2) q, of
@@ -219,6 +266,13 @@ def hilbert_depth(h: RationalFunctionSeries) -> int:
     (1 - T) factor, whose coefficients sum to 0 and hence cannot all be
     non-negative.  If no j <= den_pow passes, H itself (j = den_pow) has a
     negative coefficient.
+
+    Step j holds as its row only the coefficients below the base
+    b = max(D - j + 1, 0), D the numerator degree, and the eventual
+    polynomial's difference table at b, which grows by the prefix sum
+    popped off the row's end.  The first step whose row passes but whose
+    table at b has a negative entry moves the table to base D, for the
+    rest of the scan (see _verdicts).
     """
     if h.numer.is_zero():
         raise ValueError("depth is undefined for the zero series")

@@ -1,11 +1,16 @@
 """Reference algebra the tests compare the package against, built from
-math.comb and Fraction rather than from the package's own routines."""
+math.comb and Fraction rather than from the package's own routines.  The
+one exception is reference_verdicts, the full-row depth scan, which hands
+its tails to the package's tails.search so that a test can compare the
+tables both scans hand it."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb, factorial
+from operator import add
 
 from hilbertdepth.exactalg import IntPolynomial
+from hilbertdepth.tails import search as _search
 
 
 def one_minus_t_power(m):
@@ -149,6 +154,28 @@ def evaluate(q, k):
     for c in reversed(q):
         acc = acc * k + c
     return acc
+
+
+def reference_verdicts(numer, m, first=0):
+    """Whether numer(T) / (1 - T)^j is non-negative, for j = first..m, by
+    the full-row scan: the row S_j[0..D] of j-fold prefix sums of P
+    (D = deg P) and the eventual polynomial's forward-difference table at
+    base D, both carried from j - 1 to j by one prefix-sum pass and one
+    Pascal step, t_j = [S_j[D], t_(j-1)[0] + t_(j-1)[1], ..., P(1)].  The
+    tail is accepted if that table is non-negative and otherwise decided by
+    _search; p is the row's first possibly negative index."""
+    v = next((i for i, c in enumerate(numer) if c), 0)
+    row, table, total, p = list(numer[v:]), [], sum(numer), 0
+    size = len(row)
+    for j in range(m + 1):
+        if j:
+            row = list(accumulate(row))
+            table = [row[-1], *map(add, table, table[1:]), total] if table else [row[-1]]
+        if j >= first:
+            while p < size and row[p] >= 0:
+                p += 1
+            yield (p == size and not (table and total < 0)
+                   and (all(x >= 0 for x in table) or _search(table)))
 
 
 def bisection_search(t):

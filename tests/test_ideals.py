@@ -101,7 +101,8 @@ class TestMaxPowerSeries:
         assert coefficient(h, 2) == 6  # C(4, 2)
 
     def test_power_one_is_whole_ideal(self):
-        assert MaxPower(2, 1).series() == Veronese(2, 1).series()
+        # the Veronese side from the Horner sum, not the numerator kernel
+        assert MaxPower(2, 1).series() == veronese_series_alt(2, 1)
 
     def test_coefficients_are_truncated_free_module(self):
         for n in range(1, 6):
@@ -166,7 +167,7 @@ class TestHatPowerSeries:
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
             for s in range(1, 4):
-                assert HatPower(n, 1, s).series() == MaxPower(n, s).series()
+                assert HatPower(n, 1, s).series() == canonicalize(power_numerator(n, s), n)
 
     def test_single_variable(self):
         for n in range(1, 6):
@@ -178,19 +179,22 @@ class TestHatPowerSeries:
         for n in range(1, 31):
             for t in range(1, n + 1):
                 for s in (1, 2, 3):
-                    assert HatPower(n, t, s).series() == MaxPower(n - t + 1, s).series()
+                    span = n - t + 1
+                    want = canonicalize(power_numerator(span, s), span)
+                    assert HatPower(n, t, s).series() == want
 
 
 class TestGeneratedHatPowerSeries:
     def test_hand_expansion(self):
         h = GeneratedHatPower(3, 2, 2).series()
         assert h.numer == IntPolynomial((0, 0, 3, -2)) and h.den_pow == 3
-        assert h == Veronese(3, 2).series()
+        assert h == veronese_series_alt(3, 2)
 
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
             for s in range(1, 4):
-                assert GeneratedHatPower(n, 1, s).series() == MaxPower(n, s).series()
+                want = canonicalize(power_numerator(n, s), n)
+                assert GeneratedHatPower(n, 1, s).series() == want
 
     def test_matches_transformed_hat_series(self):
         for n in range(1, 12):

@@ -23,7 +23,14 @@ from hilbertdepth.series import (
     is_nonnegative,
     mul_power_one_minus_t,
 )
-from reference import bisection_search, evaluate, eventual_polynomial, one_minus_t_power
+import reference
+from reference import (
+    bisection_search,
+    evaluate,
+    eventual_polynomial,
+    one_minus_t_power,
+    reference_verdicts,
+)
 
 
 def expand_by_prefix_sums(numer_coeffs, den_pow, upto):
@@ -650,9 +657,47 @@ class TestScanCarry:
             assert hilbert_depth(shifted) == hilbert_depth(h)
 
 
+class TestMovingBase:
+    """The scan holds only the coefficients below the base b = D - j + 1 and
+    moves its table to base D at most once; it must give the verdicts of
+    the full-row scan and hand the search the same tables, in the same
+    order."""
+
+    @staticmethod
+    def traffic(scan, module, numer, m, first):
+        tables = []
+
+        def record(t):
+            tables.append(list(t))
+            return tails.search(t)
+
+        with mock.patch.object(module, "_search", record):
+            verdicts = list(scan(numer, m, first))
+        return verdicts, tables
+
+    @settings(max_examples=500)
+    @given(st.integers(0, 3), st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+           st.integers(0, 10), st.integers(0, 12))
+    # m > D + 1: b reaches 0, the table takes Pascal steps, then moves
+    @example(v=0, coeffs=[1, -4, 5, 4], m=7, first=5)
+    # the move at j = first, from b = 1, and a search at j = 4 and j = 5
+    @example(v=2, coeffs=[3, -5, -2, 3, 4], m=5, first=4)
+    # the move at j = 4 from b = 2 meets c_4(3) < 0, inside [b, D)
+    @example(v=2, coeffs=[1, -1, -4, 5, -5, -1], m=8, first=2)
+    # P(1) < 0: the row 1, 3, 0 passes at j = 1 and the move rejects
+    @example(v=1, coeffs=[1, 2, -3, -4], m=5, first=1)
+    def test_matches_full_row_scan(self, v, coeffs, m, first):
+        numer = (0,) * v + tuple(coeffs)
+        # canonical: m >= 1 implies P(1) != 0, which the search needs
+        assume(m == 0 or sum(numer))
+        assert (self.traffic(_verdicts, series, numer, m, first)
+                == self.traffic(reference_verdicts, reference, numer, m, first))
+
+
 class TestCertificateTraffic:
-    """Every family table is accepted by Newton's certificate at base D or
-    rejected by its row, so no family depth scan reaches the search."""
+    """Every family table is accepted by Newton's certificate at the low
+    base b = D - j + 1 or rejected by its row, so no family depth scan
+    reaches the search."""
 
     @staticmethod
     def scan(series_list):
