@@ -136,7 +136,7 @@ def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
     if len(sizes) != 1:
         raise ValueError("specs must share one number of variables")
     vars_ = sizes.pop()
-    check_sweep_guard(specs, k_max, box)
+    check_sweep_guard(zip(repeat(1), specs), k_max, box)
     rules = [spec.member_rule() for spec in specs]
 
     def box_pass() -> Iterator[MultiSeries]:
@@ -261,21 +261,17 @@ def _coefficient_windows(series: Sequence[RationalFunctionSeries],
         yield windows
 
 
-def check_sweep_guard(specs: Iterable[IdealSpec], k_max: int, box: int) -> None:
-    """Reject ring passes over specs of more than MAX_MEMBER_TESTS
-    membership tests.  A pass computes the statistic columns of each of the
-    (box+1)^r box points and the C(max(k_max, box) + r, r) compositions of
-    degree <= max(k_max, box) once per ring of r variables, and each spec
-    decides each such point, in bulk: one membership test per spec and
-    point is the measure of a pass's work.  A spec's count is at least
-    the C(k_max + r - 1, r - 1) compositions of degree k_max alone, so the
+def check_sweep_guard(weighted: Iterable[tuple[int, IdealSpec]], k_max: int, box: int) -> None:
+    """Reject ring passes over the (copies, spec) pairs weighted, each spec
+    counted copies times, of more than MAX_MEMBER_TESTS membership tests.
+    A pass computes the statistic columns of each of the (box+1)^r box
+    points and the C(max(k_max, box) + r, r) compositions of degree
+    <= max(k_max, box) once per ring of r variables, and each spec decides
+    each such point, in bulk: one membership test per spec and point is
+    the measure of a pass's work.  A spec's count is at least the
+    C(k_max + r - 1, r - 1) compositions of degree k_max alone, so the
     guard also bounds the compositions of any one degree the pass draws.
     """
-    _check_tests(zip(repeat(1), specs), k_max, box)
-
-
-def _check_tests(weighted: Iterable[tuple[int, IdealSpec]], k_max: int, box: int) -> None:
-    """check_sweep_guard over (copies, spec) pairs, each spec counted copies times."""
     top = max(k_max, box)
     tests = sum(copies * (math.comb(top + spec.ambient, top) + (box + 1) ** spec.ambient)
                 for copies, spec in weighted)
@@ -379,8 +375,8 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
     check_fine_guard(n_max, box)
     # a spec with a power s stands for its s_max copies, which share its
     # ring, so a large s_max is counted without building them
-    _check_tests(((s_max if "s" in FAMILIES[family].__slots__ else 1, spec)
-                  for family, specs in grid(1).items() for spec in specs), k_max, box)
+    check_sweep_guard(((s_max if "s" in FAMILIES[family].__slots__ else 1, spec)
+                       for family, specs in grid(1).items() for spec in specs), k_max, box)
     specs = grid(s_max)
     top = max(k_max, box)
     # one pass per ring size, whatever the family: its fine arrays serve the

@@ -10,16 +10,11 @@ representation sit three decisions, all exact:
     prefix of the expansion by m prefix-sum passes;
   * non-negativity of the entire (infinite) coefficient sequence, decided in
     finite time because the coefficient at k of P / (1 - T)^j agrees with
-    a polynomial q_j in k once k reaches the base b = max(D - j + 1, 0)
-    (D the numerator degree); step j of the prefix-sum scan keeps the
-    coefficients below b as a row and the rest as q_j's forward-difference
-    table at b, and each step pops the row's last prefix sum and puts it in
-    front of the table, which needs no addition, so the row shrinks by one
-    entry per step; the tail is accepted at once if that table is
-    non-negative (Newton's certificate at b), and otherwise the table moves
-    once, for good, to base D, where the search of the tails module settles
-    it from the polynomial's integer local minima, in time polynomial in
-    the bit size of the numerator;
+    a polynomial q_j in k from a base on: the tail is accepted at once if
+    q_j's forward-difference table is non-negative (Newton's certificate),
+    and otherwise the search of the tails module settles it from the
+    polynomial's integer local minima, in time polynomial in the bit size
+    of the numerator;
   * the largest r such that (1 - T)^r H still has non-negative coefficients,
     found by one pass of the same prefix sums over P / (1 - T)^j,
     j = 0, 1, ..., stopping at the first non-negative j, valid because
@@ -27,6 +22,9 @@ representation sit three decisions, all exact:
     the same reason the first possibly negative index of the row only
     moves right from one j to the next, so the pass carries it and checks
     each row entry once.
+
+One prefix-sum scan, _verdicts, serves both decisions; its docstring
+describes the row, the table and their moves.
 """
 
 from __future__ import annotations
@@ -148,28 +146,33 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
     is c_j(k) = sum_i P_i C(j-1+k-i, j-1), and once k reaches the base
     b = max(D - j + 1, 0) (D = deg P) every term is a polynomial in k, so
     c_j(k) = q_j(k) for the eventual polynomial q_j, of degree j - 1 with
-    leading difference P(1).  Step j holds the row c_j(0..b-1) and q_j's
-    forward-difference table t_j[i] = Delta^i q_j(b), i < j.  One
-    accumulate of the row gives c_(j+1)(0..b-1), whose last entry is
-    q_(j+1)(b - 1); since Delta q_(j+1)(k) = q_j(k + 1), step j + 1's
-    table at base b - 1 is that entry, popped off the row and put in front
-    of t_j.  So a step costs b additions, none in the table.  Once b is 0
-    the row is empty and the table takes a Pascal step instead,
-    t_(j+1) = [c(0), t_j[0] + t_j[1], ..., t_j[j-2] + t_j[j-1], P(1)].
+    leading difference P(1).  Step j holds as its row the coefficients
+    c_j(0..b-1) below the base of q_j's forward-difference table
+    t_j[i] = Delta^i q_j(b), i < j.  One accumulate of the row gives
+    c_(j+1)(0..b-1), and the table takes one of two rules:
 
+      * at the moving base b = D - j + 1 >= 1, the row's last entry is
+        q_(j+1)(b - 1), and since Delta q_(j+1)(k) = q_j(k + 1), step
+        j + 1's table at base b - 1 is that entry, popped off the row and
+        put in front of t_j; a step costs b additions, none in the table;
+      * at a fixed base b, c_(j+1)(b) = c_(j+1)(b - 1) + q_j(b), with
+        c(-1) = 0, so the table takes a Pascal step,
+        t_(j+1) = [c_(j+1)(b - 1) + t_j[0], t_j[0] + t_j[1], ...,
+        t_j[j-2] + t_j[j-1], P(1)].
+
+    The base is fixed at 0 once the row is empty, and at D after the move.
     A step whose row passes is accepted when its table has no negative
     entry: Newton's certificate at b, which is one at every later base
     too.  The first time a passing row meets a negative table entry, the
-    scan moves the table to base D, once: D - b shifts
-    t[i] += t[i + 1], whose front entries q_j(b..D) extend the row to the
-    full c_j(0..D).  From then on it carries that full row, one accumulate
-    per step, and the table at base D, t_(j+1) = [c_(j+1)(D),
-    t_j[0] + t_j[1], ..., P(1)]; a step whose row and P(1) pass is
-    accepted if every table entry is >= 0 and otherwise decided by _search
-    (tails.search).  The search thus sees exactly the tables at base D of
-    a scan that carries the full row throughout, and no scan does more
-    than that one's work plus the one move.  Rows and tables for
-    j < first are carried but not judged.
+    scan moves the table to base D, once and for good: D - b shifts
+    t[i] += t[i + 1], whose front entries q_j(b..D-1) join the row, which
+    then holds c_j(0..D-1), and the table's front is c_j(D).  From then on
+    a step whose row, c_j(D) and P(1) pass is accepted if every table
+    entry is >= 0 and otherwise decided by _search (tails.search).  The
+    search thus sees exactly the tables at base D of a scan that carries
+    the full row c_j(0..D) throughout, and no scan does more than that
+    one's work plus the one move.  Rows and tables for j < first are
+    carried but not judged.
 
     The scan also carries p, with c_j(k) >= 0 for k < p: prefix sums keep
     a non-negative head non-negative, so p only moves right, and stays
@@ -184,60 +187,46 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
     step sums the v zeros.
     """
     v = next((i for i, c in enumerate(numer) if c), 0)
-    row, table, total, p = list(numer[v:]), [], sum(numer), 0
-    top, low = len(row) - 1, True
+    row, table, total, p, low = list(numer[v:]), [], sum(numer), 0, True
     for j in range(m + 1):
         if j:
-            if not low:
-                row = list(accumulate(row))
-                table = [row[-1], *map(add, table, table[1:]), total]
-            elif row:
-                row = list(accumulate(row))
+            row = list(accumulate(row))
+            if low and row:
                 table.insert(0, row.pop())
             else:
-                table = [numer[v], *map(add, table, table[1:]), total]
-        if j >= first:
-            size = len(row)
-            while p < size and row[p] >= 0:
+                table = [*map(add, [row[-1] if row else 0, *table], table), total]
+        if j < first:
+            continue
+        while p < len(row) and row[p] >= 0:
+            p += 1
+        if low and p >= len(row) and table and min(table) < 0:
+            low = False
+            for _ in range(len(numer) - 1 - v - len(row)):
+                row.append(table[0])
+                table = [*map(add, table, table[1:]), total]
+            while p < len(row) and row[p] >= 0:
                 p += 1
-            if p < size:
-                yield False
-            elif low and not (table and min(table) < 0):
-                yield True
-            else:
-                if low:
-                    low = False
-                    for _ in range(top - size):
-                        row.append(table[0])
-                        table = [*map(add, table, table[1:]), total]
-                    row.append(table[0])
-                    while p <= top and row[p] >= 0:
-                        p += 1
-                yield p > top and total >= 0 and (min(table) >= 0 or _search(table))
+        yield p >= len(row) and (low or total >= 0 and table[0] >= 0
+                                 and (min(table) >= 0 or _search(table)))
 
 
 def is_nonnegative(h: RationalFunctionSeries) -> bool:
     """True iff every power-series coefficient of H is >= 0, decided exactly.
 
-    Procedure: the step j = m of the prefix-sum scan (D = numerator degree,
-    m = den_pow), whose earlier steps only carry their rows and tables
-    forward, each popping its row's last prefix sum to the table's front.
-    Beyond b = max(D - m + 1, 0) the sequence agrees with a polynomial q of
-    degree m-1 whose leading coefficient is numer(1)/(m-1)!.  The step's
-    row is c_0..c_(b-1), the m-fold prefix sums of P cut below b (with
-    m = 0 it is P), and its table is q's forward-difference table at the
-    base b, from q(b) = c_b to numer(1).  Reject if a row entry is
-    negative.  Newton's expansion q(k0 + x) = sum_j C(x, j) *
-    (difference_j at k0) shows that once every difference is >= 0 at some
-    k0 the whole tail is >= 0, so the series is accepted at once if every
-    difference is >= 0 at k0 = b.  Otherwise the scan moves the table to
-    base D by D - b Pascal shifts, whose front entries are the coefficients
-    c_b..c_D, and rejects if one of them or numer(1) (eventually negative)
-    is negative; then it accepts if the table at D is non-negative, and
-    else a search decides the tail from that table (see tails.search): the
-    tail is non-negative iff q(D) >= 0 and q >= 0 at each of its integer
-    local minima past D, the points where Delta q turns from negative to
-    >= 0.
+    Procedure: the step j = m of the prefix-sum scan _verdicts, whose
+    earlier steps only carry their rows and tables forward (D = numerator
+    degree, m = den_pow).  Beyond b = max(D - m + 1, 0) the sequence agrees
+    with a polynomial q of degree m-1 whose leading coefficient is
+    numer(1)/(m-1)!.  Reject if a coefficient below b is negative.
+    Newton's expansion q(k0 + x) = sum_j C(x, j) * (difference_j at k0)
+    shows that once every difference is >= 0 at some k0 the whole tail is
+    >= 0, so the series is accepted at once if every difference is >= 0 at
+    k0 = b.  Otherwise the coefficients up to D and numer(1) (eventually
+    negative) must be >= 0, and then the tail is accepted if q's table at
+    D is non-negative, and else decided by a search from that table (see
+    tails.search): the tail is non-negative iff q(D) >= 0 and q >= 0 at
+    each of its integer local minima past D, the points where Delta q
+    turns from negative to >= 0.
     Each difference Delta^i q is monotone between consecutive sign changes
     of Delta^(i+1) q, so each such interval holds at most one sign change
     of Delta^i q.  The sign changes of Delta^(e-1) q and Delta^(e-2) q, of
@@ -267,12 +256,7 @@ def hilbert_depth(h: RationalFunctionSeries) -> int:
     non-negative.  If no j <= den_pow passes, H itself (j = den_pow) has a
     negative coefficient.
 
-    Step j holds as its row only the coefficients below the base
-    b = max(D - j + 1, 0), D the numerator degree, and the eventual
-    polynomial's difference table at b, which grows by the prefix sum
-    popped off the row's end.  The first step whose row passes but whose
-    table at b has a negative entry moves the table to base D, for the
-    rest of the scan (see _verdicts).
+    The scan is described at _verdicts.
     """
     if h.numer.is_zero():
         raise ValueError("depth is undefined for the zero series")

@@ -6,7 +6,7 @@ tables both scans hand it."""
 
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement, product
-from math import comb, factorial
+from math import ceil, comb, factorial
 from operator import add
 
 from hilbertdepth.exactalg import IntPolynomial
@@ -146,6 +146,30 @@ def eventual_polynomial(h):
             term = [a * (i - j) + b for a, b in zip([*term, 0], [0, *term])]
         q = [a + b for a, b in zip(q, term)]
     return len(cs) - 1, tuple(q)
+
+
+def expand_by_prefix_sums(numer_coeffs, den_pow, upto):
+    """Independent expansion oracle: den_pow-fold iterated prefix sums."""
+    row = list(numer_coeffs) + [0] * max(0, upto + 1 - len(numer_coeffs))
+    row = row[: upto + 1]
+    for _ in range(den_pow):
+        for i in range(1, len(row)):
+            row[i] += row[i - 1]
+    return row
+
+
+def reference_nonnegative(h):
+    """Brute-force decision, complete both ways: P(1) < 0 makes the tail
+    negative; otherwise every real root of the eventual polynomial q lies
+    below its Cauchy bound, past which q > 0, so expanding up to threshold
+    plus that bound settles every coefficient."""
+    threshold, q = eventual_polynomial(h)
+    lead = q[-1] if q else 0
+    if lead < 0:
+        return False
+    bound = 1 + max((abs(c / lead) for c in q[:-1]), default=0)
+    upto = threshold + ceil(bound)
+    return min(expand_by_prefix_sums(h.numer.coefficients, h.den_pow, upto)) >= 0
 
 
 def evaluate(q, k):

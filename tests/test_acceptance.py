@@ -97,7 +97,8 @@ def test_criterion_3_family_link(veronese_depths):
             hat = HatPower(n, d, d).series()
             if veronese_series_alt(n, d) != mul_power_one_minus_t(hat, -(d - 1)):
                 failures.append((n, d, "series"))
-            if veronese_depths[(n, d)] != hilbert_depth(hat) + d - 1:
+            # the closed form, since a second scan would repeat the first
+            if veronese_depths[(n, d)] != HatPower(n, d, d).closed_depth() + d - 1:
                 failures.append((n, d, "depth"))
     report(3, "series and depth link between the families, n <= 40", failures)
 

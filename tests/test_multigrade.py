@@ -240,7 +240,7 @@ class TestRingOracle:
                 monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", compositions - 1)
                 for box in range(7):
                     with pytest.raises(ValueError, match="membership tests"):
-                        multigrade.check_sweep_guard([MaxPower(r, 1)], k_max, box)
+                        multigrade.check_sweep_guard([(1, MaxPower(r, 1))], k_max, box)
 
     def test_specs_may_be_an_iterator(self):
         specs = [Veronese(2, 1), MaxPower(2, 2), GeneratedHatPower(2, 2, 3)]

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, comb, prod
+from math import comb, prod
+from operator import add
 from unittest import mock
 
 import pytest
@@ -28,33 +29,11 @@ from reference import (
     bisection_search,
     evaluate,
     eventual_polynomial,
+    expand_by_prefix_sums,
     one_minus_t_power,
+    reference_nonnegative,
     reference_verdicts,
 )
-
-
-def expand_by_prefix_sums(numer_coeffs, den_pow, upto):
-    """Independent expansion oracle: den_pow-fold iterated prefix sums."""
-    row = list(numer_coeffs) + [0] * max(0, upto + 1 - len(numer_coeffs))
-    row = row[: upto + 1]
-    for _ in range(den_pow):
-        for i in range(1, len(row)):
-            row[i] += row[i - 1]
-    return row
-
-
-def reference_nonnegative(h):
-    """Brute-force decision, complete both ways: P(1) < 0 makes the tail
-    negative; otherwise every real root of the eventual polynomial q lies
-    below its Cauchy bound, past which q > 0, so expanding up to threshold
-    plus that bound settles every coefficient."""
-    threshold, q = eventual_polynomial(h)
-    lead = q[-1] if q else 0
-    if lead < 0:
-        return False
-    bound = 1 + max((abs(c / lead) for c in q[:-1]), default=0)
-    upto = threshold + ceil(bound)
-    return min(expand_by_prefix_sums(h.numer.coefficients, h.den_pow, upto)) >= 0
 
 
 def rfs(coeffs, den_pow):
@@ -686,6 +665,9 @@ class TestMovingBase:
     @example(v=2, coeffs=[1, -1, -4, 5, -5, -1], m=8, first=2)
     # P(1) < 0: the row 1, 3, 0 passes at j = 1 and the move rejects
     @example(v=1, coeffs=[1, 2, -3, -4], m=5, first=1)
+    # after the move the row stops below D: c_j(D) < 0 is the table's front,
+    # and a step whose row passes must still reject without a search
+    @example(v=0, coeffs=[3, -9, 7], m=8, first=0)
     def test_matches_full_row_scan(self, v, coeffs, m, first):
         numer = (0,) * v + tuple(coeffs)
         # canonical: m >= 1 implies P(1) != 0, which the search needs
@@ -697,13 +679,17 @@ class TestMovingBase:
 class TestCertificateTraffic:
     """Every family table is accepted by Newton's certificate at the low
     base b = D - j + 1 or rejected by its row, so no family depth scan
-    reaches the search."""
+    makes a Pascal step (at base 0, or after a move to base D) or reaches
+    the search."""
 
     @staticmethod
     def scan(series_list):
-        with mock.patch.object(series, "_search", wraps=series._search) as search:
+        # every table addition is a Pascal step, at base 0 or after the move
+        # to base D; the pops at the moving base make none
+        with mock.patch.object(series, "_search", wraps=series._search) as search, \
+                mock.patch.object(series, "add", wraps=add) as pascal:
             depths = [(hilbert_depth(h), h.den_pow) for h in series_list]
-        assert search.call_count == 0
+        assert search.call_count == 0 and pascal.call_count == 0
         # a depth below den_pow means the scan accepted a nonempty table
         assert any(depth < den_pow for depth, den_pow in depths)
 
@@ -714,6 +700,13 @@ class TestCertificateTraffic:
         self.scan([Veronese(n, d).series() for n in range(1, 41) for d in range(1, n + 1)]
                   + [GeneratedHatPower(n, t, s).series() for n in range(1, 41)
                      for t in range(1, n + 1) for s in range(1, n + 2)])
+
+    def test_pascal_hook_is_live(self):
+        # this scan moves its table to base D and searches there
+        h = canonicalize(IntPolynomial((3, -9, 7)), 8)
+        with mock.patch.object(series, "add", wraps=add) as pascal:
+            assert hilbert_depth(h) == 1
+        assert pascal.call_count > 0
 
     # the extreme shapes of the benchmark's depth-large scans: deep ones
     # with s = 3 or d = 3, and shallow ones with s within 8 of n
