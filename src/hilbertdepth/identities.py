@@ -4,10 +4,9 @@ Each verifier recomputes both sides of an identity through independent
 pipelines, as a lazy sequence of check points (label, lhs, rhs) whose sides
 are integers or canonical series.  One driver compares the sides point by
 point in lexicographic sweep order and returns a structured pass/fail
-result carrying the first counterexample; a verifier that reads its sides
-off a row builds that row once per call.  A series mismatch is
-reported at the label extended by the first coefficient index where the
-expansions differ.
+result carrying the first counterexample.  A series mismatch is reported
+at the label extended by the first coefficient index where the expansions
+differ.
 
 Catalog tags and statements:
 
@@ -28,44 +27,69 @@ Catalog tags and statements:
                 sweep, and substituting (n+s-1, s) into the Veronese
                 formula reproduces the max-power formula shifted by s-1.
 
+The per-pair verifiers read their sums off four rows, which the `verify`
+sweep (n outer, d inner) carries from one (n, d) to the next:
+
+  R(n, d) = sum_{i=d-1..n-1} C(i, d-1) / (1-T)^(n-i), whose T^k
+            coefficient is lemma_4_1's sum, carried along n as
+            R(n, d) = (R(n-1, d) + C(n-1, d-1)) / (1-T);
+  B(n, d) = sum_{i=d-1..n-1} C(i, d-1) (1-T)^(i-d+1), the Veronese
+            numerator of the second presentation over T^d (the carried
+            numerator), carried along n as
+            B(n, d) = B(n-1, d) + C(n-1, d-1) (1-T)^(n-d);
+  L(n, d) = sum_{j=0..n-d} C(n, j) T^j (1-T)^(n-d-j), whose T^i
+            coefficient is lemma_2_2's sum, and
+  A(n, d) = sum_{k=0..n-d} C(n, k+d) T^k (1-T)^(n-k-d), prop_2_3's left
+            side, both built for every d of one n by descending steps
+            from d = n: L(n, d-1) = (1-T) L(n, d) + C(n, n-d+1) T^(n-d+1)
+            and A(n, d-1) = T A(n, d) + C(n, d-1) (1-T)^(n-d+1).
+
+Every step adds exactly one term of its own side's defining sum, that
+term's binomial read from math.comb.  No step comes from a binomial
+identity, such as Pascal's rule or one side's recurrence taken for the
+other: that would turn a check into comparing a value with itself.  A
+carry along n holds one row per d; only the call for (n, d) while it
+holds (n-1, d) advances it, and every other call sums its row from the
+empty sum at n = d-1.  Before its step, R's carried row is cut to the
+call's window, or extended to a wider one (the default window k <= n+10
+grows by one per n) entry by entry by its defining sum.  The rows of L
+and A are kept for the latest n only.
+So no result depends on the order of the calls.  The binomials on the
+other side of each check are math.comb values.
+
 Six check points repeat another point's comparison and are not
 independent evidence.  eq_chain ("rational",) and theorem_1_4 ("series",)
-compare veronese_series_alt(n, d) with the Eagon-Northcott numerator of
-m^d in n-d+1 variables over (1-T)^n, built as GeneratedHatPower(n, d, d)
-.series() and as HatPower(n, d, d).series() raised by
-mul_power_one_minus_t.  That is the pair prop_2_3 ("series",) compares,
-with the numerator built as Veronese(n, d).series(); no point compares
-that numerator with itself.  eq_chain ("unshifted", k) are
+compare the carried numerator, T^d B(n, d) over (1-T)^n, with the
+Eagon-Northcott numerator of m^d in n-d+1 variables over (1-T)^n, built
+as GeneratedHatPower(n, d, d).series() and as HatPower(n, d, d).series()
+raised by mul_power_one_minus_t.  That is the pair prop_2_3 ("series",)
+compares, with the numerator built as Veronese(n, d).series(); no point
+compares that numerator with itself.  eq_chain ("unshifted", k) are
 lemma_4_1's points.  eq_chain ("shifted", k) for k >= d repeats
 ("unshifted", k-d), the same row entry against the same value, since
-C(n-d+k, k) = C(n+(k-d), (k-d)+d).  prop_2_3 ("numerator",) reads its
-right-hand side off the veronese_series_alt numerator that ("series",)
-already compared; it stays a repeat because an independent right side,
-sum_i C(i+d-1, d-1) (1-T)^i expanded anew, costs O(n) per coefficient.
-theorem_1_4 ("depth",) scans one numerator twice: the depth scan judges
-each step from the numerator alone, and ("series",) has just shown that
-both sides share it, so the point fails only if hilbert_depth misreads
-den_pow.  theorem_1_3 ("veronese", n, d) repeats a scan, though not a
-comparison: whenever d <= n-d+1 it scans the numerator that
-("max_power", n-d+1, d) scans, so of the three points
-("max_power", n-d+1, d), ("veronese", n, d) and
+C(n-d+k, k) = C(n+(k-d), (k-d)+d).  prop_2_3 ("numerator",) compares A with
+the carried numerator B that ("series",) already compared; it stays a
+repeat because an independent right side, sum_i C(i+d-1, d-1) (1-T)^i
+expanded anew, costs O(n) per coefficient.  theorem_1_4 ("depth",) scans
+one numerator twice: the depth scan judges each step from the numerator
+alone, and ("series",) has just shown that both sides share it, so the
+point fails only if hilbert_depth misreads den_pow.  theorem_1_3
+("veronese", n, d) repeats a scan, though not a comparison: whenever
+d <= n-d+1 it scans the numerator that ("max_power", n-d+1, d) scans, so
+of the three points ("max_power", n-d+1, d), ("veronese", n, d) and
 ("substitution", n-d+1, d), any two imply the third.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import sub
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from math import comb
+from operator import add, sub
 from typing import Iterable, Iterator, Union
 
-from .exactalg import IntPolynomial, Record, binomial
-from .ideals import (
-    GeneratedHatPower,
-    HatPower,
-    MaxPower,
-    Veronese,
-    veronese_series_alt,
-)
+from .exactalg import IntPolynomial, Record
+from .ideals import GeneratedHatPower, HatPower, MaxPower, Veronese
 from .series import (
     RationalFunctionSeries,
     canonicalize,
@@ -88,6 +112,10 @@ __all__ = [
 # (label, lhs, rhs): one comparison, its sides integers or canonical series
 CheckPoint = tuple[tuple, Union[int, RationalFunctionSeries],
                    Union[int, RationalFunctionSeries]]
+
+# d -> (n, R(n, d)) and d -> (n, B(n, d)): the latest row of each carry
+_convolution_carry: dict[int, tuple[int, list[int]]] = {}
+_numerator_carry: dict[int, tuple[int, list[int]]] = {}
 
 
 class Counterexample(Record):
@@ -137,40 +165,88 @@ def _check(identity_id: str, params: str,
     return VerificationResult(identity_id, params, None)
 
 
+def _one_minus_t_term(c: int, e: int) -> list[int]:
+    """Coefficients of c (1-T)^e, each from the one before by one ratio:
+    c (-1)^(l+1) C(e, l+1) = -c (-1)^l C(e, l) (e-l) / (l+1)."""
+    return list(accumulate(range(e), lambda x, l: -x * (e - l) // (l + 1),
+                           initial=c))
+
+
 def _convolution_row(n: int, d: int, k_max: int) -> list[int]:
-    """sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k) for k = 0..k_max.
+    """R(n, d) for k = 0..k_max: row[k] = sum_{i=d-1..n-1} C(i, d-1)
+    C(n-i+k-1, k), the T^k coefficient of sum_i C(i, d-1) / (1-T)^(n-i).
 
-    With p = n-i these are the T^k coefficients of
-    sum_{p=1..n-d+1} C(n-p, d-1) / (1-T)^p; a prefix-sum pass over the row
-    multiplies it by 1/(1-T).
+    Each step adds the term i = n-1 to entry 0 and then divides by (1-T)
+    with one prefix-sum pass.  d's carried row R(n-1, d) is cut to the
+    window, or extended to it entry by entry by its defining sum; without
+    it the row is summed from R(d-1, d) = 0.  The row is shared with the
+    carry, so callers only read it.
     """
-    row = [0] * (k_max + 1)
-    for p in range(n - d + 1, 0, -1):
-        row[0] += binomial(n - p, d - 1)
+    m, row = _convolution_carry.get(d, (None, None))
+    if m == n - 1:
+        row = row[:k_max + 1] + [
+            sum(comb(i, d - 1) * comb(m - i + k - 1, k) for i in range(d - 1, m))
+            for k in range(len(row), k_max + 1)]
+    else:
+        m, row = d - 1, [0] * (k_max + 1)
+    for i in range(m, n):
+        row[0] += comb(i, d - 1)
         row = list(accumulate(row))
+    _convolution_carry[d] = n, row
     return row
 
 
-def _one_minus_t_row(terms: list[int]) -> list[int]:
-    """Coefficients of sum_{j=0..L} terms[j] T^j (1-T)^(L-j), L = len - 1.
+def _veronese_numerator(n: int, d: int) -> list[int]:
+    """B(n, d) = sum_{i=d-1..n-1} C(i, d-1) (1-T)^(i-d+1), lowest degree
+    first: the Veronese(n, d) numerator over T^d, of degree n-d.
 
-    Horner's rule in (1-T): for j = 0..L, multiply the row by (1-T) with
-    one pass of backward differences, then add terms[j] at index j.  At
-    step j only entries 0..j can be nonzero, so the pass covers those.
+    Each step adds the term i = n-1; d's carried row B(n-1, d) gains that
+    one term, and without it the row is summed from B(d-1, d) = 0.  The
+    row is shared with the carry, so callers only read it.
     """
-    row = [0] * len(terms)
-    for j, term in enumerate(terms):
-        row[1:j + 1] = map(sub, row[1:j + 1], row[:j])
-        row[j] += term
+    m, row = _numerator_carry.get(d, (None, None))
+    if m != n - 1:
+        m, row = d - 1, []
+    for i in range(m, n):
+        row = list(map(add, [*row, 0], _one_minus_t_term(comb(i, d - 1), i - d + 1)))
+    _numerator_carry[d] = n, row
     return row
 
 
-def _convolution_points(n: int, d: int, row: list[int],
-                        label: tuple) -> Iterator[CheckPoint]:
-    """C(n+k, k+d) against row[k] = sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k)
-    at points label + (k,) for every k of the row."""
-    for k, convolution in enumerate(row):
-        yield label + (k,), binomial(n + k, k + d), convolution
+def _veronese_series(n: int, d: int) -> RationalFunctionSeries:
+    """Veronese(n, d)'s series in its second presentation, T^d B(n, d) over
+    (1-T)^n.  B is 1 at T = 1, so it stays whole."""
+    return canonicalize(IntPolynomial([0] * d + _veronese_numerator(n, d)), n)
+
+
+@lru_cache(maxsize=1)
+def _lemma_2_2_rows(n: int) -> list[list[int]]:
+    """L(n, d) = sum_{j=0..n-d} C(n, j) T^j (1-T)^(n-d-j) for d = 1..n, at
+    index d-1: from L(n, n) = C(n, 0), each L(n, d-1) is (1-T) L(n, d), one
+    pass of backward differences, plus the term C(n, n-d+1) T^(n-d+1)."""
+    rows = [[comb(n, 0)]]
+    for j in range(1, n):
+        row = list(map(sub, [*rows[-1], 0], [0, *rows[-1]]))
+        row[j] += comb(n, j)
+        rows.append(row)
+    return rows[::-1]
+
+
+@lru_cache(maxsize=1)
+def _prop_2_3_rows(n: int) -> list[list[int]]:
+    """A(n, d) = sum_{k=0..n-d} C(n, k+d) T^k (1-T)^(n-k-d) for d = 1..n,
+    at index d-1: from A(n, n) = C(n, n), each A(n, d-1) is T A(n, d), a
+    shift, plus the term C(n, d-1) (1-T)^(n-d+1)."""
+    rows = [[comb(n, n)]]
+    for d in range(n, 1, -1):
+        rows.append(list(map(add, [0, *rows[-1]],
+                             _one_minus_t_term(comb(n, d - 1), n - d + 1))))
+    return rows[::-1]
+
+
+def _convolution_values(n: int, d: int, k_max: int) -> list[int]:
+    """C(n+k, k+d) for k = 0..k_max."""
+    return list(map(comb, range(n, n + k_max + 1), range(d, d + k_max + 1)))
 
 
 def _require_params(n: int, d: int, k_max: int = 0) -> None:
@@ -184,13 +260,13 @@ def verify_lemma_2_2(n: int, d: int) -> VerificationResult:
     """Check the alternating binomial convolution for every i in 0..n-d.
 
     Check points are (i,).  The convolution of every i at once is the T^i
-    coefficient of sum_{j=0..n-d} C(n, j) T^j (1-T)^(n-d-j), one row
-    summed by Horner's rule in (1-T) (_one_minus_t_row).
+    coefficient of the row L(n, d), built with the rows of every d of n
+    (see the module docstring).
     """
     _require_params(n, d)
-    row = _one_minus_t_row([binomial(n, j) for j in range(n - d + 1)])
-    points = (((i,), binomial(i + d - 1, i), convolution)
-              for i, convolution in enumerate(row))
+    # zip(range(...)) yields the labels (i,)
+    points = zip(zip(range(n - d + 1)), map(comb, range(d - 1, n), range(n - d + 1)),
+                 _lemma_2_2_rows(n)[d - 1])
     return _check("lemma_2_2", f"n={n} d={d} i in 0..{n - d}", points)
 
 
@@ -199,21 +275,19 @@ def verify_prop_2_3(n: int, d: int) -> VerificationResult:
     numerator identity divided by T^d as a plain polynomial equality.
 
     Check points are ("series",) and ("numerator",).  The numerator's
-    left-hand side sum_{k=0..n-d} C(n,k+d) T^k (1-T)^(n-k-d) is summed by
-    Horner's rule in (1-T) on an integer list (_one_minus_t_row).  Its
-    right-hand side is read off veronese_series_alt(n, d), whose numerator
-    is that sum times T^d and stays whole because it is 1 at T = 1; so
-    ("numerator",) reuses the second presentation of ("series",) rather
-    than summing it again, which would cost O(n) per coefficient.
+    left-hand side is the row A(n, d), built with the rows of every d of n.
+    Its right-hand side is the carried numerator B(n, d) (see the module
+    docstring) that ("series",) compared, read off that series; summing
+    it again would cost O(n) per coefficient.
     """
     _require_params(n, d)
 
     def points() -> Iterator[CheckPoint]:
-        alt = veronese_series_alt(n, d)
+        alt = _veronese_series(n, d)
         yield ("series",), Veronese(n, d).series(), alt
-        lhs = _one_minus_t_row([binomial(n, k + d) for k in range(n - d + 1)])
+        lhs = IntPolynomial(_prop_2_3_rows(n)[d - 1])
         rhs = IntPolynomial(alt.numer.coefficients[d:])
-        yield ("numerator",), canonicalize(IntPolynomial(lhs), 0), canonicalize(rhs, 0)
+        yield ("numerator",), canonicalize(lhs, 0), canonicalize(rhs, 0)
 
     return _check("prop_2_3", f"n={n} d={d}", points())
 
@@ -221,37 +295,38 @@ def verify_prop_2_3(n: int, d: int) -> VerificationResult:
 def verify_lemma_4_1(n: int, d: int, k_max: int) -> VerificationResult:
     """Check C(n+k, k+d) against the convolution side for k = 0..k_max.
 
-    Check points are (k,).  The convolution side of the whole window is one
-    row, summed by Horner's rule in 1/(1-T):
-    row[0] += C(n-p, d-1), then row = prefix sums of row, for p = n-d+1
-    down to 1; row[k] = sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k).
+    Check points are (k,).  The convolution side of the whole window is
+    the carried row R(n, d) (see the module docstring).
     """
     _require_params(n, d, k_max)
-    return _check("lemma_4_1", f"n={n} d={d} k in 0..{k_max}",
-                  _convolution_points(n, d, _convolution_row(n, d, k_max), ()))
+    # zip(range(...)) yields the labels (k,)
+    points = zip(zip(range(k_max + 1)), _convolution_values(n, d, k_max),
+                 _convolution_row(n, d, k_max))
+    return _check("lemma_4_1", f"n={n} d={d} k in 0..{k_max}", points)
 
 
 def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
     """Check the three-step chain linking the two ideal families.
 
     Steps and check points:
-      ("rational",)      veronese(n, d), as veronese_series_alt, equals
-                         the generated hat-power series with t = s = d, as
-                         canonical forms (so it also gives the numerator
-                         identity, since both sides are canonical over
-                         (1-T)^n); prop_2_3's and theorem_1_4's ("series",)
-                         points compare the same pair through other calls;
+      ("rational",)      veronese(n, d), as the carried numerator B(n, d),
+                         equals the generated hat-power series with
+                         t = s = d, as canonical forms (so it also gives the
+                         numerator identity, since both sides are canonical
+                         over (1-T)^n); prop_2_3's and theorem_1_4's
+                         ("series",) points compare the same pair through
+                         other calls;
       ("shifted", k)     sum_i C(i,d-1) C(n-i+k-d-1, k-d) = C(n-d+k, k)
                          for d <= k, checked for k = 0..k_max (both sides
                          vanish below d);
       ("unshifted", k)   sum_i C(i,d-1) C(n-i+k-1, k) = C(n+k, k+d) for
                          k = 0..k_max; these are lemma_4_1's points.
 
-    Both coefficientwise steps read one convolution row, summed by
-    Horner's rule in 1/(1-T) as in verify_lemma_4_1 (row[0] += C(n-p, d-1),
-    then prefix sums, for p = n-d+1 down to 1): ("unshifted", k) compares
-    row[k], and ("shifted", k) for k >= d compares row[k-d], since
-    C(n-i+k-d-1, k-d) is the unshifted term at k-d.
+    Both coefficientwise steps read the carried convolution row R(n, d) and
+    the binomials of verify_lemma_4_1: ("unshifted", k) compares row[k],
+    and ("shifted", k) for k >= d compares row[k-d], since
+    C(n-i+k-d-1, k-d) is the unshifted term at k-d, with the binomial
+    C(n-d+k, k) = C(n+(k-d), (k-d)+d).
 
     The two coefficientwise steps are infinite series identities; the
     finite check window is the executable witness, with the closed-form
@@ -259,17 +334,18 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
     """
     _require_params(n, d, k_max)
 
-    def points() -> Iterator[CheckPoint]:
-        yield ("rational",), veronese_series_alt(n, d), GeneratedHatPower(n, d, d).series()
-        row = _convolution_row(n, d, k_max)
-        for k in range(k_max + 1):
-            if k < d:
-                yield ("shifted", k), 0, 0
-            else:
-                yield ("shifted", k), row[k - d], binomial(n - d + k, k)
-        yield from _convolution_points(n, d, row, ("unshifted",))
+    def rational() -> Iterator[CheckPoint]:
+        yield ("rational",), _veronese_series(n, d), GeneratedHatPower(n, d, d).series()
 
-    return _check("eq_chain", f"n={n} d={d} k in 0..{k_max}", points())
+    row = _convolution_row(n, d, k_max)
+    values = _convolution_values(n, d, k_max)
+    # zip(repeat(step), range(...)) yields the labels (step, k); both
+    # shifted sides are 0 below d
+    points = chain(rational(),
+                   zip(zip(repeat("shifted"), range(k_max + 1)),
+                       chain(repeat(0, d), row), chain(repeat(0, d), values)),
+                   zip(zip(repeat("unshifted"), range(k_max + 1)), values, row))
+    return _check("eq_chain", f"n={n} d={d} k in 0..{k_max}", points)
 
 
 def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
@@ -278,16 +354,17 @@ def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
     Check points: ("series",) for the canonical-form equality
     veronese(n, d) = (1-T)^(-(d-1)) * hat(n, d, d), and ("depth",) for
     depth(veronese) = depth(hat) + d - 1.  Both points read veronese
-    from veronese_series_alt, which shares no code with the hat series.
-    The hat series has numerator 1 at T = 1, and mul_power_one_minus_t
-    only raises its denominator to (1-T)^n; GeneratedHatPower(n, d, d)
-    .series() builds the same numerator over (1-T)^n, so the ("series",)
-    comparison is eq_chain's ("rational",) one, made through other calls.
+    from the carried numerator B(n, d), which shares no code with the hat
+    series.  The hat series has numerator 1 at T = 1, and
+    mul_power_one_minus_t only raises its denominator to (1-T)^n;
+    GeneratedHatPower(n, d, d).series() builds the same numerator over
+    (1-T)^n, so the ("series",) comparison is eq_chain's ("rational",)
+    one, made through other calls.
     """
     _require_params(n, d)
 
     def points() -> Iterator[CheckPoint]:
-        veronese = veronese_series_alt(n, d)
+        veronese = _veronese_series(n, d)
         hat = HatPower(n, d, d).series()
         yield ("series",), veronese, mul_power_one_minus_t(hat, -(d - 1))
         yield ("depth",), hilbert_depth(veronese), hilbert_depth(hat) + d - 1

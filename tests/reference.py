@@ -7,7 +7,7 @@ tables both scans hand it."""
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import ceil, comb, factorial
-from operator import add
+from operator import add, sub
 
 from hilbertdepth.exactalg import IntPolynomial
 from hilbertdepth.tails import search as _search
@@ -37,6 +37,29 @@ def convolution_sum(n, d, k):
     """sum_{i=d-1..n-1} C(i, d-1) C(n-i+k-1, k), term by term as Lemma 4.1
     states it."""
     return sum(comb(i, d - 1) * comb(n - i + k - 1, k) for i in range(d - 1, n))
+
+
+def convolution_row(n, d, k_max):
+    """convolution_sum(n, d, k) for k = 0..k_max, as one row summed for
+    this (n, d) alone by Horner's rule in 1/(1-T): row[0] += C(n-p, d-1),
+    then prefix sums of the row, for p = n-d+1 down to 1."""
+    row = [0] * (k_max + 1)
+    for p in range(n - d + 1, 0, -1):
+        row[0] += comb(n - p, d - 1)
+        row = list(accumulate(row))
+    return row
+
+
+def one_minus_t_row(terms):
+    """Coefficients of sum_{j=0..L} terms[j] T^j (1-T)^(L-j), L = len - 1,
+    by Horner's rule in (1-T): for j = 0..L, multiply the row by (1-T) with
+    one pass of backward differences over entries 0..j, then add terms[j]
+    at index j."""
+    row = [0] * len(terms)
+    for j, term in enumerate(terms):
+        row[1:j + 1] = map(sub, row[1:j + 1], row[:j])
+        row[j] += term
+    return row
 
 
 def veronese_fine_by_subsets(n, d, box):

@@ -1,5 +1,6 @@
 """Identity verifiers: clean passes, determinism, and the failure path."""
 
+import random
 import re
 from math import comb
 
@@ -21,7 +22,9 @@ from hilbertdepth.ideals import veronese_series_alt
 from hilbertdepth.series import canonicalize
 from reference import (
     alternating_sum,
+    convolution_row,
     convolution_sum,
+    one_minus_t_row,
     prop_2_3_numerator,
     veronese_alt_numerator,
 )
@@ -88,8 +91,8 @@ class TestProp23:
                 assert verify_prop_2_3(n, d).passed
 
     def test_horner_sums_match_binomial_expansion(self, checked_points):
-        # veronese_series_alt and the numerator's left-hand side are both
-        # summed by Horner's rule in (1-T) on integer lists
+        # veronese_series_alt is summed by Horner's rule in (1-T), and the
+        # numerator's left-hand side by descending steps in d
         for n in range(1, 30):
             for d in range(1, n + 1):
                 h = veronese_series_alt(n, d)
@@ -224,6 +227,103 @@ class TestSharedKernelFault:
     ])
     def test_every_series_point_fails(self, faulty_kernel, verify, args, point):
         assert verify(*args).counterexample.params == point
+
+
+def _sweep(n_max):
+    return [(n, d) for n in range(1, n_max + 1) for d in range(1, n + 1)]
+
+
+def _clear_carries():
+    identities._convolution_carry.clear()
+    identities._numerator_carry.clear()
+    identities._lemma_2_2_rows.cache_clear()
+    identities._prop_2_3_rows.cache_clear()
+
+
+class TestCarriedRows:
+    """Every carried row equals its reference, summed for its (n, d) alone,
+    whatever the order of the calls and the convolution window."""
+
+    PAIRS = _sweep(40)
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        return {(n, d): {
+            "convolution": {w: convolution_row(n, d, w) for w in (n + 10, 0, 57)},
+            "numerator": list(veronese_series_alt(n, d).numer.coefficients[d:]),
+            "lemma_2_2": one_minus_t_row([comb(n, j) for j in range(n - d + 1)]),
+            "prop_2_3": one_minus_t_row([comb(n, k + d) for k in range(n - d + 1)]),
+        } for n, d in self.PAIRS}
+
+    @pytest.mark.parametrize("order", ["sweep", "reverse", "shuffle"])
+    @pytest.mark.parametrize("window", ["n+10", 0, 57, "mixed"])
+    def test_rows_equal_references(self, references, order, window):
+        pairs = list(self.PAIRS)
+        rng = random.Random(34)
+        if order == "reverse":
+            pairs.reverse()
+        elif order == "shuffle":
+            rng.shuffle(pairs)
+        for n, d in pairs:
+            # "mixed" draws each call's window, so that a carried row is
+            # extended by its defining sum or cut as well as stepped
+            w = rng.choice([n + 10, 0, 57]) if window == "mixed" else window
+            w = n + 10 if w == "n+10" else w
+            want = references[n, d]
+            assert identities._convolution_row(n, d, w) == want["convolution"][w], (n, d, w)
+            assert identities._veronese_numerator(n, d) == want["numerator"], (n, d)
+            assert identities._lemma_2_2_rows(n)[d - 1] == want["lemma_2_2"], (n, d)
+            assert identities._prop_2_3_rows(n)[d - 1] == want["prop_2_3"], (n, d)
+
+    def test_verdicts_do_not_depend_on_call_order(self):
+        # every verifier, called in a shuffled order after a sweep, gives
+        # the results it gives on its own
+        pairs = _sweep(12)
+        calls = [(verify, pair) for verify in (verify_lemma_2_2, verify_prop_2_3,
+                                               verify_theorem_1_4) for pair in pairs]
+        calls += [(verify, (*pair, k)) for verify in (verify_lemma_4_1, verify_eq_chain)
+                  for pair in pairs for k in (pair[0] + 10, 3)]
+        in_order = [verify(*args) for verify, args in calls]
+        shuffled = list(range(len(calls)))
+        random.Random(34).shuffle(shuffled)
+        for i in shuffled:
+            verify, args = calls[i]
+            assert verify(*args) == in_order[i], (verify.__name__, args)
+
+
+class TestOneWrongTerm:
+    """One wrong binomial in one side's defining sum must fail the first
+    pair in sweep order whose sum holds it, and no earlier pair.  Each carry
+    step adds one term of its own side's sum, so none reads the term early
+    or late; a step taken from a binomial identity (Pascal's rule for
+    lemma_2_2's row, or the carried numerator's recurrence for prop_2_3's
+    left side) would first read it at a later pair."""
+
+    @pytest.fixture
+    def wrong_binomial(self, monkeypatch):
+        def apply(a, b):
+            true = identities.comb
+            monkeypatch.setattr(identities, "comb",
+                                lambda x, y: true(x, y) + ((x, y) == (a, b)))
+        _clear_carries()
+        yield apply
+        # rows summed with the wrong binomial must not outlive the test
+        _clear_carries()
+
+    @pytest.mark.parametrize("verify, term, first", [
+        # C(12, 5) is a term of L(12, d) for d <= 7 and of A(12, d) for d <= 5
+        (verify_lemma_2_2, (12, 5), (12, 1)),
+        (verify_prop_2_3, (12, 5), (12, 1)),
+        # C(9, 0) is a term of R(n, 1) and C(9, 2) of B(n, 3), for n >= 10
+        (verify_lemma_4_1, (9, 0), (10, 1)),
+        (verify_theorem_1_4, (9, 2), (10, 3)),
+    ])
+    def test_first_pair_holding_the_term_fails(self, wrong_binomial, verify, term, first):
+        wrong_binomial(*term)
+        window = (lambda n: (n + 10,)) if verify is verify_lemma_4_1 else (lambda n: ())
+        failed = next(pair for pair in _sweep(14)
+                      if not verify(*pair, *window(pair[0])).passed)
+        assert failed == first
 
 
 class TestTheorem13:
