@@ -11,7 +11,6 @@ from .ideals import (
     MaxPower,
     Veronese,
     depth_report,
-    veronese_series_alt,
 )
 from .series import (
     RationalFunctionSeries,

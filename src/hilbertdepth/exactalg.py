@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import attrgetter, sub
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable
 
 __all__ = [
@@ -118,13 +119,6 @@ class IntPolynomial:
         """Value at T = 1, i.e. the sum of all coefficients."""
         return sum(self._coeffs)
 
-    def times_one_minus_t(self) -> IntPolynomial:
-        """Product with (1 - T): the backward differences c_i - c_(i-1) of
-        the coefficients, one term longer; the inverse of
-        divide_one_minus_t."""
-        cs = self._coeffs
-        return IntPolynomial(map(sub, (*cs, 0), (0, *cs)))
-
     def divide_one_minus_t(self) -> IntPolynomial:
         """Exact quotient by (1 - T); requires eval_at_one() == 0.
 
@@ -135,12 +129,7 @@ class IntPolynomial:
             return self
         if self.eval_at_one() != 0:
             raise ValueError("polynomial is not divisible by (1 - T)")
-        out = []
-        run = 0
-        for c in self._coeffs[:-1]:
-            run += c
-            out.append(run)
-        return IntPolynomial(out)
+        return IntPolynomial(accumulate(self._coeffs[:-1]))
 
     def __add__(self, other: IntPolynomial) -> IntPolynomial:
         if not isinstance(other, IntPolynomial):

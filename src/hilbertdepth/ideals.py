@@ -30,15 +30,15 @@ variables: P_s = C(span+s-1, s) and
 one multiply and one exact division per term, each quotient the next
 closed-form term.  Veronese(n, d) has the numerator of m^d in n-d+1
 variables, over (1-T)^n (span = n-d+1, s = d), which is the paper's link
-between the families.  veronese_series_alt keeps its own Horner sum over
-binomials, as the independent second presentation.
+between the families.  The second presentation of the Veronese series,
+the independent check on this kernel, lives only in the identities module,
+as the numerator that the prop-2.3, eq-chain and theorem-1.4 sweeps carry.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from operator import sub
 from typing import Union
 
 from .exactalg import IntPolynomial, Record
@@ -53,7 +53,6 @@ __all__ = [
     "FAMILIES",
     "DepthReport",
     "depth_report",
-    "veronese_series_alt",
 ]
 
 
@@ -226,25 +225,6 @@ def _power_series(span: int, s: int, ambient: int) -> RationalFunctionSeries:
         lambda p, i: p * -(s + i - 1) * (span - i) // (i * (s + i)),
         initial=comb(span + s - 1, s))))
     return canonicalize(numer, ambient)
-
-
-def veronese_series_alt(n: int, d: int) -> RationalFunctionSeries:
-    """Coarse Hilbert series of Veronese(n, d), second presentation.
-
-    Numerator sum_{i=d-1..n-1} C(i,d-1) T^d (1-T)^(i-d+1) over (1-T)^n,
-    summed by Horner's rule in (1-T) on an integer list:
-    acc = C(i,d-1) + (1-T) acc for i = n-1 down to d-1, then shifted by
-    T^d.  After the step for i only entries 0..n-1-i can be nonzero, so
-    each (1-T) pass of backward differences covers those.  The numerator
-    is 1 at T = 1, so it stays whole; it canonicalizes to the same object
-    as Veronese(n, d).series().
-    """
-    Veronese(n, d)
-    acc = [0] * (n - d + 1)
-    for j, i in enumerate(range(n - 1, d - 2, -1)):
-        acc[1:j + 1] = map(sub, acc[1:j + 1], acc[:j])
-        acc[0] += comb(i, d - 1)
-    return canonicalize(IntPolynomial([0] * d + acc), n)
 
 
 def depth_report(spec: IdealSpec) -> DepthReport:

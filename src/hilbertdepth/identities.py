@@ -35,7 +35,8 @@ sweep (n outer, d inner) carries from one (n, d) to the next:
             R(n, d) = (R(n-1, d) + C(n-1, d-1)) / (1-T);
   B(n, d) = sum_{i=d-1..n-1} C(i, d-1) (1-T)^(i-d+1), the Veronese
             numerator of the second presentation over T^d (the carried
-            numerator), carried along n as
+            numerator; no other module builds that presentation), carried
+            along n as
             B(n, d) = B(n-1, d) + C(n-1, d-1) (1-T)^(n-d);
   L(n, d) = sum_{j=0..n-d} C(n, j) T^j (1-T)^(n-d-j), whose T^i
             coefficient is lemma_2_2's sum, and

@@ -25,7 +25,8 @@ bulk, never one comparison at a time:
     histogram of that column per degree, and each spec's count of a degree
     is one lookup of its bound there, exact at any statistic size;
   * the closed forms: each spec's coefficients are read off its expansion
-    in windows of at most COMPOSITION_CHUNK degrees, each window's
+    in windows of at most COMPOSITION_CHUNK degrees, from the generator
+    (series._windows) that gives expansion its one window, each window's
     prefix-sum passes started from the last window's carries.
 
 So memory stays bounded by the box's r + 1 columns (at most 6 * 7^5 bytes)
@@ -52,7 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Record
 from .ideals import FAMILIES, IdealSpec, Veronese
-from .series import RationalFunctionSeries
+from .series import _windows
 
 __all__ = [
     "ExponentVector",
@@ -237,30 +238,6 @@ def _degree_counts(rules: Sequence[tuple[int, int]], vars_: int,
         yield held[1]
 
 
-def _coefficient_windows(series: Sequence[RationalFunctionSeries],
-                         top: int) -> Iterator[list[list[int]]]:
-    """coefficient(h, k) of each series h for k = 0..top, in windows of
-    COMPOSITION_CHUNK degrees (the last one cut at top): for each window,
-    one list per series, series.expansion a window at a time.  Each window
-    of h is its numerator cut or zero-padded to the window's degrees and
-    summed by den_pow prefix-sum passes, each pass started from its carry,
-    the value it reached at the last window's end; so only one window and
-    den_pow carries per series are held.
-    """
-    carries = [[0] * h.den_pow for h in series]
-    for start in range(0, top + 1, COMPOSITION_CHUNK):
-        stop = min(start + COMPOSITION_CHUNK, top + 1)
-        windows = []
-        for h, carry in zip(series, carries):
-            row = list(h.numer.coefficients[start:stop])
-            row += repeat(0, stop - start - len(row))
-            for p, value in enumerate(carry):
-                row = list(accumulate(row, initial=value))[1:]
-                carry[p] = row[-1]
-            windows.append(row)
-        yield windows
-
-
 def check_sweep_guard(weighted: Iterable[tuple[int, IdealSpec]], k_max: int, box: int) -> None:
     """Reject ring passes over the (copies, spec) pairs weighted, each spec
     counted copies times, of more than MAX_MEMBER_TESTS membership tests.
@@ -358,7 +335,7 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
     k <= k_max differs from coefficient(h, k) of its series h, and the fine
     check if its fine array differs from fine_series_formula or its count
     of some degree k <= box from coefficient(h, k), those coefficients read
-    off h's expansion in windows (_coefficient_windows).  It makes
+    off h's expansion in windows (series._windows).  It makes
     k_max + 1 coarse and (box+1)^r + box + 1 fine cases.  The arguments,
     the fine guard and the sweep guard are checked in that order before
     any pass.
@@ -389,7 +366,8 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
         fines, degrees = ring_oracle(ring, k_max, box)
         fine_failed.update(spec for spec, fine in zip(ring, fines)
                            if fine_series_formula(spec, box) != fine)
-        for windows in _coefficient_windows([spec.series() for spec in ring], top):
+        for windows in zip(*(_windows(spec.series(), top, COMPOSITION_CHUNK)
+                             for spec in ring)):
             # the window's rows first, so that its end draws no degree
             for row, (k, counts) in zip(zip(*windows), degrees):
                 if counts != list(row):

@@ -7,7 +7,9 @@ representation sit three decisions, all exact:
 
   * coefficient extraction via the convolution with the expansion of
     (1 - T)^(-m), whose k-th coefficient is C(m-1+k, m-1), and a whole
-    prefix of the expansion by m prefix-sum passes;
+    prefix of the expansion by m prefix-sum passes, in windows that carry
+    each pass across their edges (_windows, the one expansion loop: the
+    oracle reads its windows too);
   * non-negativity of the entire (infinite) coefficient sequence, decided in
     finite time because the coefficient at k of P / (1 - T)^j agrees with
     a polynomial q_j in k from a base on: the tail is accepted at once if
@@ -29,7 +31,7 @@ describes the row, the table and their moves.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 from operator import add
 from typing import Iterator
@@ -92,17 +94,12 @@ def canonicalize(numer: IntPolynomial, den_pow: int) -> RationalFunctionSeries:
 
 
 def mul_power_one_minus_t(h: RationalFunctionSeries, r: int) -> RationalFunctionSeries:
-    """Canonical form of (1 - T)^r * H; r may be negative (raises den_pow).
-
-    Factors beyond den_pow multiply the numerator one (1 - T) at a time.
-    """
-    new_pow = h.den_pow - r
-    if new_pow >= 0:
-        return canonicalize(h.numer, new_pow)
-    numer = h.numer
-    for _ in range(-new_pow):
-        numer = numer.times_one_minus_t()
-    return canonicalize(numer, 0)
+    """Canonical form of (1 - T)^r * H for r <= den_pow; r may be negative
+    (raises den_pow).  Past den_pow the product would be a polynomial with a
+    (1 - T) factor, which no caller needs: r > den_pow is a ValueError."""
+    if r > h.den_pow:
+        raise ValueError(f"power {r} exceeds the denominator power {h.den_pow}")
+    return canonicalize(h.numer, h.den_pow - r)
 
 
 def coefficient(h: RationalFunctionSeries, k: int) -> int:
@@ -128,15 +125,29 @@ def coefficient(h: RationalFunctionSeries, k: int) -> int:
 
 
 def expansion(h: RationalFunctionSeries, upto: int) -> list[int]:
-    """[coefficient(H, k) for k in 0..upto], by den_pow prefix-sum passes
-    over the numerator cut or zero-padded to upto + 1 terms."""
+    """[coefficient(H, k) for k in 0..upto]: the one window of _windows
+    that holds them all."""
     if upto < 0:
         raise ValueError("coefficient index must be non-negative")
+    return next(_windows(h, upto, upto + 1))
+
+
+def _windows(h: RationalFunctionSeries, upto: int, width: int) -> Iterator[list[int]]:
+    """[coefficient(H, k) for k in 0..upto] in windows of width degrees, the
+    last one cut at upto.  Each window is the numerator cut or zero-padded
+    to its degrees and summed by den_pow prefix-sum passes, each pass
+    started from its carry, the value it reached at the last window's end;
+    so only one window and den_pow carries are held."""
     cs = h.numer.coefficients
-    row = [*cs[: upto + 1], *[0] * (upto + 1 - len(cs))]
-    for _ in range(h.den_pow):
-        row = list(accumulate(row))
-    return row
+    carries = [0] * h.den_pow
+    for start in range(0, upto + 1, width):
+        stop = min(start + width, upto + 1)
+        row = [*cs[start:stop], *repeat(0, stop - max(start, len(cs)))]
+        for p, carry in enumerate(carries):
+            row[0] += carry
+            row = list(accumulate(row))
+            carries[p] = row[-1]
+        yield row
 
 
 def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:

@@ -15,9 +15,9 @@ from hilbertdepth.ideals import (
     HatPower,
     MaxPower,
     Veronese,
-    veronese_series_alt,
 )
 from hilbertdepth.identities import (
+    _veronese_series,
     verify_eq_chain,
     verify_lemma_2_2,
     verify_lemma_4_1,
@@ -33,7 +33,8 @@ from hilbertdepth.series import (
     is_nonnegative,
     mul_power_one_minus_t,
 )
-from reference import coarse_sums, evaluate, eventual_polynomial
+from reference import (coarse_sums, evaluate, eventual_polynomial, one_minus_t_power,
+                       veronese_alt_numerator)
 
 N_SWEEP = 40
 N_CHAIN = 40
@@ -93,9 +94,11 @@ def test_criterion_3_family_link(veronese_depths):
     failures = []
     for n in range(1, N_SWEEP + 1):
         for d in range(1, n + 1):
-            # veronese_series_alt, since Veronese and HatPower share one kernel
+            # the second presentation's terms, since Veronese and HatPower
+            # share one kernel
             hat = HatPower(n, d, d).series()
-            if veronese_series_alt(n, d) != mul_power_one_minus_t(hat, -(d - 1)):
+            veronese = canonicalize(veronese_alt_numerator(n, d), n)
+            if veronese != mul_power_one_minus_t(hat, -(d - 1)):
                 failures.append((n, d, "series"))
             # the closed form, since a second scan would repeat the first
             if veronese_depths[(n, d)] != HatPower(n, d, d).closed_depth() + d - 1:
@@ -104,13 +107,16 @@ def test_criterion_3_family_link(veronese_depths):
 
 
 def test_criterion_4_two_presentations_agree():
+    # the second presentation is the numerator the verify sweeps carry
+    # along n: in reverse it is summed from scratch for each pair, and in
+    # sweep order carried from the one before
     failures = []
-    for n in range(1, N_SWEEP + 1):
-        for d in range(1, n + 1):
-            lhs = Veronese(n, d).series()
-            rhs = veronese_series_alt(n, d)
-            if lhs.numer != rhs.numer or lhs.den_pow != rhs.den_pow:
-                failures.append((n, d))
+    pairs = [(n, d) for n in range(1, N_SWEEP + 1) for d in range(1, n + 1)]
+    for n, d in pairs[::-1] + pairs:
+        lhs = Veronese(n, d).series()
+        rhs = _veronese_series(n, d)
+        if lhs.numer != rhs.numer or lhs.den_pow != rhs.den_pow:
+            failures.append((n, d))
     report(4, "both Veronese presentations canonicalize identically, n <= 40", failures)
 
 
@@ -208,7 +214,11 @@ def test_criterion_8_property_suite(perturb):
     for _ in range(PROBES):
         h = _random_spec(rng).series()
         r = rng.randint(1, h.den_pow + 1)
-        if is_nonnegative(mul_power_one_minus_t(h, r)):
+        # at r = den_pow + 1 the numerator takes the surplus factor, which
+        # mul_power_one_minus_t refuses
+        raised = (canonicalize(h.numer * one_minus_t_power(r - h.den_pow), 0) if r > h.den_pow
+                  else mul_power_one_minus_t(h, r))
+        if is_nonnegative(raised):
             if not is_nonnegative(mul_power_one_minus_t(h, r - 1)):
                 failures.append(("monotonicity", h, r))
 

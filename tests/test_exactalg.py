@@ -92,17 +92,16 @@ class TestIntPolynomial:
         assert 2 * IntPolynomial((1, -1)) == IntPolynomial((2, -2))
 
     def test_one_minus_t_power(self):
-        # (1-T)^m by m steps from 1 is the binomial expansion
-        power = IntPolynomial((1,))
+        # (1-T)^m divided by (1-T) m times is 1
         for m in range(8):
-            assert power == one_minus_t_power(m)
-            power = power.times_one_minus_t()
-        assert IntPolynomial().times_one_minus_t().is_zero()
+            power = one_minus_t_power(m)
+            for _ in range(m):
+                power = power.divide_one_minus_t()
+            assert power == IntPolynomial((1,))
 
     @given(polys)
-    def test_times_one_minus_t(self, p):
-        assert p.times_one_minus_t() == p * one_minus_t_power(1)
-        assert p.times_one_minus_t().divide_one_minus_t() == p
+    def test_divide_one_minus_t_undoes_product(self, p):
+        assert (p * one_minus_t_power(1)).divide_one_minus_t() == p
 
     @given(polys, polys)
     def test_mul_commutative(self, p, q):

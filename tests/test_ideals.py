@@ -13,8 +13,8 @@ from hilbertdepth.ideals import (
     MaxPower,
     Veronese,
     depth_report,
-    veronese_series_alt,
 )
+from hilbertdepth.identities import _veronese_series
 from hilbertdepth.series import (
     canonicalize,
     coefficient,
@@ -28,6 +28,7 @@ from reference import (
     power_numerator,
     reference_nonnegative,
     t_power,
+    veronese_alt_numerator,
     veronese_numerator,
 )
 
@@ -80,24 +81,30 @@ class TestVeroneseSeries:
         with pytest.raises(ValueError):
             Veronese(3, 0).series()
 
+    # the second presentation is the numerator that the identities module
+    # carries along n; called in sweep order it takes the carried path,
+    # and out of it, in reverse, the path summed from scratch
     def test_alt_presentation_agrees(self):
-        for n in range(1, 13):
-            for d in range(1, n + 1):
-                assert Veronese(n, d).series() == veronese_series_alt(n, d)
+        pairs = [(n, d) for n in range(1, 13) for d in range(1, n + 1)]
+        for n, d in pairs[::-1] + pairs:
+            assert Veronese(n, d).series() == _veronese_series(n, d), (n, d)
 
     def test_alt_principal_single_term(self):
-        h = veronese_series_alt(4, 4)
+        h = _veronese_series(4, 4)
         assert h.numer == t_power(4) and h.den_pow == 4
 
     def test_alt_matches_product_route(self):
         # sum_{i=d-1..n-1} C(i,d-1) T^d (1-T)^(i-d+1), one product per term
-        for n in range(1, 41):
-            for d in range(1, n + 1):
-                numer = IntPolynomial()
-                for i in range(d - 1, n):
-                    numer = numer + comb(i, d - 1) * (t_power(d) * one_minus_t_power(i - d + 1))
-                h = veronese_series_alt(n, d)
-                assert h.numer == numer and h.den_pow == n, (n, d)
+        pairs = [(n, d) for n in range(1, 41) for d in range(1, n + 1)]
+        numers = {}
+        for n, d in pairs:
+            numer = IntPolynomial()
+            for i in range(d - 1, n):
+                numer = numer + comb(i, d - 1) * (t_power(d) * one_minus_t_power(i - d + 1))
+            numers[n, d] = numer
+        for n, d in pairs[::-1] + pairs:
+            h = _veronese_series(n, d)
+            assert h.numer == numers[n, d] and h.den_pow == n, (n, d)
 
 
 class TestMaxPowerSeries:
@@ -107,8 +114,8 @@ class TestMaxPowerSeries:
         assert coefficient(h, 2) == 6  # C(4, 2)
 
     def test_power_one_is_whole_ideal(self):
-        # the Veronese side from the Horner sum, not the numerator kernel
-        assert MaxPower(2, 1).series() == veronese_series_alt(2, 1)
+        # the Veronese side from its closed-form terms, not the numerator kernel
+        assert MaxPower(2, 1).series() == canonicalize(veronese_numerator(2, 1), 2)
 
     def test_coefficients_are_truncated_free_module(self):
         for n in range(1, 6):
@@ -194,7 +201,7 @@ class TestGeneratedHatPowerSeries:
     def test_hand_expansion(self):
         h = GeneratedHatPower(3, 2, 2).series()
         assert h.numer == IntPolynomial((0, 0, 3, -2)) and h.den_pow == 3
-        assert h == veronese_series_alt(3, 2)
+        assert h == canonicalize(veronese_alt_numerator(3, 2), 3)
 
     def test_no_cut_equals_max_power(self):
         for n in range(1, 8):
@@ -210,11 +217,12 @@ class TestGeneratedHatPowerSeries:
                     assert GeneratedHatPower(n, t, s).series() == want
 
     def test_veronese_link_over_sweep(self):
-        # the Veronese side from the Horner sum, which shares no code with
-        # the numerator kernel that builds both family series
+        # the Veronese side from the second presentation's terms, which share
+        # no code with the numerator kernel that builds both family series
         for n in range(1, 16):
             for d in range(1, n + 1):
-                assert GeneratedHatPower(n, d, d).series() == veronese_series_alt(n, d)
+                want = canonicalize(veronese_alt_numerator(n, d), n)
+                assert GeneratedHatPower(n, d, d).series() == want, (n, d)
 
 
 class TestClosedDepthFormulas:

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbertdepth.cli import main
+from hilbertdepth.exactalg import IntPolynomial
 from hilbertdepth.ideals import (
     FAMILIES,
     GeneratedHatPower,
@@ -27,7 +28,7 @@ from hilbertdepth.multigrade import (
     oracle_sweep,
     ring_oracle,
 )
-from hilbertdepth.series import coefficient
+from hilbertdepth.series import _windows, canonicalize, coefficient, expansion
 
 from reference import (
     coarse_sums,
@@ -319,13 +320,13 @@ class TestRingOracle:
         assert list(degrees) == [(k, [c[k] for c in counts]) for k in range(top + 1)]
 
 
-def windowed(series, top):
-    """Each series' coefficients to degree top, joined from its windows,
-    and the windows' widths."""
-    windows = list(multigrade._coefficient_windows(series, top))
-    assert all(len(set(map(len, window))) == 1 for window in windows)
-    return ([list(chain.from_iterable(window[i] for window in windows))
-             for i in range(len(series))], [len(window[0]) for window in windows])
+def windowed(series, top, width=COMPOSITION_CHUNK):
+    """Each series' coefficients to degree top, joined from its windows of
+    width degrees, and the windows' widths, which every series shares."""
+    windows = [list(_windows(h, top, width)) for h in series]
+    widths = [list(map(len, rows)) for rows in windows]
+    assert all(w == widths[0] for w in widths)
+    return [list(chain.from_iterable(rows)) for rows in windows], widths[0]
 
 
 class TestCoefficientWindows:
@@ -353,6 +354,24 @@ class TestCoefficientWindows:
         values, widths = windowed(series, top)
         assert widths == [min(top + 1, COMPOSITION_CHUNK)] + [1] * (top == COMPOSITION_CHUNK)
         assert values == [[coefficient(h, k) for k in range(top + 1)] for h in series]
+
+    @pytest.mark.parametrize("width", [1, 2, 7, COMPOSITION_CHUNK])
+    def test_expansion_is_the_joined_windows(self, width):
+        # expansion takes the generator's one window; each numerator below
+        # is longer than a window of width 7, and the first two than one of
+        # COMPOSITION_CHUNK; the tops fall inside, at the end of and past
+        # the numerator
+        series = [MaxPower(600, 3).series(), MaxPower(1, 900).series(),
+                  Veronese(30, 4).series(), HatPower(12, 4, 5).series(),
+                  canonicalize(IntPolynomial([3, -7, 0, 5, -1, 2, 0, 4, -9, 1]), 0)]
+        assert min(len(h.numer.coefficients) for h in series[:2]) > COMPOSITION_CHUNK
+        for h in series:
+            size = len(h.numer.coefficients)
+            assert size > 7
+            for top in (size // 2, size - 1, size + width + 3):
+                values, widths = windowed([h], top, width)
+                assert values == [expansion(h, top)], (h, top)
+                assert widths == [width] * (top // width) + [top % width + 1], (h, top)
 
 
 class TestOracleSweep:
@@ -421,17 +440,16 @@ class TestOracleSweep:
             marked.append(h := series(spec))
             return h
 
-        def faulty(series, top):
+        def faulty(h, top, width):
             start = 0
-            for window in windows(series, top):
-                for h, values in zip(series, window):
-                    if any(h is m for m in marked) and start <= degree < start + len(values):
-                        values[degree - start] += 1
-                start += len(window[0])
-                yield window
-        windows = multigrade._coefficient_windows
+            for values in windows(h, top, width):
+                if any(h is m for m in marked) and start <= degree < start + len(values):
+                    values[degree - start] += 1
+                start += len(values)
+                yield values
+        windows = multigrade._windows
         monkeypatch.setattr(MaxPower, "series", marked_series)
-        monkeypatch.setattr(multigrade, "_coefficient_windows", faulty)
+        monkeypatch.setattr(multigrade, "_windows", faulty)
         rows = oracle_sweep(3, 4, 2, 2)
         assert {(r["check"], r["family"]) for r in rows if not r["passed"]} == failed
 

@@ -40,6 +40,14 @@ def rfs(coeffs, den_pow):
     return canonicalize(IntPolynomial(coeffs), den_pow)
 
 
+def times_power(h, r):
+    """(1-T)^r H: past den_pow the numerator takes the surplus factors,
+    which mul_power_one_minus_t refuses."""
+    if r > h.den_pow:
+        return canonicalize(h.numer * one_minus_t_power(r - h.den_pow), 0)
+    return mul_power_one_minus_t(h, r)
+
+
 def tail_series(prefix, a, b, e, shift):
     """H = sum c_k T^k with c_k = prefix[k] on the prefix and
     ((k-a)^2 + b) (k+shift)^e beyond it, as P/(1-T)^m with m = e + 3: past
@@ -131,10 +139,12 @@ class TestMulPowerOneMinusT:
         out = mul_power_one_minus_t(self.H, -1)
         assert out == rfs((0, 0, 3, -2), 4)
 
-    def test_beyond_den_folds_into_numerator(self):
-        out = mul_power_one_minus_t(self.H, 4)
-        assert out.den_pow == 0
-        assert out.numer == IntPolynomial((0, 0, 3, -2)) * one_minus_t_power(1)
+    def test_beyond_den_is_refused(self):
+        # past den_pow the product is a polynomial with a (1-T) factor; a
+        # huge r is refused at once, without building (1-T)^r
+        for h, r in ((self.H, 4), (self.H, 10**12), (rfs((1, -1), 0), 1), (rfs((), 0), 1)):
+            with pytest.raises(ValueError, match="exceeds the denominator power"):
+                mul_power_one_minus_t(h, r)
 
     def test_cancels_on_plain_polynomial(self):
         h = rfs((1, -1), 0)
@@ -286,8 +296,8 @@ class TestIsNonnegative:
     def test_monotone_in_r(self, coeffs, den_pow, r):
         # if (1-T)^r H is non-negative then so is (1-T)^(r-1) H
         h = rfs(coeffs, den_pow)
-        if is_nonnegative(mul_power_one_minus_t(h, r)):
-            assert is_nonnegative(mul_power_one_minus_t(h, r - 1))
+        if is_nonnegative(times_power(h, r)):
+            assert is_nonnegative(times_power(h, r - 1))
 
     @settings(max_examples=300)
     @given(st.lists(st.integers(-9, 9), max_size=8), st.integers(0, 6))
