@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import chain, islice
-from operator import is_
 from typing import Iterable, Optional
 
 from .ideals import FAMILIES, IdealSpec, depth_report
@@ -29,19 +28,16 @@ _TABLE_HEADER = ("family", "n", "param", "numer_degree", "den_pow",
 
 
 def _json_safe(value):
-    """value with every int beyond 53-bit magnitude as its decimal string.
-    A list, tuple or dict is rebuilt only when something in it changes, so
-    a value made safe once passes through again as it is."""
+    """value with every int beyond 53-bit magnitude as its decimal string;
+    every list, tuple or dict is rebuilt, a tuple as a list."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return value if abs(value) < _JSON_INT_LIMIT else str(value)
     if isinstance(value, (list, tuple)):
-        safe = list(map(_json_safe, value))
-        return value if all(map(is_, safe, value)) else safe
+        return list(map(_json_safe, value))
     if isinstance(value, dict):
-        safe = dict(zip(value, map(_json_safe, value.values())))
-        return value if all(map(is_, safe.values(), value.values())) else safe
+        return dict(zip(value, map(_json_safe, value.values())))
     return value
 
 

@@ -2,8 +2,9 @@
 integer polynomials in one formal variable T, and the Record value base.
 
 Python ints carry the arbitrary-precision load; values such as C(128, 64)
-are exact.  Polynomials are immutable, stored lowest degree first with
-trailing zeros trimmed; they and records compare and hash structurally.
+are exact.  IntPolynomial is a Record whose one field, coefficients, is
+stored lowest degree first with trailing zeros trimmed, so polynomials are
+immutable and compare, hash and print structurally like every record.
 """
 
 from __future__ import annotations
@@ -88,36 +89,33 @@ def binomial(a: int, b: int) -> int:
     return -value if b % 2 else value
 
 
-class IntPolynomial:
-    """Dense integer-coefficient polynomial in one formal variable T.
+class IntPolynomial(Record):
+    """Dense integer-coefficient polynomial in one formal variable T, its
+    one field the coefficients lowest degree first.
 
-    The zero polynomial has empty support and degree -1.
-    Instances are immutable; arithmetic returns new objects.
+    Its own __init__ trims trailing zeros and lets the field default to no
+    coefficients: IntPolynomial() is the zero polynomial, of degree -1.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("coefficients",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+    def __init__(self, coefficients: Iterable[int] = ()):
+        cs = list(coefficients)
         while cs and cs[-1] == 0:
             cs.pop()
-        self._coeffs = tuple(cs)
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return self._coeffs
+        object.__setattr__(self, "coefficients", tuple(cs))
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.coefficients) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.coefficients
 
     def eval_at_one(self) -> int:
         """Value at T = 1, i.e. the sum of all coefficients."""
-        return sum(self._coeffs)
+        return sum(self.coefficients)
 
     def divide_one_minus_t(self) -> IntPolynomial:
         """Exact quotient by (1 - T); requires eval_at_one() == 0.
@@ -129,12 +127,12 @@ class IntPolynomial:
             return self
         if self.eval_at_one() != 0:
             raise ValueError("polynomial is not divisible by (1 - T)")
-        return IntPolynomial(accumulate(self._coeffs[:-1]))
+        return IntPolynomial(accumulate(self.coefficients[:-1]))
 
     def __add__(self, other: IntPolynomial) -> IntPolynomial:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -144,10 +142,10 @@ class IntPolynomial:
 
     def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
         if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self._coeffs))
+            return IntPolynomial(tuple(other * c for c in self.coefficients))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coefficients, other.coefficients
         if not a or not b:
             return IntPolynomial()
         out = [0] * (len(a) + len(b) - 1)
@@ -160,22 +158,11 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({self._coeffs!r})"
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for exp, c in enumerate(self._coeffs):
+        for exp, c in enumerate(self.coefficients):
             if c == 0:
                 continue
             if exp == 0:

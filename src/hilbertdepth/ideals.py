@@ -79,24 +79,15 @@ class Veronese(Record):
         return _power_series(self.n - self.d + 1, self.d, self.n)
 
     def closed_depth(self) -> int:
-        """Closed-form depth, checked in all three spellings:
+        """Closed-form depth d + floor((n-d) / (d+1)).
 
-            d + floor(C(n,d+1) / C(n,d))
-            d + floor((n-d) / (d+1))
-            d - 1 + ceil((n-d+1) / (d+1))
-
-        The three must agree; a mismatch would be an implementation bug.
+        verify theorem-1.3's ("substitution", n-d+1, d) point compares this
+        floor spelling with the max-power formula at (n-d+1, d) shifted by
+        d-1, that is d - 1 + ceil((n-d+1) / (d+1)), the paper's ceil
+        spelling.  Acceptance criterion 2 checks the other two spellings,
+        ceil and ratio, d + floor(C(n,d+1) / C(n,d)), for every n <= 40.
         """
-        n, d = self.n, self.d
-        ratio_form = d + comb(n, d + 1) // comb(n, d)
-        floor_form = d + (n - d) // (d + 1)
-        ceil_form = d - 1 + -(-(n - d + 1) // (d + 1))
-        if not ratio_form == floor_form == ceil_form:
-            raise AssertionError(
-                f"closed-form spellings disagree at (n={n}, d={d}): "
-                f"{ratio_form}, {floor_form}, {ceil_form}"
-            )
-        return ceil_form
+        return self.d + (self.n - self.d) // (self.d + 1)
 
     def member(self, alpha: tuple[int, ...]) -> bool:
         return len(alpha) - alpha.count(0) >= self.d

@@ -381,8 +381,13 @@ def verify_theorem_1_3(n_max: int) -> VerificationResult:
                               equals ceil(n / (s+1));
       ("veronese", n, d)      scanned depth of the squarefree family equals
                               its closed form;
-      ("substitution", n, s)  the Veronese closed form at (n+s-1, s) equals
-                              s - 1 + ceil(n / (s+1)).
+      ("substitution", n, s)  the Veronese closed form at (n+s-1, s), its
+                              floor spelling s + floor((n-1) / (s+1)),
+                              equals s - 1 + ceil(n / (s+1)), the
+                              max-power formula shifted by s-1.
+
+    The ratio and ceil spellings of the Veronese closed form are checked
+    against the floor spelling by acceptance criterion 2, not here.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

@@ -1,7 +1,9 @@
 """Series constructors and closed depth formulas for the four families."""
 
 from functools import cache
+from itertools import dropwhile
 from math import comb
+from operator import not_
 
 import pytest
 
@@ -225,6 +227,37 @@ class TestGeneratedHatPowerSeries:
                 assert GeneratedHatPower(n, d, d).series() == want, (n, d)
 
 
+def family_specs(n_max):
+    """Every family spec with n <= n_max and s <= n + 2."""
+    for n in range(1, n_max + 1):
+        yield from (Veronese(n, d) for d in range(1, n + 1))
+        for s in range(1, n + 3):
+            yield MaxPower(n, s)
+            for t in range(1, n + 1):
+                yield HatPower(n, t, s)
+                yield GeneratedHatPower(n, t, s)
+
+
+@cache
+def two_lowest_terms(numerator, *args):
+    """Q_0, Q_1 and P(1) of the reference numerator P = T^v Q; Q_1 = 0 when
+    Q has one term."""
+    p = numerator(*args).coefficients
+    q = list(dropwhile(not_, p)) + [0]
+    return q[0], q[1], sum(p)
+
+
+def two_term_depth(spec):
+    """m - max(0, ceil(-Q_1/Q_0)) for the spec's series P/(1-T)^m."""
+    if spec.family == "veronese":
+        q0, q1, at_one = two_lowest_terms(veronese_numerator, spec.n, spec.d)
+    else:
+        q0, q1, at_one = two_lowest_terms(power_numerator, spec.span, spec.s)
+    # P(1) = 1, so P/(1-T)^ambient is canonical and m is the ambient count
+    assert at_one == 1, spec
+    return spec.ambient - max(0, -(q1 // q0))
+
+
 class TestClosedDepthFormulas:
     def test_veronese_instances(self):
         assert Veronese(6, 2).closed_depth() == 3
@@ -245,6 +278,15 @@ class TestClosedDepthFormulas:
                 assert hilbert_depth(Veronese(n, d).series()) == Veronese(n, d).closed_depth()
             for s in range(1, n + 1):
                 assert hilbert_depth(MaxPower(n, s).series()) == MaxPower(n, s).closed_depth()
+
+    def test_two_term_law(self):
+        # T^v Q / (1-T)^j has Q_1 + j Q_0 at T^(v+1), so no depth exceeds
+        # m - ceil(-Q_1/Q_0); every family depth equals it.  Q comes from
+        # the reference numerators alone, never from the library's kernel
+        for spec in family_specs(40):
+            assert two_term_depth(spec) == spec.closed_depth(), spec
+        for spec in family_specs(20):
+            assert two_term_depth(spec) == hilbert_depth(spec.series()), spec
 
     @pytest.mark.parametrize("spec", [MaxPower(800, 3), Veronese(800, 2)])
     def test_deep_scan_at_scale(self, spec):

@@ -18,6 +18,7 @@ from hilbertdepth.series import RationalFunctionSeries, canonicalize
 
 # class, field names in order, valid field values, derived (non-field) names
 RECORDS = [
+    (IntPolynomial, ("coefficients",), ((0, 1),), ("degree",)),
     (RationalFunctionSeries, ("numer", "den_pow"), (IntPolynomial((1, 2)), 2), ()),
     (Veronese, ("n", "d"), (6, 2), ("family", "ambient")),
     (MaxPower, ("n", "s"), (6, 2), ("t", "family", "span", "ambient")),
@@ -61,6 +62,9 @@ class TestRecordSemantics:
         assert cls(*values) == by_keyword == mixed
 
     def test_missing_field_raises_type_error(self, cls, names, values, derived):
+        if cls is IntPolynomial:  # its one field defaults to no coefficients
+            assert cls() == cls(()) and cls().degree == -1
+            return
         with pytest.raises(TypeError):
             cls(*values[:-1])
         with pytest.raises(TypeError):
@@ -99,8 +103,16 @@ class TestRecordSemantics:
         assert repr(cls(*values)) == f"{cls.__name__}({fields})"
 
 
+def call_id(cls, values):
+    """The constructor call as a test id, a polynomial argument written by
+    its coefficients alone to keep the id short."""
+    args = (f"IntPolynomial({v.coefficients})" if isinstance(v, IntPolynomial) else repr(v)
+            for v in values)
+    return f"{cls.__name__}({', '.join(args)})"
+
+
 @pytest.mark.parametrize("cls, values", INVALID,
-                         ids=[f"{cls.__name__}{values}" for cls, values in INVALID])
+                         ids=[call_id(cls, values) for cls, values in INVALID])
 def test_invalid_values_raise_value_error(cls, values):
     with pytest.raises(ValueError):
         cls(*values)
@@ -113,11 +125,18 @@ def test_equality_needs_the_same_class():
     assert Counterexample((1,), 2, 3) != Counterexample((1,), 2, 4)
 
 
+def test_polynomial_trims_trailing_zeros():
+    # trimmed before the field is set, so equality and hash never see them
+    assert IntPolynomial(coefficients=[1, 0, 2, 0]).coefficients == (1, 0, 2)
+    assert IntPolynomial(coefficients=[0, 0]) == IntPolynomial()
+    assert hash(IntPolynomial((5, 0))) == hash(IntPolynomial((5,)))
+
+
 def test_dataclass_style_repr():
     assert repr(Veronese(6, 2)) == "Veronese(n=6, d=2)"
     assert repr(HatPower(5, 2, 3)) == "HatPower(n=5, t=2, s=3)"
     assert repr(canonicalize(IntPolynomial((0, 1)), 1)) == (
-        "RationalFunctionSeries(numer=IntPolynomial((0, 1)), den_pow=1)")
+        "RationalFunctionSeries(numer=IntPolynomial(coefficients=(0, 1)), den_pow=1)")
     rep = depth_report(MaxPower(3, 1))
     assert repr(rep).startswith("DepthReport(spec=MaxPower(n=3, s=1), series=")
 
