@@ -1,5 +1,8 @@
 """Command-line front end: series expansion, depth reports, identity
-verification, parameter-sweep tables, and multigrade.oracle_sweep's checks.
+verification, parameter-sweep tables, and two library sweeps' rows:
+identities.sweep's for `verify` and multigrade.oracle_sweep's for `oracle`.
+Each of those two commands checks its flags, makes one call and writes
+the rows.
 
 Output is byte-deterministic for fixed arguments.  Exit codes: 0 when every
 check in the invocation passed, 1 on a verification or oracle failure, 2 on
@@ -173,49 +176,23 @@ def cmd_depth(args: argparse.Namespace) -> int:
     return 0 if row["agree"] else 1
 
 
-# Identity name -> whether its verifier takes a --k-max window.  cmd_verify
-# looks identities.verify_<tag> up when it runs, so a rebound verifier runs.
-_IDENTITIES = {"lemma-2.2": False, "prop-2.3": False, "lemma-4.1": True,
-               "eq-chain": True, "theorem-1.4": False, "theorem-1.3": False}
+# The identities verify takes, named as identities.sweep spells them; listed
+# here so that the parser does not load the identity catalog.
+_IDENTITIES = ("lemma-2.2", "prop-2.3", "lemma-4.1", "eq-chain", "theorem-1.4", "theorem-1.3")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # imported here, so that no other command loads the identity catalog
     from . import identities
 
-    identity, n_max, k_max = args.identity, args.n_max, args.k_max
-    _require(n_max, "--n-max", 1)
-    windowed = _IDENTITIES[identity]
-    if k_max is not None:
-        _require(k_max, "--k-max", 0)
-        if not windowed:
-            raise ValueError(f"{identity} does not take --k-max")
-    tag = identity.replace("-", "_").replace(".", "_")
-    verify = getattr(identities, f"verify_{tag}")
-    # one call per pair 1 <= d <= n <= n_max (k <= n + 10 by default) up to
-    # the first failure; theorem-1.3's one call checks each pair thrice
-    cases = n_max * (n_max + 1) // 2
-    if identity == "theorem-1.3":
-        results = [verify(n_max)]
-        scope, cases = results[0].params, 3 * cases
-    else:
-        results = (verify(n, d, n + 10 if k_max is None else k_max) if windowed
-                   else verify(n, d)
-                   for n in range(1, n_max + 1) for d in range(1, n + 1))
-        scope = f"1 <= d <= n <= {n_max}" + ("" if k_max is None else f", k <= {k_max}")
-    failed = next((res for res in results if not res.passed), None)
-    passed = failed is None
-    failure = None
-    if not passed:
-        ce = failed.counterexample
-        failure = {"at": failed.params, "point": list(ce.params),
-                   "lhs": ce.lhs, "rhs": ce.rhs}
+    _require(args.n_max, "--n-max", 1)
+    _require(args.k_max or 0, "--k-max", 0)  # None is no window
+    row = identities.sweep(args.identity, args.n_max, args.k_max)
     # a passing run leaves the counterexample cells empty
-    cells = failure or dict.fromkeys(("at", "point", "lhs", "rhs"), "")
-    _emit(args, {"identity": identity, "n_max": n_max, "k_max": k_max},
-          {"results": [{"identity": tag, "params": scope, "cases": cases,
-                        "passed": passed, "counterexample": failure}],
-           "pass": passed},
+    cells = row["counterexample"] or dict.fromkeys(("at", "point", "lhs", "rhs"), "")
+    tag, scope, cases, passed = row["identity"], row["params"], row["cases"], row["passed"]
+    _emit(args, {"identity": args.identity, "n_max": args.n_max, "k_max": args.k_max},
+          {"results": [row], "pass": passed},
           [("identity", "params", "cases", "passed",
             "ce_at", "ce_point", "ce_lhs", "ce_rhs"),
            (tag, scope, cases, passed, cells["at"],
@@ -223,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
           [f"PASS {tag}: {cases} cases over {scope}" if passed else
            f"FAIL {tag}: first counterexample at {cells['at']} "
            f"point={tuple(cells['point'])} lhs={cells['lhs']} rhs={cells['rhs']}"],
-          title=f"{identity} n_max={n_max}")
+          title=f"{args.identity} n_max={args.n_max}")
     return 0 if passed else 1
 
 
@@ -307,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_depth)
 
     sp = sub.add_parser("verify", help="run one identity verifier over a range")
-    sp.add_argument("identity", choices=list(_IDENTITIES))
+    sp.add_argument("identity", choices=_IDENTITIES)
     sp.add_argument("--n-max", type=int, default=10)
     sp.add_argument("--k-max", type=int, default=None,
                     help="coefficient window for series identities (default n+10)")

@@ -25,7 +25,8 @@ __all__ = [
 class Record:
     """Immutable value whose fields are its class's __slots__; plain code, so
     importing it costs nothing.  __init__ takes every field, by position or
-    keyword (else TypeError), then runs __post_init__.  Equality needs the
+    keyword (else TypeError), then runs __post_init__, where _require_ints
+    refuses a field that must be an int and is not.  Equality needs the
     same class; hash and repr Name(field=value, ...) follow the fields.
     Equality and hash read the class and the fields as one tuple, _key,
     one C call per record.
@@ -50,6 +51,15 @@ class Record:
 
     def __post_init__(self) -> None:
         pass
+
+    def _require_ints(self, *names: str) -> None:
+        """Raise TypeError naming the first of the fields `names` whose value
+        is not an int, or is a bool, so that no float or flag computes."""
+        for name in names:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{type(self).__qualname__} field {name} must be "
+                                f"an int, not {type(value).__name__}")
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__qualname__} is immutable")

@@ -33,6 +33,14 @@ variables, over (1-T)^n (span = n-d+1, s = d), which is the paper's link
 between the families.  The second presentation of the Veronese series,
 the independent check on this kernel, lives only in the identities module,
 as the numerator that the prop-2.3, eq-chain and theorem-1.4 sweeps carry.
+
+Every family numerator is T^v Q (v = s, which is d for Veronese) with Q in Bernstein form,
+Q = sum_{r=0..D} C(N, r) T^(D-r) (1-T)^r with N = span + s - 1 (n for
+Veronese), so Q's reversal shifted by 1 has the coefficients C(N, r).  The
+depth scan's tables at its moving base are these binomials (see
+series._verdicts), so no family table is ever negative, and the scan
+rejects each step before the depth at P's index v + 1, whose coefficient
+is Q_1 + j Q_0.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ class Veronese(Record):
     family = "veronese"
 
     def __post_init__(self) -> None:
+        self._require_ints("n", "d")
         if self.n < 1:
             raise ValueError("variable count n must be >= 1")
         if not 1 <= self.d <= self.n:
@@ -107,6 +116,7 @@ class _PowerFamily(Record):
     __slots__ = ()
 
     def __post_init__(self) -> None:
+        self._require_ints("n", "t", "s")
         if self.n < 1:
             raise ValueError("variable count n must be >= 1")
         if not 1 <= self.t <= self.n:

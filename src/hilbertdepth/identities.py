@@ -6,7 +6,12 @@ are integers or canonical series.  One driver compares the sides point by
 point in lexicographic sweep order and returns a structured pass/fail
 result carrying the first counterexample.  A series mismatch is reported
 at the label extended by the first coefficient index where the expansions
-differ.
+differ, read off one expansion of each side.
+
+sweep is the one entry point of the `verify` command: given a catalog name
+as the command line spells it, it picks the verifier, the window, the
+pair order and the case count, runs the calls up to the first failure and
+returns the command's result row.
 
 Catalog tags and statements:
 
@@ -27,8 +32,8 @@ Catalog tags and statements:
                 sweep, and substituting (n+s-1, s) into the Veronese
                 formula reproduces the max-power formula shifted by s-1.
 
-The per-pair verifiers read their sums off four rows, which the `verify`
-sweep (n outer, d inner) carries from one (n, d) to the next:
+The per-pair verifiers read their sums off four rows, which sweep's pair
+order (n outer, d inner) carries from one (n, d) to the next:
 
   R(n, d) = sum_{i=d-1..n-1} C(i, d-1) / (1-T)^(n-i), whose T^k
             coefficient is lemma_4_1's sum, carried along n as
@@ -52,13 +57,13 @@ other: that would turn a check into comparing a value with itself.  A
 carry along n holds one row per d; only the call for (n, d) while it
 holds (n-1, d) advances it, and every other call sums its row from the
 empty sum at n = d-1.  Before its step, R's carried row is cut to the
-call's window, or extended to a wider one (the default window k <= n+10
-grows by one per n) entry by entry by its defining sum.  The rows of L
-and A are kept for the latest n only.
+call's window, or extended to a wider one (sweep's default window
+k <= n+10 grows by one per n) entry by entry by its defining sum.  The
+rows of L and A are kept for the latest n only.
 So no result depends on the order of the calls.  The binomials on the
 other side of each check are math.comb values.
 
-Six check points repeat another point's comparison and are not
+Five check points repeat another point's comparison and are not
 independent evidence.  eq_chain ("rational",) and theorem_1_4 ("series",)
 compare the carried numerator, T^d B(n, d) over (1-T)^n, with the
 Eagon-Northcott numerator of m^d in n-d+1 variables over (1-T)^n, built
@@ -68,10 +73,7 @@ compares, with the numerator built as Veronese(n, d).series(); no point
 compares that numerator with itself.  eq_chain ("unshifted", k) are
 lemma_4_1's points.  eq_chain ("shifted", k) for k >= d repeats
 ("unshifted", k-d), the same row entry against the same value, since
-C(n-d+k, k) = C(n+(k-d), (k-d)+d).  prop_2_3 ("numerator",) compares A with
-the carried numerator B that ("series",) already compared; it stays a
-repeat because an independent right side, sum_i C(i+d-1, d-1) (1-T)^i
-expanded anew, costs O(n) per coefficient.  theorem_1_4 ("depth",) scans
+C(n-d+k, k) = C(n+(k-d), (k-d)+d).  theorem_1_4 ("depth",) scans
 one numerator twice: the depth scan judges each step from the numerator
 alone, and ("series",) has just shown that both sides share it, so the
 point fails only if hilbert_depth misreads den_pow.  theorem_1_3
@@ -79,6 +81,13 @@ point fails only if hilbert_depth misreads den_pow.  theorem_1_3
 d <= n-d+1 it scans the numerator that ("max_power", n-d+1, d) scans, so
 of the three points ("max_power", n-d+1, d), ("veronese", n, d) and
 ("substitution", n-d+1, d), any two imply the third.
+
+prop_2_3 ("numerator",) is not among them: it is the only point that
+reads A(n, d), which it compares with the carried numerator B that
+("series",) compared with the kernel.  One wrong term of A fails that
+point and no other in the catalog.  Its right side is read off the
+("series",) point's series, because an independent one,
+sum_i C(i+d-1, d-1) (1-T)^i expanded anew, costs O(n) per coefficient.
 """
 
 from __future__ import annotations
@@ -87,14 +96,14 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import comb
 from operator import add, sub
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .exactalg import IntPolynomial, Record
 from .ideals import GeneratedHatPower, HatPower, MaxPower, Veronese
 from .series import (
     RationalFunctionSeries,
     canonicalize,
-    coefficient,
+    expansion,
     hilbert_depth,
     mul_power_one_minus_t,
 )
@@ -108,6 +117,7 @@ __all__ = [
     "verify_eq_chain",
     "verify_theorem_1_4",
     "verify_theorem_1_3",
+    "sweep",
 ]
 
 # (label, lhs, rhs): one comparison, its sides integers or canonical series
@@ -141,8 +151,7 @@ def _first_series_difference(
     """First k where the expansions differ; the forms are known unequal."""
     d1, d2 = max(lhs.numer.degree, 0), max(rhs.numer.degree, 0)
     limit = max(d1 + rhs.den_pow, d2 + lhs.den_pow) + 1
-    for k in range(limit + 1):
-        a, b = coefficient(lhs, k), coefficient(rhs, k)
+    for k, (a, b) in enumerate(zip(expansion(lhs, limit), expansion(rhs, limit))):
         if a != b:
             return k, a, b
     raise AssertionError("canonical forms differ but expansions agree")
@@ -405,3 +414,45 @@ def verify_theorem_1_3(n_max: int) -> VerificationResult:
                    s - 1 + MaxPower(n, s).closed_depth())
 
     return _check("theorem_1_3", f"1 <= s,d <= n <= {n_max}", points())
+
+
+def sweep(identity: str, n_max: int, k_max: Optional[int] = None) -> dict:
+    """Run one catalog identity, named as the command line spells it, over
+    its sweep, and return the `verify` result row: identity (the tag),
+    params (the scope), cases, passed, and counterexample (None on a pass,
+    else the failing call's params as "at" and its point, lhs and rhs).
+
+    Every identity but theorem-1.3 makes one call per pair
+    1 <= d <= n <= n_max, n outer and d inner, which is the order the
+    carried rows step in (see the module docstring); lemma-4.1 and eq-chain
+    take the window k <= k_max, by default k <= n+10, and no other identity
+    takes one.  theorem-1.3 makes one call that checks each pair thrice, so
+    it counts three cases a pair.  The sweep stops at the first failing
+    call, and cases still counts every pair.  The verifier is looked up in
+    this module when the sweep runs, so a rebound one is the one called.
+    An unknown name, n_max < 1, a negative k_max, or a window for an
+    identity that takes none is a ValueError before any call.
+    """
+    verify = {"lemma-2.2": verify_lemma_2_2, "prop-2.3": verify_prop_2_3,
+              "lemma-4.1": verify_lemma_4_1, "eq-chain": verify_eq_chain,
+              "theorem-1.4": verify_theorem_1_4, "theorem-1.3": verify_theorem_1_3}.get(identity)
+    if verify is None:
+        raise ValueError(f"unknown identity {identity!r}")
+    if n_max < 1 or k_max is not None and k_max < 0:
+        raise ValueError("n_max must be >= 1 and k_max non-negative")
+    windowed = identity in ("lemma-4.1", "eq-chain")
+    if k_max is not None and not windowed:
+        raise ValueError(f"{identity} does not take --k-max")
+    cases = n_max * (n_max + 1) // 2
+    if identity == "theorem-1.3":
+        results = [verify(n_max)]
+        scope, cases = results[0].params, 3 * cases
+    else:
+        results = (verify(n, d, n + 10 if k_max is None else k_max) if windowed
+                   else verify(n, d) for n in range(1, n_max + 1) for d in range(1, n + 1))
+        scope = f"1 <= d <= n <= {n_max}" + ("" if k_max is None else f", k <= {k_max}")
+    failed = next((res for res in results if not res.passed), None)
+    ce = failed and failed.counterexample
+    return {"identity": identity.replace("-", "_").replace(".", "_"), "params": scope,
+            "cases": cases, "passed": failed is None, "counterexample": ce and {
+                "at": failed.params, "point": list(ce.params), "lhs": ce.lhs, "rhs": ce.rhs}}

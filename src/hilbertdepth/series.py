@@ -62,6 +62,7 @@ class RationalFunctionSeries(Record):
     __slots__ = ("numer", "den_pow")
 
     def __post_init__(self) -> None:
+        self._require_ints("den_pow")
         if self.den_pow < 0:
             raise ValueError("denominator power must be non-negative")
         if self.numer.is_zero():
@@ -196,6 +197,15 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
     non-negative together.  The scan therefore runs on Q, from P's first
     nonzero coefficient: D, b and the tables are Q's, P(1) = Q(1), and no
     step sums the v zeros.
+
+    Every family numerator (ideals) has the Bernstein form
+    Q = sum_{r=0..D} C(N, r) T^(D-r) (1-T)^r, N = span + s - 1 (n for
+    Veronese), so step j's table at the moving base is
+    [C(N, j-1), ..., C(N, 0)]: never negative, which is why no family scan
+    moves, takes a Pascal step or searches.  Its steps before the depth's
+    reject at the row's index 1, P's index v + 1, where
+    c_j(v + 1) = Q_1 + j Q_0 < 0, and the first j with Q_1 + j Q_0 >= 0
+    finds a non-negative row.
     """
     v = next((i for i, c in enumerate(numer) if c), 0)
     row, table, total, p, low = list(numer[v:]), [], sum(numer), 0, True

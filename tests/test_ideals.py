@@ -258,6 +258,16 @@ def two_term_depth(spec):
     return spec.ambient - max(0, -(q1 // q0))
 
 
+def taylor_shift(coefficients):
+    """Coefficients of p(T+1), lowest degree first, by repeated synthetic
+    division: O(deg^2) additions."""
+    a = list(coefficients)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
 class TestClosedDepthFormulas:
     def test_veronese_instances(self):
         assert Veronese(6, 2).closed_depth() == 3
@@ -287,6 +297,21 @@ class TestClosedDepthFormulas:
             assert two_term_depth(spec) == spec.closed_depth(), spec
         for spec in family_specs(20):
             assert two_term_depth(spec) == hilbert_depth(spec.series()), spec
+
+    def test_bernstein_form(self):
+        # P = T^v Q with Q = sum_{r=0..D} C(N, r) T^(D-r) (1-T)^r: Q's
+        # reversal is sum_r C(N, r) (T-1)^r, so shifted by 1 it has the
+        # coefficients C(N, r), N = span + s - 1, or n for Veronese.  These
+        # are the entries of every family table of the depth scan at its
+        # moving base, hence non-negative.  Q comes from the reference
+        # numerators alone, never from the library's kernel
+        numerators = [(power_numerator(span, s), span + s - 1)
+                      for span in range(1, 41) for s in range(1, 43)]
+        numerators += [(veronese_numerator(n, d), n)
+                       for n in range(1, 41) for d in range(1, n + 1)]
+        for p, big_n in numerators:
+            q = list(dropwhile(not_, p.coefficients))
+            assert taylor_shift(q[::-1]) == [comb(big_n, r) for r in range(len(q))], p
 
     @pytest.mark.parametrize("spec", [MaxPower(800, 3), Veronese(800, 2)])
     def test_deep_scan_at_scale(self, spec):

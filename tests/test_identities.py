@@ -1,5 +1,7 @@
-"""Identity verifiers: clean passes, determinism, and the failure path."""
+"""Identity verifiers and their sweep: clean passes, determinism, and the
+failure path."""
 
+import json
 import random
 import re
 from math import comb
@@ -8,9 +10,13 @@ import pytest
 
 import hilbertdepth.ideals as ideals
 import hilbertdepth.identities as identities
+from conftest import shifted
+from hilbertdepth.cli import main
+from hilbertdepth.ideals import Veronese
 from hilbertdepth.identities import (
     Counterexample,
     VerificationResult,
+    sweep,
     verify_eq_chain,
     verify_lemma_2_2,
     verify_lemma_4_1,
@@ -18,15 +24,21 @@ from hilbertdepth.identities import (
     verify_theorem_1_3,
     verify_theorem_1_4,
 )
-from hilbertdepth.series import canonicalize
+from hilbertdepth.series import canonicalize, coefficient
 from reference import (
     alternating_sum,
     convolution_row,
     convolution_sum,
+    one_minus_t_power,
     one_minus_t_row,
     prop_2_3_numerator,
+    t_power,
     veronese_alt_numerator,
 )
+
+# the catalog, named as the command line and sweep spell it
+NAMES = ("lemma-2.2", "prop-2.3", "lemma-4.1", "eq-chain", "theorem-1.4", "theorem-1.3")
+WINDOWED = ("lemma-4.1", "eq-chain")
 
 
 @pytest.fixture
@@ -111,6 +123,43 @@ class TestProp23:
         res = verify_prop_2_3(3, 2)
         assert not res.passed
         assert res.counterexample == Counterexample(("numerator", 0), 3, 1)
+
+    def test_series_counterexample_is_the_first_differing_coefficient(self, perturb):
+        # both sides' expansions are read up to the first k where they
+        # differ; the values reported there are coefficient's
+        perturb(3, at=("series",))
+        n, d = 8, 3
+        ce = verify_prop_2_3(n, d).counterexample
+        lhs = Veronese(n, d).series()
+        rhs = shifted(canonicalize(veronese_alt_numerator(n, d), n), 3)
+        k = ce.params[1]
+        assert ce == Counterexample(("series", k), coefficient(lhs, k), coefficient(rhs, k))
+        assert all(coefficient(lhs, j) == coefficient(rhs, j) for j in range(k))
+
+    def test_first_difference_past_the_constant_term(self):
+        # rhs = lhs + T^5, so the expansions first differ at k = 5
+        lhs = Veronese(8, 3).series()
+        rhs = canonicalize(lhs.numer + t_power(5) * one_minus_t_power(8), 8)
+        c = coefficient(lhs, 5)
+        assert identities._first_series_difference(lhs, rhs) == (5, c, c + 1)
+
+    def test_numerator_point_alone_reads_a(self, monkeypatch):
+        # A(n, d) is read by prop_2_3 ("numerator",) and by no other point,
+        # so one wrong coefficient of A(n, 3) fails that point and nothing
+        # else in the catalog
+        rows = identities._prop_2_3_rows
+
+        def wrong_rows(n):
+            out = [list(row) for row in rows(n)]
+            if n >= 4:
+                out[2][1] += 1
+            return out
+        monkeypatch.setattr(identities, "_prop_2_3_rows", wrong_rows)
+        results = {name: sweep(name, 6) for name in NAMES}
+        # A(4, 3) = 4 - 3T = B(4, 3), and the wrong row reads 4 - 2T
+        assert results.pop("prop-2.3")["counterexample"] == {
+            "at": "n=4 d=3", "point": ["numerator", 1], "lhs": -2, "rhs": -3}
+        assert all(row["passed"] for row in results.values())
 
 
 class TestLemma41:
@@ -339,6 +388,83 @@ class TestTheorem13:
         res = verify_theorem_1_3(6)
         assert not res.passed
         assert res.counterexample.params == point
+
+
+def _verifier_name(identity):
+    return "verify_" + identity.replace("-", "_").replace(".", "_")
+
+
+class TestSweep:
+    """identities.sweep is verify's one entry point: it picks the verifier,
+    the window, the pair order and the case count."""
+
+    @pytest.mark.parametrize("identity, k_max", [
+        *((name, None) for name in NAMES),
+        *((name, k) for name in WINDOWED for k in (0, 5))])
+    def test_row_is_the_command_line_result(self, capsys, identity, k_max):
+        window = [] if k_max is None else ["--k-max", str(k_max)]
+        for n_max in range(1, 7):
+            assert main(["verify", identity, "--n-max", str(n_max), *window,
+                         "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert sweep(identity, n_max, k_max) == doc["results"][0], n_max
+
+    @pytest.mark.parametrize("identity", NAMES[:-1])
+    def test_stops_at_the_first_failure(self, monkeypatch, identity):
+        # no call past the failing pair (2, 2), yet cases counts every pair;
+        # a windowed verifier gets the default window k <= n+10
+        name, calls = _verifier_name(identity), []
+        verify = getattr(identities, name)
+
+        def failing_at_2_2(n, d, *window):
+            calls.append((n, d, *window))
+            if (n, d) != (2, 2):
+                return verify(n, d, *window)
+            return VerificationResult("tag", "n=2 d=2", Counterexample(("x",), 1, 2))
+        monkeypatch.setattr(identities, name, failing_at_2_2)
+        row = sweep(identity, 4)
+        windows = [(n + 10,) if identity in WINDOWED else () for n in (1, 2, 2)]
+        assert calls == [(n, d, *w) for (n, d), w in zip([(1, 1), (2, 1), (2, 2)], windows)]
+        assert (row["cases"], row["passed"]) == (10, False)
+        assert row["counterexample"] == {"at": "n=2 d=2", "point": ["x"], "lhs": 1, "rhs": 2}
+
+    @pytest.mark.parametrize("identity, n_max, k_max", [
+        *((name, 0, None) for name in NAMES),
+        *((name, 3, -1) for name in WINDOWED),
+        ("lemma-9.9", 3, None), ("lemma_2_2", 3, None), ("verify_lemma_2_2", 3, None),
+        *((name, 3, 5) for name in NAMES if name not in WINDOWED)])
+    def test_rejects_before_any_call(self, monkeypatch, identity, n_max, k_max):
+        # never a vacuous pass: every rejection comes before any verifier runs
+        calls = []
+        for name in NAMES:
+            monkeypatch.setattr(identities, _verifier_name(name),
+                                lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            sweep(identity, n_max, k_max)
+        assert calls == []
+
+    def test_window_message_names_the_flag(self):
+        with pytest.raises(ValueError, match=re.escape("prop-2.3 does not take --k-max")):
+            sweep("prop-2.3", 3, 5)
+
+    def test_theorem_1_3_counts_three_cases_a_pair(self):
+        row = sweep("theorem-1.3", 5)
+        assert row == {"identity": "theorem_1_3", "params": "1 <= s,d <= n <= 5",
+                       "cases": 45, "passed": True, "counterexample": None}
+
+    def test_pairs_run_in_the_order_the_carries_step(self, monkeypatch):
+        # n outer and d inner: A's rows are built once per n, and B gains
+        # one term per pair.  d outer would build A's rows 77 times, and n
+        # descending would sum B from its base, 364 binomials
+        _clear_carries()
+        assert sweep("prop-2.3", 12)["passed"]
+        assert identities._prop_2_3_rows.cache_info().misses == 12
+        _clear_carries()
+        calls = []
+        true = identities.comb
+        monkeypatch.setattr(identities, "comb", lambda a, b: calls.append((a, b)) or true(a, b))
+        assert sweep("theorem-1.4", 12)["passed"]
+        assert len(calls) == 78
 
 
 class TestParameterValidation:

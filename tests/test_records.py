@@ -118,6 +118,34 @@ def test_invalid_values_raise_value_error(cls, values):
         cls(*values)
 
 
+# a field value that is not an int, or is a bool, and the field it sits in
+NOT_INT = [
+    (Veronese, (4, 2.5), "d"),
+    (Veronese, (4.0, 2), "n"),
+    (Veronese, (True, 1), "n"),
+    (MaxPower, (3, True), "s"),
+    (MaxPower, (3, 2.0), "s"),
+    (HatPower, (5, 2.0, 1), "t"),
+    (HatPower, (5, 2, False), "s"),
+    (GeneratedHatPower, ("5", 1, 1), "n"),
+    (RationalFunctionSeries, (IntPolynomial((1,)), 1.0), "den_pow"),
+    (RationalFunctionSeries, (IntPolynomial((1,)), True), "den_pow"),
+]
+
+
+@pytest.mark.parametrize("cls, values, field", NOT_INT,
+                         ids=[call_id(cls, values) for cls, values, _ in NOT_INT])
+def test_non_int_field_raises_type_error(cls, values, field):
+    with pytest.raises(TypeError, match=f"field {field} must be an int"):
+        cls(*values)
+
+
+def test_canonicalize_rejects_a_float_power():
+    # once the (1-T) factor cancels, the power would be left as 0.0
+    with pytest.raises(TypeError, match="field den_pow must be an int"):
+        canonicalize(IntPolynomial([1, -1]), 1.0)
+
+
 def test_equality_needs_the_same_class():
     assert Veronese(3, 2) != MaxPower(3, 2)
     assert HatPower(4, 2, 2) != GeneratedHatPower(4, 2, 2)
