@@ -22,6 +22,16 @@ __all__ = [
 ]
 
 
+def _require_ints(owner: str, **values: object) -> None:
+    """Raise TypeError naming the first of the keyword values that is not an
+    int, or is a bool, as "<owner> <name> must be an int, not <type>", so
+    that no float or flag computes: a record's fields, owner "<Class>
+    field", and the arguments of canonicalize and of both sweeps."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{owner} {name} must be an int, not {type(value).__name__}")
+
+
 class Record:
     """Immutable value whose fields are its class's __slots__; plain code, so
     importing it costs nothing.  __init__ takes every field, by position or
@@ -51,15 +61,6 @@ class Record:
 
     def __post_init__(self) -> None:
         pass
-
-    def _require_ints(self, *names: str) -> None:
-        """Raise TypeError naming the first of the fields `names` whose value
-        is not an int, or is a bool, so that no float or flag computes."""
-        for name in names:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{type(self).__qualname__} field {name} must be "
-                                f"an int, not {type(value).__name__}")
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__qualname__} is immutable")

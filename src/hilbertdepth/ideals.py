@@ -49,7 +49,7 @@ from itertools import accumulate
 from math import comb
 from typing import Union
 
-from .exactalg import IntPolynomial, Record
+from .exactalg import IntPolynomial, Record, _require_ints
 from .series import RationalFunctionSeries, canonicalize, hilbert_depth
 
 __all__ = [
@@ -71,7 +71,7 @@ class Veronese(Record):
     family = "veronese"
 
     def __post_init__(self) -> None:
-        self._require_ints("n", "d")
+        _require_ints(f"{type(self).__qualname__} field", n=self.n, d=self.d)
         if self.n < 1:
             raise ValueError("variable count n must be >= 1")
         if not 1 <= self.d <= self.n:
@@ -116,7 +116,7 @@ class _PowerFamily(Record):
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        self._require_ints("n", "t", "s")
+        _require_ints(f"{type(self).__qualname__} field", n=self.n, t=self.t, s=self.s)
         if self.n < 1:
             raise ValueError("variable count n must be >= 1")
         if not 1 <= self.t <= self.n:

@@ -98,7 +98,7 @@ from math import comb
 from operator import add, sub
 from typing import Iterable, Iterator, Optional, Union
 
-from .exactalg import IntPolynomial, Record
+from .exactalg import IntPolynomial, Record, _require_ints
 from .ideals import GeneratedHatPower, HatPower, MaxPower, Veronese
 from .series import (
     RationalFunctionSeries,
@@ -431,13 +431,15 @@ def sweep(identity: str, n_max: int, k_max: Optional[int] = None) -> dict:
     call, and cases still counts every pair.  The verifier is looked up in
     this module when the sweep runs, so a rebound one is the one called.
     An unknown name, n_max < 1, a negative k_max, or a window for an
-    identity that takes none is a ValueError before any call.
+    identity that takes none is a ValueError, and an n_max or k_max that is
+    not an int, or is a bool, a TypeError, before any call.
     """
     verify = {"lemma-2.2": verify_lemma_2_2, "prop-2.3": verify_prop_2_3,
               "lemma-4.1": verify_lemma_4_1, "eq-chain": verify_eq_chain,
               "theorem-1.4": verify_theorem_1_4, "theorem-1.3": verify_theorem_1_3}.get(identity)
     if verify is None:
         raise ValueError(f"unknown identity {identity!r}")
+    _require_ints("sweep argument", n_max=n_max, k_max=0 if k_max is None else k_max)
     if n_max < 1 or k_max is not None and k_max < 0:
         raise ValueError("n_max must be >= 1 and k_max non-negative")
     windowed = identity in ("lemma-4.1", "eq-chain")

@@ -1,6 +1,6 @@
 """Fine (multigraded) Hilbert series over truncated exponent boxes, plus the
-brute-force membership oracle (oracle_sweep, one ring_oracle pass per ring
-size) that ground-truths the closed forms.
+brute-force membership oracle (oracle_sweep, one _ring_pass per ring size)
+that ground-truths the closed forms.
 
 A box bound b means every variable exponent runs 0..b.  Truncation is sound
 for products because all exponents are non-negative: terms beyond the box
@@ -51,15 +51,13 @@ from itertools import (accumulate, chain, combinations, combinations_with_replac
 from operator import add, mul, ne, sub
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import Record
+from .exactalg import Record, _require_ints
 from .ideals import FAMILIES, IdealSpec, Veronese
 from .series import _windows
 
 __all__ = [
     "ExponentVector",
     "MultiSeries",
-    "degree_compositions",
-    "ring_oracle",
     "fine_series_formula",
     "oracle_sweep",
 ]
@@ -70,7 +68,7 @@ MAX_FINE_VARS = 5
 MAX_FINE_BOX = 6
 # membership tests, one per spec and point, one oracle sweep may make
 MAX_MEMBER_TESTS = 10**7
-# compositions held at once by ring_oracle's degree counts, and degrees of
+# compositions held at once by _ring_pass's degree counts, and degrees of
 # each window of oracle_sweep's closed-form coefficients: a one-variable
 # sweep then holds about 0.25 MB at once, whatever k_max
 COMPOSITION_CHUNK = 512
@@ -94,7 +92,7 @@ class MultiSeries(Record):
             raise ValueError("coefficient array does not fill the box")
 
 
-def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
+def _degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
     """All exponent vectors of the given total degree, lexicographically.
 
     Stars and bars: the partial sums of the first parts - 1 entries run over
@@ -103,10 +101,6 @@ def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
     One part is the one vector (total,), without the pool of total + 1
     values that combinations_with_replacement would copy to draw nothing.
     """
-    if parts < 1:
-        raise ValueError(f"parts must be at least 1, got {parts}")
-    if total < 0:
-        raise ValueError(f"total must be non-negative, got {total}")
     if parts == 1:
         return iter([(total,)])
     start, end = (0,), (total,)
@@ -114,42 +108,30 @@ def degree_compositions(total: int, parts: int) -> Iterator[ExponentVector]:
             for sums in combinations_with_replacement(range(total + 1), parts - 1))
 
 
-def ring_oracle(specs: Iterable[IdealSpec], k_max: int, box: int
-                ) -> tuple[Iterator[MultiSeries], Iterator[tuple[int, list[int]]]]:
-    """Fine series and member counts per degree of specs of one ring size,
+def _ring_pass(ring: Sequence[IdealSpec], top: int, box: int
+               ) -> tuple[Iterator[bytes], Iterator[tuple[int, ...]]]:
+    """Fine arrays and member counts per degree of the specs of one ring,
     from the statistic columns of the box [0, box]^r and of each
-    composition of degree <= max(k_max, box), computed once per ring.
+    composition of degree <= top, computed once per ring.
 
-    Returns (fines, degrees).  fines yields each spec's member values over
-    the box as a MultiSeries, spec by spec, from the box's columns alone.
-    degrees yields (k, counts) for k = 0..max(k_max, box), counts[i] the
-    number of degree-k monomials in the ideal of specs[i], from the
-    compositions alone; either may be drawn without the other.  Arguments
-    and the sweep guard are checked at the call; the points are decided,
-    in bulk per column and rule, as the results are drawn.
+    Returns (fines, degrees): fines yields each spec's member values over
+    the box as bytes, from the box's columns alone, and degrees the tuple
+    of the specs' counts of degree-k monomials in their ideals for
+    k = 0..top, from the compositions alone.  Either may be drawn without
+    the other; the points are decided in bulk as they are drawn.
+    oracle_sweep has checked the arguments and the sweep guard.
     """
-    if k_max < 0:
-        raise ValueError("degree must be non-negative")
-    if box < 0:
-        raise ValueError("box bound must be non-negative")
-    specs = list(specs)  # read by the size check, the guard and the rules
-    sizes = {spec.ambient for spec in specs}
-    if len(sizes) != 1:
-        raise ValueError("specs must share one number of variables")
-    vars_ = sizes.pop()
-    check_sweep_guard(zip(repeat(1), specs), k_max, box)
-    rules = [spec.member_rule() for spec in specs]
+    vars_ = ring[0].ambient
+    rules = [spec.member_rule() for spec in ring]
 
-    def box_pass() -> Iterator[MultiSeries]:
+    def box_pass() -> Iterator[bytes]:
         columns = _box_statistics(vars_, box)
         for column, bound in rules:
             # maps each statistic v <= 255 to whether v >= bound
             below = min(bound, 256)
-            at_least = bytes(below) + b"\1" * (256 - below)
-            yield MultiSeries(vars_, box, columns[column].translate(at_least))
+            yield columns[column].translate(bytes(below) + b"\1" * (256 - below))
 
-    degrees = _degree_counts(rules, vars_, max(k_max, box))
-    return box_pass(), ((k, list(counts)) for k, counts in enumerate(degrees))
+    return box_pass(), _degree_counts(rules, vars_, top)
 
 
 def _statistics(points: Sequence[ExponentVector], vars_: int) -> list[Sequence[int]]:
@@ -207,7 +189,7 @@ def _degree_counts(rules: Sequence[tuple[int, int]], vars_: int,
     that several specs share are counted once.  A degree cut by a chunk's
     end is summed across the two chunks.
     """
-    stream = chain.from_iterable(map(degree_compositions, range(top + 1), repeat(vars_)))
+    stream = chain.from_iterable(map(_degree_compositions, range(top + 1), repeat(vars_)))
     bounds: dict[int, set[int]] = {}  # the bounds that rules set on each column
     for column, bound in rules:
         bounds.setdefault(column, set()).add(bound)
@@ -287,7 +269,7 @@ def fine_series_formula(spec: IdealSpec, box: int) -> MultiSeries:
     box^(d-1) runs per Veronese piece.  One difference array over the runs
     and one accumulate give each point's cover count, which is 1 on the
     ideal and 0 off it, since the pieces partition the ideal.  Membership
-    is never consulted, so comparing with ring_oracle's fine arrays also
+    is never consulted, so comparing with _ring_pass's fine arrays also
     checks that partition.
     """
     vars_ = spec.ambient
@@ -336,9 +318,9 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
     check if its fine array differs from fine_series_formula or its count
     of some degree k <= box from coefficient(h, k), those coefficients read
     off h's expansion in windows (series._windows).  It makes
-    k_max + 1 coarse and (box+1)^r + box + 1 fine cases.  The arguments,
-    the fine guard and the sweep guard are checked in that order before
-    any pass.
+    k_max + 1 coarse and (box+1)^r + box + 1 fine cases.  The arguments
+    (ints, not bools, then their ranges), the fine guard and the sweep
+    guard are checked in that order before any pass.
     """
     def grid(s_top: int) -> dict[str, list[IdealSpec]]:
         return {family: [cls(n, *values) for n in range(1, n_max + 1)
@@ -346,6 +328,7 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
                                                  for name in cls.__slots__[1:]))]
                 for family, cls in FAMILIES.items()}
 
+    _require_ints("oracle_sweep argument", n_max=n_max, k_max=k_max, s_max=s_max, box=box)
     if n_max < 1 or s_max < 1 or k_max < 0:
         raise ValueError("need n_max >= 1, s_max >= 1 and k_max >= 0")
     # the fine work grows with the ring size: n_max variables bound every ring
@@ -363,19 +346,20 @@ def oracle_sweep(n_max: int, k_max: int, s_max: int, box: int) -> list[dict]:
         rings.setdefault(spec.ambient, []).append(spec)
     coarse_failed, fine_failed = set(), set()
     for ring in rings.values():
-        fines, degrees = ring_oracle(ring, k_max, box)
+        fines, degrees = _ring_pass(ring, top, box)
         fine_failed.update(spec for spec, fine in zip(ring, fines)
-                           if fine_series_formula(spec, box) != fine)
-        for windows in zip(*(_windows(spec.series(), top, COMPOSITION_CHUNK)
-                             for spec in ring)):
-            # the window's rows first, so that its end draws no degree
-            for row, (k, counts) in zip(zip(*windows), degrees):
-                if counts != list(row):
-                    failed = set(compress(ring, map(ne, counts, row)))
-                    if k <= k_max:
-                        coarse_failed |= failed
-                    if k <= box:
-                        fine_failed |= failed
+                           if fine_series_formula(spec, box).coeffs != fine)
+        # each degree's closed-form coefficients, one window per spec at a
+        # time; the rows first, so that their end draws no degree
+        rows = chain.from_iterable(map(zip, *(_windows(spec.series(), top, COMPOSITION_CHUNK)
+                                              for spec in ring)))
+        for k, (row, counts) in enumerate(zip(rows, degrees)):
+            if counts != row:
+                failed = set(compress(ring, map(ne, counts, row)))
+                if k <= k_max:
+                    coarse_failed |= failed
+                if k <= box:
+                    fine_failed |= failed
     cases = {"coarse": lambda spec: k_max + 1,
              "fine": lambda spec: (box + 1) ** spec.ambient + box + 1}
     return [{"check": check, "family": family, "specs": len(family_specs),

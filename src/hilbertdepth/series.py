@@ -36,7 +36,7 @@ from math import comb
 from operator import add
 from typing import Iterator
 
-from .exactalg import IntPolynomial, Record
+from .exactalg import IntPolynomial, Record, _require_ints
 from .tails import search as _search
 
 __all__ = [
@@ -62,7 +62,7 @@ class RationalFunctionSeries(Record):
     __slots__ = ("numer", "den_pow")
 
     def __post_init__(self) -> None:
-        self._require_ints("den_pow")
+        _require_ints("RationalFunctionSeries field", den_pow=self.den_pow)
         if self.den_pow < 0:
             raise ValueError("denominator power must be non-negative")
         if self.numer.is_zero():
@@ -82,12 +82,13 @@ def canonicalize(numer: IntPolynomial, den_pow: int) -> RationalFunctionSeries:
 
     Cancels (1 - T) factors of the numerator against the denominator for
     as long as both allow; surplus factors beyond den_pow stay in the
-    numerator, so the result never has a negative denominator power.
+    numerator, so the result never has a negative denominator power.  A
+    den_pow that is not an int, or is a bool, is refused with the record's
+    TypeError before any work, and a negative one by the record.
     """
-    if den_pow < 0:
-        raise ValueError("denominator power must be non-negative")
+    _require_ints("RationalFunctionSeries field", den_pow=den_pow)
     if numer.is_zero():
-        return RationalFunctionSeries(IntPolynomial(), 0)
+        den_pow = min(den_pow, 0)  # the zero series keeps no denominator
     while den_pow > 0 and numer.eval_at_one() == 0:
         numer = numer.divide_one_minus_t()
         den_pow -= 1

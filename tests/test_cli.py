@@ -146,13 +146,21 @@ class TestVerifyCommand:
         assert "PASS theorem_1_4" in out
 
     def test_every_identity_runs(self, capsys):
-        for name in ["lemma-2.2", "prop-2.3", "lemma-4.1", "eq-chain",
-                     "theorem-1.4", "theorem-1.3"]:
+        for name in cli._IDENTITIES:
             code, out, _ = run_cli(["verify", name, "--n-max", "5",
                                     "--format", "json"], capsys)
             assert code == 0, name
             doc = json.loads(out)
             assert doc["pass"] is True and doc["results"][0]["passed"] is True
+
+    def test_identities_name_exactly_the_catalog(self):
+        # the parser's list, kept apart so that it loads no catalog, has one
+        # name per verifier that identities exports, and sweep runs each
+        verifiers = {name[len("verify_"):] for name in identities.__all__
+                     if name.startswith("verify_")}
+        rows = [identities.sweep(name, 1) for name in cli._IDENTITIES]
+        assert all(row["passed"] for row in rows)
+        assert sorted(row["identity"] for row in rows) == sorted(verifiers)
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_failure_exit_code(self, capsys, monkeypatch, fmt):

@@ -443,6 +443,21 @@ class TestSweep:
             sweep(identity, n_max, k_max)
         assert calls == []
 
+    @pytest.mark.parametrize("identity, n_max, k_max, name", [
+        ("lemma-2.2", True, None, "n_max"), ("prop-2.3", 3.0, None, "n_max"),
+        ("theorem-1.3", False, None, "n_max"), ("lemma-4.1", 3, True, "k_max"),
+        ("eq-chain", 3, 5.0, "k_max"), ("eq-chain", 2.5, 5, "n_max")])
+    def test_rejects_flags_and_floats(self, monkeypatch, identity, n_max, k_max, name):
+        # a flag or a float would run as a number, n_max = True as one pair
+        # under params "1 <= d <= n <= True"
+        calls = []
+        for catalog_name in NAMES:
+            monkeypatch.setattr(identities, _verifier_name(catalog_name),
+                                lambda *args: calls.append(args))
+        with pytest.raises(TypeError, match=f"^sweep argument {name} must be an int"):
+            sweep(identity, n_max, k_max)
+        assert calls == []
+
     def test_window_message_names_the_flag(self):
         with pytest.raises(ValueError, match=re.escape("prop-2.3 does not take --k-max")):
             sweep("prop-2.3", 3, 5)

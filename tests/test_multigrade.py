@@ -1,4 +1,4 @@
-"""Fine series, membership, and the ring oracle."""
+"""Fine series, membership, the ring pass and the oracle sweep."""
 
 import json
 import math
@@ -23,10 +23,10 @@ import hilbertdepth.multigrade as multigrade
 from hilbertdepth.multigrade import (
     COMPOSITION_CHUNK,
     MultiSeries,
-    degree_compositions,
+    _degree_compositions,
+    _ring_pass,
     fine_series_formula,
     oracle_sweep,
-    ring_oracle,
 )
 from hilbertdepth.series import _windows, canonicalize, coefficient, expansion
 
@@ -79,15 +79,15 @@ def rings_of(specs):
 
 def oracle_fine(spec, box):
     """spec's member values over the box, from a one-spec ring pass."""
-    fines, _ = ring_oracle([spec], 0, box)
+    fines, _ = _ring_pass([spec], box, box)
     return next(fines)
 
 
 def oracle_counts(specs, k_max):
     """counts[k][i]: the degree-k monomials in the ideal of specs[i], k <=
     k_max, all but the origin counted outside the box [0, 0]^r."""
-    _, degrees = ring_oracle(specs, k_max, 0)
-    return [counts for _, counts in degrees]
+    _, degrees = _ring_pass(specs, k_max, 0)
+    return list(degrees)
 
 
 def coefficients(ms):
@@ -148,13 +148,13 @@ class TestDegreeCompositions:
     def test_counts(self):
         for total in range(6):
             for parts in range(1, 5):
-                got = list(degree_compositions(total, parts))
+                got = list(_degree_compositions(total, parts))
                 assert len(got) == math.comb(total + parts - 1, parts - 1)
                 assert all(sum(a) == total for a in got)
                 assert len(set(got)) == len(got)
 
     def test_lexicographic_order(self):
-        got = list(degree_compositions(2, 2))
+        got = list(_degree_compositions(2, 2))
         assert got == sorted(got)
 
     def test_matches_sorted_brute_force(self):
@@ -162,29 +162,22 @@ class TestDegreeCompositions:
             for parts in range(1, 6):
                 want = sorted(set(alpha for alpha in product(range(total + 1), repeat=parts)
                                   if sum(alpha) == total))
-                assert list(degree_compositions(total, parts)) == want, (total, parts)
-
-    @pytest.mark.parametrize("total, parts, name", [
-        (2, 0, "parts"), (2, -1, "parts"), (-1, 1, "total"), (-1, 2, "total")])
-    def test_rejects_bad_arguments(self, total, parts, name):
-        # raised at the call, before any composition is asked for
-        with pytest.raises(ValueError, match=name):
-            degree_compositions(total, parts)
+                assert list(_degree_compositions(total, parts)) == want, (total, parts)
 
 
 class TestHilbertFunctionOracle:
-    """The coarse side of ring_oracle: member counts per degree."""
+    """The coarse side of _ring_pass: member counts per degree."""
 
     def test_veronese_degree_three(self):
         # 10 degree-3 monomials in 3 variables minus the 3 pure cubes
-        assert oracle_counts([Veronese(3, 2)], 3)[3] == [7]
+        assert oracle_counts([Veronese(3, 2)], 3)[3] == (7,)
 
     def test_max_power_degree_two(self):
         # all C(4, 2) monomials of degree 2 qualify
-        assert oracle_counts([MaxPower(3, 2)], 2)[2] == [6]
+        assert oracle_counts([MaxPower(3, 2)], 2)[2] == (6,)
 
     def test_veronese_degree_one_empty(self):
-        assert oracle_counts([Veronese(3, 2)], 1)[1] == [0]
+        assert oracle_counts([Veronese(3, 2)], 1)[1] == (0,)
 
     def test_chunked_counts_match_plain_enumeration(self, statistics_points):
         # k = 20 in 5 variables is C(24, 4) = 10626 compositions, more than
@@ -192,19 +185,23 @@ class TestHilbertFunctionOracle:
         # the C(25, 5) compositions of degree <= 20 once, for every spec
         specs = [Veronese(5, 3), MaxPower(5, 4), HatPower(6, 2, 3),
                  GeneratedHatPower(5, 2, 7), GeneratedHatPower(5, 4, 30)]
-        compositions = list(degree_compositions(20, 5))
+        compositions = list(_degree_compositions(20, 5))
         assert len(compositions) == math.comb(24, 4) > 2 * COMPOSITION_CHUNK
-        want = [sum(map(spec.member, compositions)) for spec in specs]
+        want = tuple(sum(map(spec.member, compositions)) for spec in specs)
         # degrees alone: the compositions give every count
-        _, degrees = ring_oracle(specs, 20, 0)
-        assert dict(degrees)[20] == want
+        _, degrees = _ring_pass(specs, 20, 0)
+        assert list(degrees)[20] == want
         assert len(statistics_points) == len(set(statistics_points)) == math.comb(25, 5)
 
-    def test_counts_need_one_ring_size(self):
-        with pytest.raises(ValueError, match="one number of variables"):
-            ring_oracle([Veronese(3, 2), MaxPower(4, 2)], 2, 1)
-        with pytest.raises(ValueError, match="one number of variables"):
-            ring_oracle([], 2, 1)
+    def test_counts_need_one_ring_size(self, monkeypatch):
+        # the pass reads the ring size off its first spec: oracle_sweep
+        # hands it the specs of one size, each size once, every spec once
+        rings, ring_pass = [], multigrade._ring_pass
+        monkeypatch.setattr(multigrade, "_ring_pass",
+                            lambda ring, top, box: rings.append(ring) or ring_pass(ring, top, box))
+        assert all(r["passed"] for r in oracle_sweep(3, 2, 2, 1))
+        assert [{spec.ambient for spec in ring} for ring in rings] == [{1}, {2}, {3}]
+        assert Counter(chain.from_iterable(rings)) == Counter(all_specs(3, 2))
 
     def test_matches_coarse_coefficients(self):
         for specs in rings_of(all_specs(4, 3)):
@@ -215,22 +212,17 @@ class TestHilbertFunctionOracle:
 
 
 class TestRingOracle:
-    @pytest.mark.parametrize("k_max, box, name", [(-1, 0, "degree"), (0, -1, "box")])
-    def test_rejects_bad_arguments(self, k_max, box, name):
-        # raised at the call, before any point is tested
-        with pytest.raises(ValueError, match=name):
-            ring_oracle([Veronese(2, 1)], k_max, box)
+    def test_sweep_guard_at_the_call(self, monkeypatch, statistics_points):
+        # oracle_sweep guards every ring at once, before the first pass;
+        # the passes check nothing
+        calls, guard = [], multigrade.check_sweep_guard
 
-    def test_sweep_guard_at_the_call(self, monkeypatch):
-        # 4 specs in 1 variable, each testing degrees 0..9 and the 3 box
-        # points: 52 tests
-        specs = [MaxPower(1, s) for s in range(1, 5)]
-        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 51)
-        with pytest.raises(ValueError, match="52 membership tests"):
-            ring_oracle(specs, 9, 2)
-        monkeypatch.setattr(multigrade, "MAX_MEMBER_TESTS", 52)
-        _, degrees = ring_oracle(specs, 9, 2)
-        assert list(degrees) == [(k, [int(k >= s) for s in range(1, 5)]) for k in range(10)]
+        def spy(weighted, k_max, box):
+            calls.append(len(statistics_points))
+            return guard(weighted, k_max, box)
+        monkeypatch.setattr(multigrade, "check_sweep_guard", spy)
+        assert all(r["passed"] for r in oracle_sweep(3, 9, 2, 2))
+        assert calls == [0] and statistics_points
 
     def test_sweep_count_bounds_each_degree(self, monkeypatch):
         # a spec's sweep count is at least the C(k_max + r - 1, r - 1)
@@ -243,23 +235,16 @@ class TestRingOracle:
                     with pytest.raises(ValueError, match="membership tests"):
                         multigrade.check_sweep_guard([(1, MaxPower(r, 1))], k_max, box)
 
-    def test_specs_may_be_an_iterator(self):
-        specs = [Veronese(2, 1), MaxPower(2, 2), GeneratedHatPower(2, 2, 3)]
-        fines, degrees = ring_oracle(specs, 5, 1)
-        want = list(fines), list(degrees)
-        fines, degrees = ring_oracle(iter(specs), 5, 1)
-        assert (list(fines), list(degrees)) == want
-
     def test_each_stream_has_one_source(self, statistics_points):
         # degrees alone computes no box point, and fines alone only the
         # (box+1)^r box points
         specs = [Veronese(3, 2), MaxPower(3, 2), GeneratedHatPower(3, 2, 2)]
-        _, degrees = ring_oracle(specs, 1, 2)
-        assert [k for k, _ in degrees] == [0, 1, 2]
+        _, degrees = _ring_pass(specs, 2, 2)
+        assert len(list(degrees)) == 3
         assert sorted(statistics_points) == sorted(
-            p for k in range(3) for p in degree_compositions(k, 3))
+            p for k in range(3) for p in _degree_compositions(k, 3))
         statistics_points.clear()
-        fines, _ = ring_oracle(specs, 6, 2)
+        fines, _ = _ring_pass(specs, 6, 2)
         assert len(list(fines)) == len(specs)
         assert statistics_points == list(product(range(3), repeat=3))
 
@@ -272,15 +257,14 @@ class TestRingOracle:
         for r, specs in rings.items():
             counts = {spec: member_counts(spec, max(r * 3 + 1, 3 + 2)) for spec in specs}
             for box in range(4):
-                fine = {spec: MultiSeries(r, box, bytes(member_box(spec, box)))
-                        for spec in specs}
+                fine = {spec: bytes(member_box(spec, box)) for spec in specs}
                 points = list(product(range(box + 1), repeat=r))
                 for k_max in sorted({0, box - 1, box, box + 2, r * box + 1} - {-1}):
                     top = max(k_max, box)
                     statistics_points.clear()
-                    fines, degrees = ring_oracle(specs, k_max, box)
+                    fines, degrees = _ring_pass(specs, top, box)
                     assert list(fines) == [fine[s] for s in specs], (r, box, k_max)
-                    assert list(degrees) == [(k, [counts[s][k] for s in specs])
+                    assert list(degrees) == [tuple(counts[s][k] for s in specs)
                                              for k in range(top + 1)], (r, box, k_max)
                     # the statistics of each box point and each composition
                     # of degree <= top, each once per ring
@@ -299,7 +283,7 @@ class TestRingOracle:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            fines, _ = ring_oracle(specs, 0, 6)
+            fines, _ = _ring_pass(specs, 6, 6)
             assert sum(1 for _ in fines) == len(specs)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
@@ -315,9 +299,9 @@ class TestRingOracle:
     def test_counts_past_a_byte_match_reference(self, specs, top):
         # degrees, so statistics, and bounds that no byte holds, at and
         # around 256
-        _, degrees = ring_oracle(specs, top, 0)
+        _, degrees = _ring_pass(specs, top, 0)
         counts = [member_counts(spec, top) for spec in specs]
-        assert list(degrees) == [(k, [c[k] for c in counts]) for k in range(top + 1)]
+        assert list(degrees) == [tuple(c[k] for c in counts) for k in range(top + 1)]
 
 
 def windowed(series, top, width=COMPOSITION_CHUNK):
@@ -427,6 +411,17 @@ class TestOracleSweep:
             oracle_sweep(n_max, k_max, s_max, box)
         assert statistics_points == []
 
+    @pytest.mark.parametrize("n_max, k_max, s_max, box, name", [
+        (True, 1, True, 0, "n_max"), (2, 1.0, 1, 0, "k_max"), (2, 1, 1.5, 0, "s_max"),
+        (2, 1, 1, False, "box"), (2.0, 1, 1, 1, "n_max")])
+    def test_rejects_flags_and_floats(self, statistics_points, n_max, k_max, s_max, box,
+                                      name):
+        # a flag or a float would run as a number: (True, 1, True, 0) was a
+        # whole sweep of the one-variable ring
+        with pytest.raises(TypeError, match=f"^oracle_sweep argument {name} must be an int"):
+            oracle_sweep(n_max, k_max, s_max, box)
+        assert statistics_points == []
+
     @pytest.mark.parametrize("degree, failed", [
         (3, {("coarse", "max-power")}),  # box < degree <= k_max
         (1, {("coarse", "max-power"), ("fine", "max-power")}),  # degree <= box
@@ -510,9 +505,9 @@ class TestMultiSeries:
         # (membership here ignores the last variable, so a transposed
         # layout would not pass)
         spec = GeneratedHatPower(3, 2, 2)
-        ms = oracle_fine(spec, 2)
+        fine = oracle_fine(spec, 2)
         for alpha in product(range(3), repeat=3):
-            assert ms.coeffs[9 * alpha[0] + 3 * alpha[1] + alpha[2]] == spec.member(alpha)
+            assert fine[9 * alpha[0] + 3 * alpha[1] + alpha[2]] == spec.member(alpha)
 
     def test_coarse_sums(self):
         ms = MultiSeries(2, 2, (1,) * 9)
@@ -570,9 +565,9 @@ class TestFineSeries:
     def test_formula_matches_oracle_everywhere(self):
         for specs in rings_of(all_specs(3, 3)):
             for box in (0, 1, 2, 3):
-                fines, _ = ring_oracle(specs, 0, box)
+                fines, _ = _ring_pass(specs, box, box)
                 for spec, fine in zip(specs, fines, strict=True):
-                    assert fine_series_formula(spec, box) == fine, (spec, box)
+                    assert fine_series_formula(spec, box).coeffs == fine, (spec, box)
 
     def test_power_at_and_far_beyond_the_box_degree(self):
         # the box holds degrees up to span * box only; powers around and far
@@ -582,7 +577,7 @@ class TestFineSeries:
                                     (GeneratedHatPower, (3, 2), 2)):
                 for s in (span * box, span * box + 1, span * box + 2, 10**6, 10**30):
                     spec = cls(*head, max(s, 1))
-                    assert fine_series_formula(spec, box) == oracle_fine(spec, box), spec
+                    assert fine_series_formula(spec, box).coeffs == oracle_fine(spec, box), spec
 
     @pytest.mark.parametrize("box", [3, 4])
     def test_formula_matches_oracle_in_five_variables(self, box):
@@ -597,9 +592,9 @@ class TestFineSeries:
                 if t == 1:
                     specs.append(MaxPower(5, s))
         assert all(spec.ambient == 5 for spec in specs)
-        fines, _ = ring_oracle(specs, 0, box)
+        fines, _ = _ring_pass(specs, box, box)
         for spec, fine in zip(specs, fines, strict=True):
-            assert fine_series_formula(spec, box) == fine, spec
+            assert fine_series_formula(spec, box).coeffs == fine, spec
 
     @pytest.mark.parametrize("box", [0, 1, 2, 6])
     def test_veronese_core_edges(self, box):
@@ -609,9 +604,9 @@ class TestFineSeries:
         # up to the widest box check_fine_guard allows
         for n in range(1, 6):
             specs = [Veronese(n, d) for d in range(1, n + 1)]
-            fines, _ = ring_oracle(specs, 0, box)
+            fines, _ = _ring_pass(specs, box, box)
             for spec, fine in zip(specs, fines, strict=True):
-                assert fine_series_formula(spec, box) == fine, spec
+                assert fine_series_formula(spec, box).coeffs == fine, spec
 
     def test_power_matches_composition_walk(self):
         for n in range(1, 5):
@@ -650,9 +645,9 @@ class TestFineSeries:
         for specs in rings_of(all_specs(3, 2)):
             counts = oracle_counts(specs, 3)
             for box in (1, 2, 3):
-                fines, _ = ring_oracle(specs, 0, box)
-                for i, (spec, ms) in enumerate(zip(specs, fines, strict=True)):
-                    sums = coarse_sums(ms, box)
+                fines, _ = _ring_pass(specs, box, box)
+                for i, (spec, fine) in enumerate(zip(specs, fines, strict=True)):
+                    sums = coarse_sums(MultiSeries(spec.ambient, box, fine), box)
                     h = spec.series()
                     for k in range(box + 1):
                         assert sums[k] == counts[k][i]

@@ -136,14 +136,27 @@ NOT_INT = [
 @pytest.mark.parametrize("cls, values, field", NOT_INT,
                          ids=[call_id(cls, values) for cls, values, _ in NOT_INT])
 def test_non_int_field_raises_type_error(cls, values, field):
-    with pytest.raises(TypeError, match=f"field {field} must be an int"):
+    with pytest.raises(TypeError) as info:
         cls(*values)
+    bad = values[cls.__slots__.index(field)]
+    assert str(info.value) == (f"{cls.__name__} field {field} must be an int, "
+                               f"not {type(bad).__name__}")
 
 
 def test_canonicalize_rejects_a_float_power():
     # once the (1-T) factor cancels, the power would be left as 0.0
     with pytest.raises(TypeError, match="field den_pow must be an int"):
         canonicalize(IntPolynomial([1, -1]), 1.0)
+
+
+@pytest.mark.parametrize("den_pow", [2.5, 0.0, True, False])
+def test_canonicalize_refuses_a_non_int_power_of_zero(den_pow):
+    # the zero numerator cancels nothing, yet the power is refused before
+    # any work, with the record's message
+    with pytest.raises(TypeError) as info:
+        canonicalize(IntPolynomial(), den_pow)
+    assert str(info.value) == (f"RationalFunctionSeries field den_pow must be an int, "
+                               f"not {type(den_pow).__name__}")
 
 
 def test_equality_needs_the_same_class():

@@ -108,8 +108,10 @@ class TestCanonicalize:
         assert h.numer == IntPolynomial((1, -1)) and h.den_pow == 0
 
     def test_rejects_negative_den_pow(self):
-        with pytest.raises(ValueError):
-            canonicalize(IntPolynomial((1,)), -1)
+        # the record's sign check, the zero numerator included
+        for numer in (IntPolynomial((1,)), IntPolynomial()):
+            with pytest.raises(ValueError, match="denominator power must be non-negative"):
+                canonicalize(numer, -1)
 
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
