@@ -6,10 +6,11 @@ the rows.
 
 Output is byte-deterministic for fixed arguments.  Exit codes: 0 when every
 check in the invocation passed, 1 on a verification or oracle failure, 2 on
-malformed arguments.  JSON output emits integers beyond 53-bit magnitude as
-decimal strings so no consumer silently rounds them.  Only `verify` loads the
-identity catalog and only `oracle` the oracles; a failing `verify` sweep
-stops at its first failing (n, d).
+malformed arguments; `python -m hilbertdepth` exits 141, with nothing on
+stderr, when the reader closes the output pipe early.  JSON output emits
+integers beyond 53-bit magnitude as decimal strings so no consumer silently
+rounds them.  Only `verify` loads the identity catalog and only `oracle` the
+oracles; a failing `verify` sweep stops at its first failing (n, d).
 """
 
 from __future__ import annotations

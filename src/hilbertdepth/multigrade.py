@@ -14,11 +14,11 @@ span exponents for the power families.  So the pass computes the r + 1
 statistics of each point once per ring, and decides every spec's points in
 bulk, never one comparison at a time:
 
-  * the box [0, box]^r: its columns are bytes, built axis by axis without
-    listing the points (every statistic there is at most r * box <= 30),
-    and each spec's fine array is the column it reads translated through a
-    256-byte threshold table for its bound, compared with the formula's
-    bytes by one memcmp;
+  * the box [0, box]^r: its columns are bytes, joined from the statistics
+    of its points COMPOSITION_CHUNK at a time (every statistic there is at
+    most r * box <= 30), and each spec's fine array is the column it reads
+    translated through a 256-byte threshold table for its bound, compared
+    with the formula's bytes by one memcmp;
   * the compositions of degree <= max(k_max, box), in chunks of
     COMPOSITION_CHUNK that run across degrees: each column some rule reads
     is sorted once per chunk by (degree, value), the chunk's cumulative
@@ -68,9 +68,9 @@ MAX_FINE_VARS = 5
 MAX_FINE_BOX = 6
 # membership tests, one per spec and point, one oracle sweep may make
 MAX_MEMBER_TESTS = 10**7
-# compositions held at once by _ring_pass's degree counts, and degrees of
-# each window of oracle_sweep's closed-form coefficients: a one-variable
-# sweep then holds about 0.25 MB at once, whatever k_max
+# points held at once by _ring_pass's degree counts and box columns, and
+# degrees of each window of oracle_sweep's closed-form coefficients: a
+# one-variable sweep then holds about 0.25 MB at once, whatever k_max
 COMPOSITION_CHUNK = 512
 
 
@@ -146,30 +146,16 @@ def _statistics(points: Sequence[ExponentVector], vars_: int) -> list[Sequence[i
 
 def _box_statistics(vars_: int, box: int) -> list[bytes]:
     """_statistics of the points of the box [0, box]^vars_, lexicographic
-    (last index fastest), as bytes, without listing the points.
-
-    The columns grow axis by axis from those of the box of no axes, whose
-    one point has support 0 and head sum 0.  Appending an axis, fastest,
-    puts box + 1 entries in place of each: the axis's value a = 0..box is
-    added to the new head sum (the last one plus a) and a > 0 to the
-    support, while the older head sums repeat.  Every value is at most
-    vars_ * box, so it fits a byte whenever check_fine_guard passes.
+    (last index fastest), as bytes, COMPOSITION_CHUNK points at a time.
+    Every value is at most vars_ * box, so it fits a byte whenever
+    check_fine_guard passes.
     """
-    side = box + 1
-    plus = [bytes(range(a, 256)) + bytes(a) for a in range(side)]  # v -> v + a
-
-    def spread(column: bytes, shifts: Iterable[int]) -> bytes:
-        out = bytearray(len(column) * side)
-        for a, shift in enumerate(shifts):
-            out[a::side] = column.translate(plus[shift])
-        return bytes(out)
-
-    support, heads = b"\0", [b"\0"]
-    for _ in range(vars_):
-        heads = [*(spread(head, repeat(0, side)) for head in heads),
-                 spread(heads[-1], range(side))]
-        support = spread(support, [0, *repeat(1, box)])
-    return [support, *heads[1:]]
+    points = product(range(box + 1), repeat=vars_)
+    columns = [bytearray() for _ in range(vars_ + 1)]
+    while chunk := list(islice(points, COMPOSITION_CHUNK)):
+        for column, values in zip(columns, _statistics(chunk, vars_)):
+            column.extend(values)
+    return list(map(bytes, columns))
 
 
 def _degree_counts(rules: Sequence[tuple[int, int]], vars_: int,

@@ -235,29 +235,10 @@ def _verdicts(numer: tuple[int, ...], m: int, first: int = 0) -> Iterator[bool]:
 def is_nonnegative(h: RationalFunctionSeries) -> bool:
     """True iff every power-series coefficient of H is >= 0, decided exactly.
 
-    Procedure: the step j = m of the prefix-sum scan _verdicts, whose
-    earlier steps only carry their rows and tables forward (D = numerator
-    degree, m = den_pow).  Beyond b = max(D - m + 1, 0) the sequence agrees
-    with a polynomial q of degree m-1 whose leading coefficient is
-    numer(1)/(m-1)!.  Reject if a coefficient below b is negative.
-    Newton's expansion q(k0 + x) = sum_j C(x, j) * (difference_j at k0)
-    shows that once every difference is >= 0 at some k0 the whole tail is
-    >= 0, so the series is accepted at once if every difference is >= 0 at
-    k0 = b.  Otherwise the coefficients up to D and numer(1) (eventually
-    negative) must be >= 0, and then the tail is accepted if q's table at
-    D is non-negative, and else decided by a search from that table (see
-    tails.search): the tail is non-negative iff q(D) >= 0 and q >= 0 at
-    each of its integer local minima past D, the points where Delta q
-    turns from negative to >= 0.
-    Each difference Delta^i q is monotone between consecutive sign changes
-    of Delta^(i+1) q, so each such interval holds at most one sign change
-    of Delta^i q.  The sign changes of Delta^(e-1) q and Delta^(e-2) q, of
-    degree 1 and 2, come in closed form from a floor division and an
-    integer square root; each lower one is found by binary search, or by
-    exponential search on the last, unbounded interval, and of Delta q
-    only the rising ones, where q is evaluated once each.  The search
-    makes O(e^2 log R) evaluations of O(e) integer operations each
-    (e = m-1, R the Cauchy bound of q's roots), so the decision takes time
+    One step of the prefix-sum scan _verdicts judges it, the step
+    j = den_pow, whose earlier steps only carry their rows and tables
+    forward: the coefficients below the tail's base, and then the tail by
+    Newton's certificate or by the search of tails.search, in time
     polynomial in the bit size of numer.
     """
     return next(_verdicts(h.numer.coefficients, h.den_pow, h.den_pow))

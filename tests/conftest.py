@@ -1,7 +1,5 @@
 """Shared fixtures."""
 
-from itertools import product
-
 import pytest
 
 import hilbertdepth.identities as identities
@@ -45,18 +43,12 @@ def perturb(monkeypatch):
 def statistics_points(monkeypatch):
     """The list of every point whose statistic columns a later oracle pass
     of the test computes, in the order it computes them: each chunk of
-    compositions handed to _statistics, and each box whose columns
-    _box_statistics builds, as its points in lexicographic order."""
+    compositions or of box points handed to _statistics."""
     points = []
-    statistics, box_statistics = multigrade._statistics, multigrade._box_statistics
+    statistics = multigrade._statistics
 
     def spy(chunk, vars_):
         points.extend(chunk)
         return statistics(chunk, vars_)
-
-    def box_spy(vars_, box):
-        points.extend(product(range(box + 1), repeat=vars_))
-        return box_statistics(vars_, box)
     monkeypatch.setattr(multigrade, "_statistics", spy)
-    monkeypatch.setattr(multigrade, "_box_statistics", box_spy)
     return points

@@ -402,6 +402,21 @@ class TestContract:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["depth"] == 2
 
+    def test_closed_pipe_exits_141(self):
+        # the reader closes the pipe after one line of about 180 KB of JSON,
+        # more than a pipe holds: no traceback, and the status a shell
+        # reports for a writer that SIGPIPE ended
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        with subprocess.Popen(
+                [sys.executable, "-m", "hilbertdepth", "series", "--ideal", "max-power",
+                 "--n", "1", "--s", "1", "--upto", "3000", "--format", "json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (141, b"")
+
 
 # Standard modules no command needs on its start-up path.  dataclasses
 # brings inspect, ast, dis and tokenize; fractions brings decimal and

@@ -134,9 +134,12 @@ class TestMembership:
                 got = bytes(map(bound.__le__, columns[column]))
                 assert got == bytes(map(spec.member, points)), spec
 
-    def test_box_columns_match_pointwise_statistics(self):
-        # every box the fine guard allows, built axis by axis, against the
-        # statistics of its listed points
+    @pytest.mark.parametrize("chunk", [COMPOSITION_CHUNK, 7])
+    def test_box_columns_match_pointwise_statistics(self, monkeypatch, chunk):
+        # every box the fine guard allows, joined chunk by chunk, against
+        # the statistics of its listed points; chunks of 7 join every box
+        # of more than 7 points across seams at odd offsets
+        monkeypatch.setattr(multigrade, "COMPOSITION_CHUNK", chunk)
         for r in range(1, 6):
             for box in range(7):
                 points = list(product(range(box + 1), repeat=r))
