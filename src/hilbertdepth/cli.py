@@ -2,28 +2,29 @@
 verification, parameter-sweep tables, and two library sweeps' rows:
 identities.sweep's for `verify` and multigrade.oracle_sweep's for `oracle`.
 Each of those two commands checks its flags, makes one call and writes
-the rows.
+the rows.  _COMMANDS declares every argument, and _parse reads argv against
+it as argparse did (flags by unique prefixes, `--flag=value`); -h prints it.
 
 Output is byte-deterministic for fixed arguments.  Exit codes: 0 when every
 check in the invocation passed, 1 on a verification or oracle failure, 2 on
-malformed arguments; `python -m hilbertdepth` exits 141, with nothing on
-stderr, when the reader closes the output pipe early.  JSON output emits
-integers beyond 53-bit magnitude as decimal strings so no consumer silently
-rounds them.  Only `verify` loads the identity catalog and only `oracle` the
-oracles; a failing `verify` sweep stops at its first failing (n, d).
+malformed arguments, and 141, with nothing on stderr, when the reader closes
+the output pipe early.  JSON output emits integers beyond 53-bit magnitude
+as decimal strings so no consumer silently rounds them.  Only `verify` loads
+the identity catalog and only `oracle` the oracles; a failing `verify` sweep
+stops at its first failing (n, d).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .ideals import FAMILIES, IdealSpec, depth_report
 from .series import expansion
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _JSON_INT_LIMIT = 2 ** 53
 
@@ -49,7 +50,7 @@ def _cell(value: object) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _emit(args: argparse.Namespace, params: dict, body: dict,
+def _emit(args: SimpleNamespace, params: dict, body: dict,
           rows: Iterable[tuple], lines: Iterable[str],
           title: Optional[str] = None) -> None:
     """Write one command's result in the format args asks for.
@@ -107,7 +108,7 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _family_fields(args: argparse.Namespace) -> tuple[str, ...]:
+def _family_fields(args: SimpleNamespace) -> tuple[str, ...]:
     """Fields after n of the chosen family; rejects another family's flag."""
     names = FAMILIES[args.ideal].__slots__[1:]
     for cls in FAMILIES.values():
@@ -117,7 +118,7 @@ def _family_fields(args: argparse.Namespace) -> tuple[str, ...]:
     return names
 
 
-def _spec_from_args(args: argparse.Namespace) -> IdealSpec:
+def _spec_from_args(args: SimpleNamespace) -> IdealSpec:
     cls = FAMILIES[args.ideal]
     names = _family_fields(args)
     values = [getattr(args, name) for name in names]
@@ -145,7 +146,7 @@ def _report_row(spec: IdealSpec) -> dict:
     }
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: SimpleNamespace) -> int:
     spec = _spec_from_args(args)
     _require(args.upto, "--upto", 0)
     h = spec.series()
@@ -166,7 +167,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_depth(args: argparse.Namespace) -> int:
+def cmd_depth(args: SimpleNamespace) -> int:
     spec = _spec_from_args(args)
     row = _report_row(spec)
     _emit(args, {"ideal": spec.family, **spec._asdict()},
@@ -177,12 +178,11 @@ def cmd_depth(args: argparse.Namespace) -> int:
     return 0 if row["agree"] else 1
 
 
-# The identities verify takes, named as identities.sweep spells them; listed
-# here so that the parser does not load the identity catalog.
+# verify's identities as identities.sweep spells them, here so that parsing loads no catalog
 _IDENTITIES = ("lemma-2.2", "prop-2.3", "lemma-4.1", "eq-chain", "theorem-1.4", "theorem-1.3")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     # imported here, so that no other command loads the identity catalog
     from . import identities
 
@@ -205,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     (name,) = _family_fields(args)
     n_lo, n_hi = parse_range(args.n)
     cls = FAMILIES[args.ideal]
@@ -229,7 +229,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0 if all(r["agree"] for r in rows) else 1
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     # imported here, so that no other command loads the oracles
     from . import multigrade
 
@@ -249,81 +249,111 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def _add_format_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=["plain", "csv", "json"], default="plain",
-                    help="output format (default plain)")
-    sp.add_argument("--quiet", action="store_true",
-                    help="suppress the banner line in plain output")
+# The one place an argument is declared: _COMMANDS maps a command to (handler,
+# summary, {name: (type, default, choices, help)}), and these two dicts are
+# parts of it.  The type bool marks a switch, the default ... a required
+# argument, and a name without dashes a positional one.
+_COMMON_FLAGS = {"--format": (str, "plain", ("plain", "csv", "json"), "output format"),
+                 "--quiet": (bool, False, None, "suppress the banner line in plain output"),
+                 "--help": (bool, False, None, "show this help")}
+_IDEAL_FLAGS = {"--ideal": (str, ..., tuple(FAMILIES), "ideal family"),
+                "--n": (int, ..., None, "number of variables"),
+                "--d": (int, None, None, "generator degree (veronese)"),
+                "--s": (int, None, None, "ideal power (power families)"),
+                "--t": (int, None, None, "cut parameter (hat families)")}
+_COMMANDS = {
+    "series": (cmd_series, "print the canonical series and its expansion", {
+        **_IDEAL_FLAGS, "--upto": (int, 10, None, "highest coefficient index to print"),
+        **_COMMON_FLAGS}),
+    "depth": (cmd_depth, "scanned depth next to closed form", {**_IDEAL_FLAGS, **_COMMON_FLAGS}),
+    "verify": (cmd_verify, "run one identity verifier over a range", {
+        "identity": (str, ..., _IDENTITIES, "identity to verify"),
+        "--n-max": (int, 10, None, "largest n of the sweep"),
+        "--k-max": (int, None, None, "coefficient window for series identities (default n+10)"),
+        **_COMMON_FLAGS}),
+    "table": (cmd_table, "sweep a parameter grid of depth reports", {
+        "--ideal": (str, ..., tuple(name for name, cls in FAMILIES.items()
+                                    if len(cls.__slots__) == 2), "one-parameter family"),
+        "--n": (str, ..., None, "range of n, e.g. 1..20 or 6"),
+        "--d": (str, None, None, "range of d, clipped per n (default 1..n)"),
+        "--s": (str, None, None, "range of s (default 1..n)"),
+        **_COMMON_FLAGS}),
+    "oracle": (cmd_oracle, "cross-check closed forms against enumeration", {
+        "--n-max": (int, 4, None, "largest n"), "--k-max": (int, 10, None, "largest degree"),
+        "--s-max": (int, 4, None, "largest power"), "--box": (int, 2, None, "box bound"),
+        **_COMMON_FLAGS}),
+}
 
 
-def _add_ideal_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ideal", required=True, choices=list(FAMILIES))
-    sp.add_argument("--n", type=int, required=True, help="number of variables")
-    sp.add_argument("--d", type=int, help="generator degree (veronese)")
-    sp.add_argument("--s", type=int, help="ideal power (power families)")
-    sp.add_argument("--t", type=int, help="cut parameter (hat families)")
+def _help(args: SimpleNamespace) -> int:
+    """The handler of -h and --help: the commands, or args.command's arguments."""
+    table = _COMMANDS[args.command][2] if args.command else {
+        name: (bool, None, None, summary) for name, (_, summary, _) in _COMMANDS.items()}
+    print(f"usage: hilbertdepth {args.command or 'COMMAND'} [arguments]")
+    for name, (kind, default, choices, text) in table.items():
+        value = " {" + ",".join(choices) + "}" if choices else "" if kind is bool else " N"
+        note = ("" if default is None or kind is bool else
+                " (required)" if default is ... else f" (default {default})")
+        print(f"  {name}{value}\n      {text}{note}")
+    return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hilbertdepth",
-        description="Exact Hilbert series and Hilbert depth computations "
-                    "for four families of monomial ideals.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("series", help="print the canonical series and its expansion")
-    _add_ideal_args(sp)
-    sp.add_argument("--upto", type=int, default=10,
-                    help="highest coefficient index to print (default 10)")
-    _add_format_args(sp)
-    sp.set_defaults(handler=cmd_series)
-
-    sp = sub.add_parser("depth", help="scanned depth next to the closed form")
-    _add_ideal_args(sp)
-    _add_format_args(sp)
-    sp.set_defaults(handler=cmd_depth)
-
-    sp = sub.add_parser("verify", help="run one identity verifier over a range")
-    sp.add_argument("identity", choices=_IDENTITIES)
-    sp.add_argument("--n-max", type=int, default=10)
-    sp.add_argument("--k-max", type=int, default=None,
-                    help="coefficient window for series identities (default n+10)")
-    _add_format_args(sp)
-    sp.set_defaults(handler=cmd_verify)
-
-    sp = sub.add_parser("table", help="sweep a parameter grid of depth reports")
-    # the one-parameter families; their parameter is --d or --s
-    sp.add_argument("--ideal", required=True, choices=[
-        name for name, cls in FAMILIES.items() if len(cls.__slots__) == 2])
-    sp.add_argument("--n", required=True, help="range of n, e.g. 1..20 or 6")
-    sp.add_argument("--d", help="range of d, clipped per n (default 1..n)")
-    sp.add_argument("--s", help="range of s (default 1..n)")
-    _add_format_args(sp)
-    sp.set_defaults(handler=cmd_table)
-
-    sp = sub.add_parser("oracle", help="cross-check closed forms against enumeration")
-    sp.add_argument("--n-max", type=int, default=4)
-    sp.add_argument("--k-max", type=int, default=10)
-    sp.add_argument("--s-max", type=int, default=4)
-    sp.add_argument("--box", type=int, default=2)
-    _add_format_args(sp)
-    sp.set_defaults(handler=cmd_oracle)
-
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argv read against _COMMANDS as argparse read it: flags by unique prefixes,
+    values after `=` or as the next word, the last one winning; -h makes _help the handler."""
+    names, values = {"command": (str, ..., _COMMANDS, ""), "--help": _COMMON_FLAGS["--help"]}, {}
+    for word in (words := iter(argv)):
+        free = [name for name in names if name[0] != "-" and name not in values]
+        if "--" in values or word[:1] != "-" or word in ("-", "--"):
+            # a positional argument takes a `--` before or just after it, and then every later word
+            if word == "--" and "command" in values and "--" not in values and (
+                    free or name[0] != "-" and name != "command"):
+                values["--"] = True
+                continue
+            if not free:
+                raise ValueError(f"unrecognized arguments: {word}")
+            name, text = free[0], word
+        else:  # -h is the one short flag, and argparse reads -hh as -h -h
+            key, eq, text = (word.partition("=") if word[1] == "-"
+                             else (word[1:].strip("h") and word or "--help", "", ""))
+            hits = [key] if key in names else [name for name in names if name.startswith(key)]
+            if len(hits) != 1:
+                raise ValueError(f"unrecognized arguments: {word}")
+            name, kind = hits[0], names[hits[0]][0]
+            if kind is bool and eq:
+                raise ValueError(f"argument {name}: ignored explicit argument {text!r}")
+            if name == "--help":
+                return SimpleNamespace(command=values.get("command"), handler=_help)
+            if kind is not bool and not eq and (text := next(words, None)) is None:
+                raise ValueError(f"argument {name}: expected one argument")
+        kind, _, choices, _ = names[name]
+        try:
+            values[name] = value = kind is bool or kind(text)
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
+        if choices is not None and value not in choices:
+            raise ValueError(f"argument {name}: {text!r} is not one of {', '.join(choices)}")
+        names.update(_COMMANDS[value][2] if name == "command" else {})
+    values = {name: values.get(name, spec[1]) for name, spec in names.items() if name != "--help"}
+    if missing := [name for name, value in values.items() if value is ...]:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(handler=_COMMANDS[values["command"]][0], **{
+        name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        return args.handler(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left: stdout to devnull, so the exit flush cannot raise
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -2,14 +2,20 @@
 math.comb and Fraction rather than from the package's own routines.  The
 one exception is reference_verdicts, the full-row depth scan, which hands
 its tails to the package's tails.search so that a test can compare the
-tables both scans hand it."""
+tables both scans hand it.  The module ends with the CLI's argparse parser,
+which the flag table replaced, and the main that ran it."""
 
+import argparse
+import sys
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import ceil, comb, factorial
 from operator import add, sub
 
+from hilbertdepth.cli import (_IDENTITIES, cmd_depth, cmd_oracle, cmd_series, cmd_table,
+                              cmd_verify)
 from hilbertdepth.exactalg import IntPolynomial
+from hilbertdepth.ideals import FAMILIES
 from hilbertdepth.tails import search as _search
 
 
@@ -283,3 +289,81 @@ def prop_2_3_numerator(n, d):
     """sum_{k=0..n-d} C(n, k+d) T^k (1-T)^(n-k-d), the left-hand side of the
     Proposition 2.3 numerator identity divided by T^d."""
     return one_minus_t_sum([(comb(n, k + d), k, n - k - d) for k in range(n - d + 1)])
+
+
+def _add_format_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--format", choices=["plain", "csv", "json"], default="plain",
+                    help="output format (default plain)")
+    sp.add_argument("--quiet", action="store_true",
+                    help="suppress the banner line in plain output")
+
+
+def _add_ideal_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--ideal", required=True, choices=list(FAMILIES))
+    sp.add_argument("--n", type=int, required=True, help="number of variables")
+    sp.add_argument("--d", type=int, help="generator degree (veronese)")
+    sp.add_argument("--s", type=int, help="ideal power (power families)")
+    sp.add_argument("--t", type=int, help="cut parameter (hat families)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hilbertdepth",
+        description="Exact Hilbert series and Hilbert depth computations "
+                    "for four families of monomial ideals.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("series", help="print the canonical series and its expansion")
+    _add_ideal_args(sp)
+    sp.add_argument("--upto", type=int, default=10,
+                    help="highest coefficient index to print (default 10)")
+    _add_format_args(sp)
+    sp.set_defaults(handler=cmd_series)
+
+    sp = sub.add_parser("depth", help="scanned depth next to the closed form")
+    _add_ideal_args(sp)
+    _add_format_args(sp)
+    sp.set_defaults(handler=cmd_depth)
+
+    sp = sub.add_parser("verify", help="run one identity verifier over a range")
+    sp.add_argument("identity", choices=_IDENTITIES)
+    sp.add_argument("--n-max", type=int, default=10)
+    sp.add_argument("--k-max", type=int, default=None,
+                    help="coefficient window for series identities (default n+10)")
+    _add_format_args(sp)
+    sp.set_defaults(handler=cmd_verify)
+
+    sp = sub.add_parser("table", help="sweep a parameter grid of depth reports")
+    # the one-parameter families; their parameter is --d or --s
+    sp.add_argument("--ideal", required=True, choices=[
+        name for name, cls in FAMILIES.items() if len(cls.__slots__) == 2])
+    sp.add_argument("--n", required=True, help="range of n, e.g. 1..20 or 6")
+    sp.add_argument("--d", help="range of d, clipped per n (default 1..n)")
+    sp.add_argument("--s", help="range of s (default 1..n)")
+    _add_format_args(sp)
+    sp.set_defaults(handler=cmd_table)
+
+    sp = sub.add_parser("oracle", help="cross-check closed forms against enumeration")
+    sp.add_argument("--n-max", type=int, default=4)
+    sp.add_argument("--k-max", type=int, default=10)
+    sp.add_argument("--s-max", type=int, default=4)
+    sp.add_argument("--box", type=int, default=2)
+    _add_format_args(sp)
+    sp.set_defaults(handler=cmd_oracle)
+
+    return parser
+
+
+def reference_main(argv):
+    """cli.main as it ran build_parser: a usage error or -h ends in SystemExit."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    try:
+        return args.handler(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -1,5 +1,6 @@
 """Command-line interface: content, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,12 +11,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hilbertdepth.cli as cli
 import hilbertdepth.identities as identities
 import hilbertdepth.multigrade as multigrade
 from hilbertdepth.cli import main, parse_range
 from hilbertdepth.identities import Counterexample, VerificationResult
+from reference import build_parser, reference_main
 
 
 def run_cli(args, capsys):
@@ -403,26 +407,217 @@ class TestContract:
         assert json.loads(proc.stdout)["depth"] == 2
 
     def test_closed_pipe_exits_141(self):
-        # the reader closes the pipe after one line of about 180 KB of JSON,
-        # more than a pipe holds: no traceback, and the status a shell
-        # reports for a writer that SIGPIPE ended
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        with subprocess.Popen(
-                [sys.executable, "-m", "hilbertdepth", "series", "--ideal", "max-power",
-                 "--n", "1", "--s", "1", "--upto", "3000", "--format", "json"],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                env={**os.environ, "PYTHONPATH": src}) as proc:
-            assert proc.stdout.readline() == b"{\n"
-            proc.stdout.close()
-            err = proc.stderr.read()
-        assert (proc.returncode, err) == (141, b"")
+        assert closed_pipe_run(["-m", "hilbertdepth"]) == (141, b"")
+
+    def test_console_script_closed_pipe_exits_141(self):
+        # the call the installed `hilbertdepth` script makes, past __main__.py
+        entry = "import sys; from hilbertdepth.cli import main; sys.exit(main())"
+        assert closed_pipe_run(["-c", entry]) == (141, b"")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--he"], ["depth", "-h"], ["verify", "--help"],
+                                      ["table", "-hh"], ["oracle", "--n-max", "2", "--h"]])
+    def test_help_lists_every_argument(self, capsys, argv):
+        # the commands, or each argument of the command, one name a row
+        code, out, err = run_cli(argv, capsys)
+        command = argv[0] if argv[0] in cli._COMMANDS else None
+        names = cli._COMMANDS[command][2] if command else cli._COMMANDS
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"usage: hilbertdepth {command or 'COMMAND'} [arguments]"
+        assert [line.split()[0] for line in out.splitlines()[1::2]] == list(names)
+
+
+def closed_pipe_run(entry):
+    """Status and stderr of `python ENTRY series ... --format json` whose
+    reader closes the pipe after one line of about 180 KB of JSON, more
+    than a pipe holds: 141, the status a shell reports for a writer that
+    SIGPIPE ended, and no traceback."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with subprocess.Popen(
+            [sys.executable, *entry, "series", "--ideal", "max-power",
+             "--n", "1", "--s", "1", "--upto", "3000", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src}) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    return proc.returncode, err
+
+
+def parse_outcome(parse, argv):
+    """"error", "help", or the arguments `parse` reads from argv, with the
+    handler they name; the parser's own output is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(list(argv))
+        except ValueError:
+            return "error"
+        except SystemExit as exc:
+            return "error" if exc.code else "help"
+    return "help" if args.handler is cli._help else vars(args)
+
+
+def reference_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+def argv_id(argv):
+    return " ".join(argv) or "(no words)"
+
+
+# Cheap argvs of every source the parser must read as argparse did: this
+# module, the README's CLI block, one case of each perfbench/workloads.py
+# shape at small sizes, and per command the base run below in the forms
+# argparse accepted or refused.
+BASES = {
+    "series": ["series", "--ideal", "veronese", "--n", "3", "--d", "2", "--upto", "5"],
+    "depth": ["depth", "--ideal", "generated-hat-power", "--n", "5", "--t", "2", "--s", "2"],
+    "verify": ["verify", "eq-chain", "--n-max", "3", "--k-max", "4"],
+    "table": ["table", "--ideal", "max-power", "--n", "1..3", "--s", "1..2"],
+    "oracle": ["oracle", "--n-max", "2", "--k-max", "2", "--s-max", "2", "--box", "1"],
+}
+# a repeated flag, whose last value wins; an int flag; a required pair
+REPEATS = {"series": ["--upto", "2"], "depth": ["--n", "6"], "verify": ["--n-max", "2"],
+           "table": ["--n", "2"], "oracle": ["--box", "0"]}
+INT_FLAGS = {"series": "--n", "depth": "--t", "verify": "--n-max", "table": None,
+             "oracle": "--box"}
+REQUIRED = {"series": ["--ideal", "veronese"], "depth": ["--n", "5"],
+            "verify": ["eq-chain"], "table": ["--n", "1..3"], "oracle": None}
+
+
+def command_forms(command):
+    base = BASES[command]
+    yield base
+    yield [w[:3] if w.startswith("--") else w for w in base]  # shortest unique prefixes
+    # the last two flags as --flag=value, moved to the front
+    yield [command] + [f"{w}={v}" for w, v in zip(base[-4::2], base[-3::2])] + base[1:-4]
+    yield base + REPEATS[command]
+    yield base + REPEATS[command][:1]  # no value
+    yield base + ["--format", "csv", "--f=json", "--q"]
+    yield from (base + extra for extra in (
+        ["--bogus"], ["--bogus", "1"], ["extra"], ["--format", "xml"], ["--format"],
+        ["--quiet=x"], ["--help=x"], ["--"], ["-"], ["-x"], ["---"], ["--=x"], ["-h=x"],
+        ["-h"], ["-hh"], ["--he"]))
+    if INT_FLAGS[command]:
+        flag = INT_FLAGS[command]
+        yield [w if v != flag else "x" for v, w in zip([None] + base, base)]
+        yield [w if v != flag else "-1" for v, w in zip([None] + base, base)]
+        yield base + [flag + "=", "3"]
+    if REQUIRED[command]:
+        start = base.index(REQUIRED[command][0])
+        yield base[:start] + base[start + len(REQUIRED[command]):]
+
+
+RUNS = [
+    # no command, an unknown one, a command's prefix, and top-level flags
+    [], ["nonsense"], ["dep"], ["--n", "3"], ["--bogus", "depth"], ["-h"], ["--help"],
+    ["--he"], ["-", "depth"], ["--", "depth", "--ideal", "veronese", "--n", "3", "--d", "2"],
+    # the positional anywhere, once, and after --
+    ["verify", "--n-max", "2", "eq-chain"], ["verify", "--n-max", "2", "--", "eq-chain"],
+    ["verify", "--", "eq-chain", "--n-max", "2"], ["verify", "eq-chain", "--", "prop-2.3"],
+    ["verify", "eq-chain", "prop-2.3"], ["verify", "lemma-9.9"], ["verify"],
+    ["verify", "-5"], ["verify", "eq-chain", "--k-max", "-5"],
+    ["verify", "eq-chain", "--k-max", "--n-max", "3"], ["verify", "theorem-1.4", "--k-max", "2"],
+    ["verify", "eq-chain", "--"], ["verify", "--quiet", "eq-chain", "--", "--n-max", "2"],
+    ["table", "--ideal", "veronese", "--n", "3", "--d="],
+    ["table", "--ideal", "hat-power", "--n", "3"],
+    ["depth", "--ideal", "veronese", "--n", " 3", "--d", "+2"],
+    ["depth", "--ideal", "veronese", "--n", "6", "--d", "2", "--ideal", "max-power", "--s", "2"],
+    # this module's runs
+    ["series", "--ideal", "veronese", "--n", "3", "--d", "2", "--upto", "5", "--format", "json"],
+    ["series", "--ideal", "max-power", "--n", "40", "--s", "30", "--upto", "31",
+     "--format", "json"],
+    ["series", "--ideal", "veronese", "--n", "3"],
+    ["series", "--ideal", "hat-power", "--n", "6", "--t", "2", "--s", "3"],
+    ["depth", "--ideal", "max-power", "--n", "40", "--s", "3"],
+    ["depth", "--ideal", "veronese", "--n", "3", "--d", "9"], ["depth", "--ideal", "veronese"],
+    ["depth", "--ideal", "veronese", "--n", "6", "--d", "2", "--quiet"],
+    ["depth", "--ideal", "veronese", "--n", "3", "--d", "2", "--t", "5"],
+    ["verify", "theorem-1.4", "--n-max", "3", "--format", "csv"],
+    ["verify", "lemma-4.1", "--n-max", "4", "--k-max", "0", "--format", "plain"],
+    ["table", "--ideal", "veronese", "--n", "1..4", "--d", "2..5", "--format", "json"],
+    ["table", "--ideal", "veronese", "--n", "1..3", "--d", "5..6"],
+    ["table", "--ideal", "veronese", "--n", "1.."],
+    ["oracle", "--n-max", "8", "--box", "2"], ["oracle", "--n-max", "3", "--box", "7"],
+    ["oracle", "--n-max", "3", "--k-max", "-1"],
+    ["oracle", "--n-max", "2", "--k-max", "0", "--box", "0", "--quiet"],
+    # the README's CLI block
+    ["series", "--ideal", "veronese", "--n", "3", "--d", "2", "--upto", "5"],
+    ["depth", "--ideal", "veronese", "--n", "6", "--d", "2", "--format", "json"],
+    ["verify", "theorem-1.4", "--n-max", "20"],
+    ["table", "--ideal", "max-power", "--n", "1..10", "--format", "csv"],
+    ["oracle", "--n-max", "4", "--k-max", "10", "--box", "2"],
+    # perfbench/workloads.py's case shapes
+    ["depth", "--ideal", "hat-power", "--n", "23", "--t", "2", "--s", "3", "--format", "csv"],
+    ["verify", "theorem-1.3", "--n-max", "4"], ["table", "--ideal", "veronese", "--n", "1..5"],
+    ["oracle", "--n-max", "2", "--k-max", "3", "--s-max", "2", "--box", "1"],
+    ["series", "--ideal", "generated-hat-power", "--n", "4", "--t", "2", "--s", "3",
+     "--upto", "20", "--format", "json"],
+] + [argv for command in BASES for argv in command_forms(command)]
+
+# The CI steps' argvs and perfbench's at full size, too slow to run twice
+# here: only what each parser reads from them is compared.
+PARSE_ONLY = [line.split() for line in """\
+depth --ideal veronese --n 800 --d 2
+depth --ideal max-power --n 800 --s 795
+depth --ideal generated-hat-power --n 800 --t 2 --s 795
+oracle --n-max 3 --k-max 0 --s-max 300 --box 1
+oracle --n-max 5 --k-max 12 --box 6
+oracle --n-max 5 --k-max 0 --s-max 40 --box 6
+oracle --n-max 1 --k-max 200000 --s-max 1 --box 0
+oracle --n-max 5 --k-max 1000000000000
+oracle --n-max 2 --s-max 1000000000000
+verify eq-chain --n-max 100
+verify theorem-1.4 --n-max 100
+verify prop-2.3 --n-max 150
+verify lemma-2.2 --n-max 250
+series --ideal max-power --n 1 --s 1 --upto 3000 --format json
+depth --ideal max-power --n 240 --s 3
+depth --ideal veronese --n 198 --d 3 --format json
+depth --ideal generated-hat-power --n 398 --t 3 --s 390
+verify theorem-1.3 --n-max 32
+table --ideal max-power --n 1..29 --format csv
+oracle --n-max 5 --k-max 8 --s-max 4 --box 3
+series --ideal veronese --n 30 --d 4 --upto 3000 --format json""".splitlines()]
+
+
+class TestReferenceParser:
+    """cli.main against the argparse parser it replaced (tests/reference.py)."""
+
+    @pytest.mark.parametrize("argv", RUNS, ids=argv_id)
+    def test_run_matches_reference(self, capsys, argv):
+        code, out, _ = run_cli(list(argv), capsys)
+        ref_code = reference_main(list(argv))
+        ref_out = capsys.readouterr().out
+        assert code == ref_code
+        if parse_outcome(reference_parse, argv) != "help":  # help texts differ
+            assert out == ref_out
+
+    @pytest.mark.parametrize("argv", RUNS + PARSE_ONLY, ids=argv_id)
+    def test_reads_what_reference_reads(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(reference_parse, argv)
+
+    # Words of every kind the parser tells apart, bar -h and --help: argparse
+    # reported an unrecognized word only once it had read every word, so
+    # help after one still printed, where _parse stops at the word.
+    WORDS = ["series", "depth", "verify", "table", "oracle", "eq-chain", "theorem-1.3",
+             "lemma-9.9", "veronese", "max-power", "hat-power", "plain", "json", "xml",
+             "3", "0", "-5", "-1.5", "x", "1..3", "", "-", "--", "---", "-x", "--bogus",
+             "--=3", "--ideal", "--i", "--n", "--n=4", "--n-max", "--n-", "--k", "--k-max=2",
+             "--d", "--s", "--s=", "--t", "--upto", "--u=3", "--format", "--f=csv",
+             "--quiet", "--q", "--quiet=", "--box", "--b", "--s-max"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(WORDS), max_size=9))
+    def test_any_words_read_as_reference(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(reference_parse, argv)
 
 
 # Standard modules no command needs on its start-up path.  dataclasses
 # brings inspect, ast, dis and tokenize; fractions brings decimal and
-# numbers; json and csv serve only their own output formats.
+# numbers; json and csv serve only their own output formats; argparse
+# brings gettext, and locale on its first message.
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions",
-                 "decimal", "numbers", "json", "csv"}
+                 "decimal", "numbers", "json", "csv", "argparse", "gettext", "locale"}
 
 CROSS_CHECK_MODULES = {"hilbertdepth.identities", "hilbertdepth.multigrade"}
 
