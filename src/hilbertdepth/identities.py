@@ -53,15 +53,19 @@ order (n outer, d inner) carries from one (n, d) to the next:
 Every step adds exactly one term of its own side's defining sum, that
 term's binomial read from math.comb.  No step comes from a binomial
 identity, such as Pascal's rule or one side's recurrence taken for the
-other: that would turn a check into comparing a value with itself.  A
-carry along n holds one row per d; only the call for (n, d) while it
-holds (n-1, d) advances it, and every other call sums its row from the
-empty sum at n = d-1.  Before its step, R's carried row is cut to the
-call's window, or extended to a wider one (sweep's default window
-k <= n+10 grows by one per n) entry by entry by its defining sum.  The
-rows of L and A are kept for the latest n only.
-So no result depends on the order of the calls.  The binomials on the
-other side of each check are math.comb values.
+other: that would turn a check into comparing a value with itself.
+
+The sweep owns the carry: one plain dict per sweep call, passed to each
+per-pair verifier, which keeps R and B under ("R", d) and ("B", d) and
+the rows of L and A for the latest n only.  Only the call for (n, d)
+while the carry holds (n-1, d) advances a row; every other call sums it
+from the empty sum at n = d-1.  Before its step, R's carried row is cut
+to the call's window, or extended to a wider one (sweep's default window
+k <= n+10 grows by one per n) entry by entry by its defining sum.  A
+verifier called without a carry starts from an empty one, so its rows
+are summed from the base and its result depends on no other call; nor
+does any result depend on the order of the calls that share a carry.
+The binomials on the other side of each check are math.comb values.
 
 Five check points repeat another point's comparison and are not
 independent evidence.  eq_chain ("rational",) and theorem_1_4 ("series",)
@@ -92,7 +96,6 @@ sum_i C(i+d-1, d-1) (1-T)^i expanded anew, costs O(n) per coefficient.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import comb
 from operator import add, sub
@@ -123,11 +126,6 @@ __all__ = [
 # (label, lhs, rhs): one comparison, its sides integers or canonical series
 CheckPoint = tuple[tuple, Union[int, RationalFunctionSeries],
                    Union[int, RationalFunctionSeries]]
-
-# d -> (n, R(n, d)) and d -> (n, B(n, d)): the latest row of each carry
-_convolution_carry: dict[int, tuple[int, list[int]]] = {}
-_numerator_carry: dict[int, tuple[int, list[int]]] = {}
-
 
 class Counterexample(Record):
     """First failing check point with the exact values of both sides."""
@@ -182,17 +180,18 @@ def _one_minus_t_term(c: int, e: int) -> list[int]:
                            initial=c))
 
 
-def _convolution_row(n: int, d: int, k_max: int) -> list[int]:
+def _convolution_row(n: int, d: int, k_max: int, carry: dict | None = None) -> list[int]:
     """R(n, d) for k = 0..k_max: row[k] = sum_{i=d-1..n-1} C(i, d-1)
     C(n-i+k-1, k), the T^k coefficient of sum_i C(i, d-1) / (1-T)^(n-i).
 
     Each step adds the term i = n-1 to entry 0 and then divides by (1-T)
-    with one prefix-sum pass.  d's carried row R(n-1, d) is cut to the
+    with one prefix-sum pass.  The carry's row R(n-1, d) is cut to the
     window, or extended to it entry by entry by its defining sum; without
     it the row is summed from R(d-1, d) = 0.  The row is shared with the
     carry, so callers only read it.
     """
-    m, row = _convolution_carry.get(d, (None, None))
+    carry = {} if carry is None else carry
+    m, row = carry.get(("R", d), (None, None))
     if m == n - 1:
         row = row[:k_max + 1] + [
             sum(comb(i, d - 1) * comb(m - i + k - 1, k) for i in range(d - 1, m))
@@ -202,34 +201,34 @@ def _convolution_row(n: int, d: int, k_max: int) -> list[int]:
     for i in range(m, n):
         row[0] += comb(i, d - 1)
         row = list(accumulate(row))
-    _convolution_carry[d] = n, row
+    carry["R", d] = n, row
     return row
 
 
-def _veronese_numerator(n: int, d: int) -> list[int]:
+def _veronese_numerator(n: int, d: int, carry: dict | None = None) -> list[int]:
     """B(n, d) = sum_{i=d-1..n-1} C(i, d-1) (1-T)^(i-d+1), lowest degree
     first: the Veronese(n, d) numerator over T^d, of degree n-d.
 
-    Each step adds the term i = n-1; d's carried row B(n-1, d) gains that
+    Each step adds the term i = n-1; the carry's row B(n-1, d) gains that
     one term, and without it the row is summed from B(d-1, d) = 0.  The
     row is shared with the carry, so callers only read it.
     """
-    m, row = _numerator_carry.get(d, (None, None))
+    carry = {} if carry is None else carry
+    m, row = carry.get(("B", d), (None, None))
     if m != n - 1:
         m, row = d - 1, []
     for i in range(m, n):
         row = list(map(add, [*row, 0], _one_minus_t_term(comb(i, d - 1), i - d + 1)))
-    _numerator_carry[d] = n, row
+    carry["B", d] = n, row
     return row
 
 
-def _veronese_series(n: int, d: int) -> RationalFunctionSeries:
+def _veronese_series(n: int, d: int, carry: dict | None = None) -> RationalFunctionSeries:
     """Veronese(n, d)'s series in its second presentation, T^d B(n, d) over
-    (1-T)^n.  B is 1 at T = 1, so it stays whole."""
-    return canonicalize(IntPolynomial([0] * d + _veronese_numerator(n, d)), n)
+    (1-T)^n, B stepped in the carry.  B is 1 at T = 1, so it stays whole."""
+    return canonicalize(IntPolynomial([0] * d + _veronese_numerator(n, d, carry)), n)
 
 
-@lru_cache(maxsize=1)
 def _lemma_2_2_rows(n: int) -> list[list[int]]:
     """L(n, d) = sum_{j=0..n-d} C(n, j) T^j (1-T)^(n-d-j) for d = 1..n, at
     index d-1: from L(n, n) = C(n, 0), each L(n, d-1) is (1-T) L(n, d), one
@@ -242,7 +241,6 @@ def _lemma_2_2_rows(n: int) -> list[list[int]]:
     return rows[::-1]
 
 
-@lru_cache(maxsize=1)
 def _prop_2_3_rows(n: int) -> list[list[int]]:
     """A(n, d) = sum_{k=0..n-d} C(n, k+d) T^k (1-T)^(n-k-d) for d = 1..n,
     at index d-1: from A(n, n) = C(n, n), each A(n, d-1) is T A(n, d), a
@@ -252,6 +250,16 @@ def _prop_2_3_rows(n: int) -> list[list[int]]:
         rows.append(list(map(add, [0, *rows[-1]],
                              _one_minus_t_term(comb(n, d - 1), n - d + 1))))
     return rows[::-1]
+
+
+def _latest_rows(builder: str, n: int, carry: dict | None = None) -> list[list[int]]:
+    """The rows of n that the module's function named builder returns,
+    kept in the carry for the latest n only; the builder is looked up when
+    called, so a rebound one is the one run."""
+    carry = {} if carry is None else carry
+    if carry.get(builder, (None,))[0] != n:
+        carry[builder] = n, globals()[builder](n)
+    return carry[builder][1]
 
 
 def _convolution_values(n: int, d: int, k_max: int) -> list[int]:
@@ -266,56 +274,59 @@ def _require_params(n: int, d: int, k_max: int = 0) -> None:
         raise ValueError("k_max must be non-negative")
 
 
-def verify_lemma_2_2(n: int, d: int) -> VerificationResult:
+def verify_lemma_2_2(n: int, d: int, carry: dict | None = None) -> VerificationResult:
     """Check the alternating binomial convolution for every i in 0..n-d.
 
     Check points are (i,).  The convolution of every i at once is the T^i
     coefficient of the row L(n, d), built with the rows of every d of n
-    (see the module docstring).
+    and kept in the carry that sweep passes; a call without one builds
+    them (see the module docstring).
     """
     _require_params(n, d)
     # zip(range(...)) yields the labels (i,)
     points = zip(zip(range(n - d + 1)), map(comb, range(d - 1, n), range(n - d + 1)),
-                 _lemma_2_2_rows(n)[d - 1])
+                 _latest_rows("_lemma_2_2_rows", n, carry)[d - 1])
     return _check("lemma_2_2", f"n={n} d={d} i in 0..{n - d}", points)
 
 
-def verify_prop_2_3(n: int, d: int) -> VerificationResult:
+def verify_prop_2_3(n: int, d: int, carry: dict | None = None) -> VerificationResult:
     """Check that the two series presentations agree, then the underlying
     numerator identity divided by T^d as a plain polynomial equality.
 
     Check points are ("series",) and ("numerator",).  The numerator's
     left-hand side is the row A(n, d), built with the rows of every d of n.
-    Its right-hand side is the carried numerator B(n, d) (see the module
-    docstring) that ("series",) compared, read off that series; summing
-    it again would cost O(n) per coefficient.
+    Its right-hand side is the carried numerator B(n, d) that ("series",)
+    compared, read off that series; summing it again would cost O(n) per
+    coefficient.  Both rows live in the carry that sweep passes; a call
+    without one builds them from the base (see the module docstring).
     """
     _require_params(n, d)
 
     def points() -> Iterator[CheckPoint]:
-        alt = _veronese_series(n, d)
+        alt = _veronese_series(n, d, carry)
         yield ("series",), Veronese(n, d).series(), alt
-        lhs = IntPolynomial(_prop_2_3_rows(n)[d - 1])
+        lhs = IntPolynomial(_latest_rows("_prop_2_3_rows", n, carry)[d - 1])
         rhs = IntPolynomial(alt.numer.coefficients[d:])
         yield ("numerator",), canonicalize(lhs, 0), canonicalize(rhs, 0)
 
     return _check("prop_2_3", f"n={n} d={d}", points())
 
 
-def verify_lemma_4_1(n: int, d: int, k_max: int) -> VerificationResult:
+def verify_lemma_4_1(n: int, d: int, k_max: int, carry: dict | None = None) -> VerificationResult:
     """Check C(n+k, k+d) against the convolution side for k = 0..k_max.
 
     Check points are (k,).  The convolution side of the whole window is
-    the carried row R(n, d) (see the module docstring).
+    the row R(n, d), stepped in the carry that sweep passes; a call without
+    one sums it from the base (see the module docstring).
     """
     _require_params(n, d, k_max)
     # zip(range(...)) yields the labels (k,)
     points = zip(zip(range(k_max + 1)), _convolution_values(n, d, k_max),
-                 _convolution_row(n, d, k_max))
+                 _convolution_row(n, d, k_max, carry))
     return _check("lemma_4_1", f"n={n} d={d} k in 0..{k_max}", points)
 
 
-def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
+def verify_eq_chain(n: int, d: int, k_max: int, carry: dict | None = None) -> VerificationResult:
     """Check the three-step chain linking the two ideal families.
 
     Steps and check points:
@@ -336,7 +347,8 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
     the binomials of verify_lemma_4_1: ("unshifted", k) compares row[k],
     and ("shifted", k) for k >= d compares row[k-d], since
     C(n-i+k-d-1, k-d) is the unshifted term at k-d, with the binomial
-    C(n-d+k, k) = C(n+(k-d), (k-d)+d).
+    C(n-d+k, k) = C(n+(k-d), (k-d)+d).  R and B are stepped in the carry
+    that sweep passes; a call without one sums them from the base.
 
     The two coefficientwise steps are infinite series identities; the
     finite check window is the executable witness, with the closed-form
@@ -344,28 +356,27 @@ def verify_eq_chain(n: int, d: int, k_max: int) -> VerificationResult:
     """
     _require_params(n, d, k_max)
 
-    def rational() -> Iterator[CheckPoint]:
-        yield ("rational",), _veronese_series(n, d), GeneratedHatPower(n, d, d).series()
-
-    row = _convolution_row(n, d, k_max)
+    rational = ("rational",), _veronese_series(n, d, carry), GeneratedHatPower(n, d, d).series()
+    row = _convolution_row(n, d, k_max, carry)
     values = _convolution_values(n, d, k_max)
     # zip(repeat(step), range(...)) yields the labels (step, k); both
     # shifted sides are 0 below d
-    points = chain(rational(),
+    points = chain([rational],
                    zip(zip(repeat("shifted"), range(k_max + 1)),
                        chain(repeat(0, d), row), chain(repeat(0, d), values)),
                    zip(zip(repeat("unshifted"), range(k_max + 1)), values, row))
     return _check("eq_chain", f"n={n} d={d} k in 0..{k_max}", points)
 
 
-def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
+def verify_theorem_1_4(n: int, d: int, carry: dict | None = None) -> VerificationResult:
     """Check the series-level and depth-level links between the families.
 
     Check points: ("series",) for the canonical-form equality
     veronese(n, d) = (1-T)^(-(d-1)) * hat(n, d, d), and ("depth",) for
     depth(veronese) = depth(hat) + d - 1.  Both points read veronese
-    from the carried numerator B(n, d), which shares no code with the hat
-    series.  The hat series has numerator 1 at T = 1, and
+    from the carried numerator B(n, d), stepped in the carry that sweep
+    passes (a call without one sums it from the base), which shares no
+    code with the hat series.  The hat series has numerator 1 at T = 1, and
     mul_power_one_minus_t only raises its denominator to (1-T)^n;
     GeneratedHatPower(n, d, d).series() builds the same numerator over
     (1-T)^n, so the ("series",) comparison is eq_chain's ("rational",)
@@ -374,7 +385,7 @@ def verify_theorem_1_4(n: int, d: int) -> VerificationResult:
     _require_params(n, d)
 
     def points() -> Iterator[CheckPoint]:
-        veronese = _veronese_series(n, d)
+        veronese = _veronese_series(n, d, carry)
         hat = HatPower(n, d, d).series()
         yield ("series",), veronese, mul_power_one_minus_t(hat, -(d - 1))
         yield ("depth",), hilbert_depth(veronese), hilbert_depth(hat) + d - 1
@@ -423,13 +434,14 @@ def sweep(identity: str, n_max: int, k_max: Optional[int] = None) -> dict:
     else the failing call's params as "at" and its point, lhs and rhs).
 
     Every identity but theorem-1.3 makes one call per pair
-    1 <= d <= n <= n_max, n outer and d inner, which is the order the
-    carried rows step in (see the module docstring); lemma-4.1 and eq-chain
-    take the window k <= k_max, by default k <= n+10, and no other identity
-    takes one.  theorem-1.3 makes one call that checks each pair thrice, so
-    it counts three cases a pair.  The sweep stops at the first failing
-    call, and cases still counts every pair.  The verifier is looked up in
-    this module when the sweep runs, so a rebound one is the one called.
+    1 <= d <= n <= n_max, n outer and d inner, and passes each call the
+    carry, one dict made for this sweep, whose rows step in that order (see
+    the module docstring); lemma-4.1 and eq-chain take the window
+    k <= k_max, by default k <= n+10, and no other identity takes one.
+    theorem-1.3 makes one call that checks each pair thrice, so it counts
+    three cases a pair.  The sweep stops at the first failing call, and
+    cases still counts every pair.  The verifier is looked up in this
+    module when the sweep runs, so a rebound one is the one called.
     An unknown name, n_max < 1, a negative k_max, or a window for an
     identity that takes none is a ValueError, and an n_max or k_max that is
     not an int, or is a bool, a TypeError, before any call.
@@ -450,8 +462,9 @@ def sweep(identity: str, n_max: int, k_max: Optional[int] = None) -> dict:
         results = [verify(n_max)]
         scope, cases = results[0].params, 3 * cases
     else:
-        results = (verify(n, d, n + 10 if k_max is None else k_max) if windowed
-                   else verify(n, d) for n in range(1, n_max + 1) for d in range(1, n + 1))
+        carry = {}
+        results = (verify(n, d, n + 10 if k_max is None else k_max, carry) if windowed else
+                   verify(n, d, carry) for n in range(1, n_max + 1) for d in range(1, n + 1))
         scope = f"1 <= d <= n <= {n_max}" + ("" if k_max is None else f", k <= {k_max}")
     failed = next((res for res in results if not res.passed), None)
     ce = failed and failed.counterexample

@@ -108,29 +108,30 @@ def test_criterion_3_family_link(veronese_depths):
 
 def test_criterion_4_two_presentations_agree():
     # the second presentation is the numerator the verify sweeps carry
-    # along n: in reverse it is summed from scratch for each pair, and in
-    # sweep order carried from the one before
-    failures = []
+    # along n: with one carry, in reverse it is summed from scratch for each
+    # pair, and in sweep order carried from the one before
+    failures, carry = [], {}
     pairs = [(n, d) for n in range(1, N_SWEEP + 1) for d in range(1, n + 1)]
     for n, d in pairs[::-1] + pairs:
         lhs = Veronese(n, d).series()
-        rhs = _veronese_series(n, d)
+        rhs = _veronese_series(n, d, carry)
         if lhs.numer != rhs.numer or lhs.den_pow != rhs.den_pow:
             failures.append((n, d))
     report(4, "both Veronese presentations canonicalize identically, n <= 40", failures)
 
 
 def test_criterion_5_binomial_identity_catalog():
-    failures = []
+    # in sweep order, each verifier with its own carry, as its sweep runs it
+    failures, carries = [], ({}, {}, {})
     for n in range(1, N_SWEEP + 1):
         for d in range(1, n + 1):
-            if not verify_lemma_2_2(n, d).passed:
+            if not verify_lemma_2_2(n, d, carries[0]).passed:
                 failures.append(("lemma_2_2", n, d))
     for n in range(1, N_CHAIN + 1):
         for d in range(1, n + 1):
-            if not verify_lemma_4_1(n, d, n + 10).passed:
+            if not verify_lemma_4_1(n, d, n + 10, carries[1]).passed:
                 failures.append(("lemma_4_1", n, d))
-            if not verify_eq_chain(n, d, n + 10).passed:
+            if not verify_eq_chain(n, d, n + 10, carries[2]).passed:
                 failures.append(("eq_chain", n, d))
     report(5, "binomial and series identity sweeps", failures)
 

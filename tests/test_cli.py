@@ -170,7 +170,7 @@ class TestVerifyCommand:
     def test_failure_exit_code(self, capsys, monkeypatch, fmt):
         broken = VerificationResult(
             "theorem_1_4", "n=2 d=1", Counterexample(("depth", 4), 1, 2))
-        monkeypatch.setattr(identities, "verify_theorem_1_4", lambda n, d: broken)
+        monkeypatch.setattr(identities, "verify_theorem_1_4", lambda n, d, carry: broken)
         code, out, _ = run_cli(["verify", "theorem-1.4", "--n-max", "3",
                                 "--format", fmt], capsys)
         assert code == 1
@@ -212,7 +212,7 @@ class TestVerifyCommand:
         name = "verify_" + identity.replace("-", "_").replace(".", "_")
         verify, windows = getattr(identities, name), []
         monkeypatch.setattr(identities, name,
-                            lambda n, d, k: windows.append(k) or verify(n, d, k))
+                            lambda n, d, k, carry: windows.append(k) or verify(n, d, k, carry))
         code, _, _ = run_cli(["verify", identity, "--n-max", "3", "--k-max", "5"], capsys)
         assert code == 0 and windows == [5] * 6
 
@@ -221,10 +221,10 @@ class TestVerifyCommand:
         # count still covers every pair of the range
         verify, calls = identities.verify_theorem_1_4, []
 
-        def failing_at_2_2(n, d):
+        def failing_at_2_2(n, d, carry):
             calls.append((n, d))
             if (n, d) != (2, 2):
-                return verify(n, d)
+                return verify(n, d, carry)
             return VerificationResult("theorem_1_4", "n=2 d=2",
                                       Counterexample(("depth",), 1, 2))
 

@@ -84,12 +84,13 @@ class TestVeroneseSeries:
             Veronese(3, 0).series()
 
     # the second presentation is the numerator that the identities module
-    # carries along n; called in sweep order it takes the carried path,
-    # and out of it, in reverse, the path summed from scratch
+    # carries along n; called with one carry in sweep order it takes the
+    # carried path, and out of it, in reverse, the path summed from scratch
     def test_alt_presentation_agrees(self):
         pairs = [(n, d) for n in range(1, 13) for d in range(1, n + 1)]
+        carry = {}
         for n, d in pairs[::-1] + pairs:
-            assert Veronese(n, d).series() == _veronese_series(n, d), (n, d)
+            assert Veronese(n, d).series() == _veronese_series(n, d, carry), (n, d)
 
     def test_alt_principal_single_term(self):
         h = _veronese_series(4, 4)
@@ -104,8 +105,9 @@ class TestVeroneseSeries:
             for i in range(d - 1, n):
                 numer = numer + comb(i, d - 1) * (t_power(d) * one_minus_t_power(i - d + 1))
             numers[n, d] = numer
+        carry = {}
         for n, d in pairs[::-1] + pairs:
-            h = _veronese_series(n, d)
+            h = _veronese_series(n, d, carry)
             assert h.numer == numers[n, d] and h.den_pow == n, (n, d)
 
 

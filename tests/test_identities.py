@@ -65,14 +65,16 @@ class TestLemma22:
         assert res.passed and res.params.endswith("i in 0..0")
 
     def test_full_sweep(self):
+        carry = {}
         for n in range(1, 21):
             for d in range(1, n + 1):
-                assert verify_lemma_2_2(n, d).passed
+                assert verify_lemma_2_2(n, d, carry).passed
 
     def test_row_matches_term_by_term_sum(self, checked_points):
+        carry = {}
         for n in range(1, 25):
             for d in range(1, n + 1):
-                assert verify_lemma_2_2(n, d).passed
+                assert verify_lemma_2_2(n, d, carry).passed
                 assert [point for point, _, _ in checked_points] == [
                     (i,) for i in range(n - d + 1)]
                 for (i,), lhs, rhs in checked_points:
@@ -97,16 +99,18 @@ class TestProp23:
         assert verify_prop_2_3(n, d).passed
 
     def test_sweep(self):
+        carry = {}
         for n in range(1, 41):
             for d in range(1, n + 1):
-                assert verify_prop_2_3(n, d).passed
+                assert verify_prop_2_3(n, d, carry).passed
 
     def test_horner_sums_match_binomial_expansion(self, checked_points):
         # the carried numerator gains one term of its sum per n, and the
         # numerator's left-hand side is built by descending steps in d
+        carry = {}
         for n in range(1, 30):
             for d in range(1, n + 1):
-                assert verify_prop_2_3(n, d).passed
+                assert verify_prop_2_3(n, d, carry).passed
                 (series, _, alt), (numerator, lhs, _) = checked_points
                 assert (series, numerator) == (("series",), ("numerator",))
                 assert alt == canonicalize(veronese_alt_numerator(n, d), n), (n, d)
@@ -176,14 +180,18 @@ class TestLemma41:
         assert verify_lemma_4_1(5, 2, 10).passed
 
     def test_sweep(self):
+        carry = {}
         for n in range(1, 41):
             for d in range(1, n + 1):
-                assert verify_lemma_4_1(n, d, n + 10).passed
+                assert verify_lemma_4_1(n, d, n + 10, carry).passed
 
     def test_row_matches_term_by_term_sums(self):
+        # in sweep order with one carry, so that each row is stepped from
+        # the one before
+        carry = {}
         for n in range(1, 25):
             for d in range(1, n + 1):
-                row = identities._convolution_row(n, d, n + 10)
+                row = identities._convolution_row(n, d, n + 10, carry)
                 assert row == [convolution_sum(n, d, k) for k in range(n + 11)]
                 for k in range(d, n + 11):
                     assert row[k - d] == sum(
@@ -204,9 +212,10 @@ class TestEqChain:
         assert verify_eq_chain(n, d, k_max).passed
 
     def test_sweep(self):
+        carry = {}
         for n in range(1, 41):
             for d in range(1, n + 1):
-                assert verify_eq_chain(n, d, n + 10).passed
+                assert verify_eq_chain(n, d, n + 10, carry).passed
 
     @pytest.mark.parametrize("point", [("rational",), ("shifted", 4), ("unshifted", 2)])
     def test_perturbation_per_step(self, perturb, point):
@@ -280,16 +289,10 @@ def _sweep(n_max):
     return [(n, d) for n in range(1, n_max + 1) for d in range(1, n + 1)]
 
 
-def _clear_carries():
-    identities._convolution_carry.clear()
-    identities._numerator_carry.clear()
-    identities._lemma_2_2_rows.cache_clear()
-    identities._prop_2_3_rows.cache_clear()
-
-
 class TestCarriedRows:
     """Every carried row equals its reference, summed for its (n, d) alone,
-    whatever the order of the calls and the convolution window."""
+    whatever the order of the calls that share one carry and the
+    convolution window."""
 
     PAIRS = _sweep(40)
 
@@ -298,8 +301,8 @@ class TestCarriedRows:
         return {(n, d): {
             "convolution": {w: convolution_row(n, d, w) for w in (n + 10, 0, 57)},
             "numerator": list(veronese_alt_numerator(n, d).coefficients[d:]),
-            "lemma_2_2": one_minus_t_row([comb(n, j) for j in range(n - d + 1)]),
-            "prop_2_3": one_minus_t_row([comb(n, k + d) for k in range(n - d + 1)]),
+            "_lemma_2_2_rows": one_minus_t_row([comb(n, j) for j in range(n - d + 1)]),
+            "_prop_2_3_rows": one_minus_t_row([comb(n, k + d) for k in range(n - d + 1)]),
         } for n, d in self.PAIRS}
 
     @pytest.mark.parametrize("order", ["sweep", "reverse", "shuffle"])
@@ -311,51 +314,54 @@ class TestCarriedRows:
             pairs.reverse()
         elif order == "shuffle":
             rng.shuffle(pairs)
+        carry = {}
         for n, d in pairs:
             # "mixed" draws each call's window, so that a carried row is
             # extended by its defining sum or cut as well as stepped
             w = rng.choice([n + 10, 0, 57]) if window == "mixed" else window
             w = n + 10 if w == "n+10" else w
             want = references[n, d]
-            assert identities._convolution_row(n, d, w) == want["convolution"][w], (n, d, w)
-            assert identities._veronese_numerator(n, d) == want["numerator"], (n, d)
-            assert identities._lemma_2_2_rows(n)[d - 1] == want["lemma_2_2"], (n, d)
-            assert identities._prop_2_3_rows(n)[d - 1] == want["prop_2_3"], (n, d)
+            row = identities._convolution_row(n, d, w, carry)
+            assert row == want["convolution"][w], (n, d, w)
+            assert identities._veronese_numerator(n, d, carry) == want["numerator"], (n, d)
+            for rows in ("_lemma_2_2_rows", "_prop_2_3_rows"):
+                assert identities._latest_rows(rows, n, carry)[d - 1] == want[rows], (rows, n, d)
 
     def test_verdicts_do_not_depend_on_call_order(self):
-        # every verifier, called in a shuffled order after a sweep, gives
-        # the results it gives on its own
+        # every verifier, called in sweep order with one carry and then in a
+        # shuffled order with another, gives the results it gives on its own
         pairs = _sweep(12)
         calls = [(verify, pair) for verify in (verify_lemma_2_2, verify_prop_2_3,
                                                verify_theorem_1_4) for pair in pairs]
         calls += [(verify, (*pair, k)) for verify in (verify_lemma_4_1, verify_eq_chain)
                   for pair in pairs for k in (pair[0] + 10, 3)]
-        in_order = [verify(*args) for verify, args in calls]
+        carry = {}
+        in_order = [verify(*args, carry) for verify, args in calls]
         shuffled = list(range(len(calls)))
         random.Random(34).shuffle(shuffled)
+        carry = {}
         for i in shuffled:
             verify, args = calls[i]
-            assert verify(*args) == in_order[i], (verify.__name__, args)
+            assert verify(*args, carry) == verify(*args) == in_order[i], (verify.__name__, args)
 
 
 class TestOneWrongTerm:
     """One wrong binomial in one side's defining sum must fail the first
-    pair in sweep order whose sum holds it, and no earlier pair.  Each carry
-    step adds one term of its own side's sum, so none reads the term early
-    or late; a step taken from a binomial identity (Pascal's rule for
-    lemma_2_2's row, or the carried numerator's recurrence for prop_2_3's
-    left side) would first read it at a later pair."""
+    pair in sweep order whose sum holds it, and no earlier pair.  The calls
+    share one carry, as a sweep's do.  Each carry step adds one term of its
+    own side's sum, so none reads the term early or late; a step taken from
+    a binomial identity (Pascal's rule for lemma_2_2's row, or the carried
+    numerator's recurrence for prop_2_3's left side) would first read it at
+    a later pair."""
 
     @pytest.fixture
     def wrong_binomial(self, monkeypatch):
+        # rows summed with the wrong binomial live only in the test's carry
         def apply(a, b):
             true = identities.comb
             monkeypatch.setattr(identities, "comb",
                                 lambda x, y: true(x, y) + ((x, y) == (a, b)))
-        _clear_carries()
-        yield apply
-        # rows summed with the wrong binomial must not outlive the test
-        _clear_carries()
+        return apply
 
     @pytest.mark.parametrize("verify, term, first", [
         # C(12, 5) is a term of L(12, d) for d <= 7 and of A(12, d) for d <= 5
@@ -368,8 +374,9 @@ class TestOneWrongTerm:
     def test_first_pair_holding_the_term_fails(self, wrong_binomial, verify, term, first):
         wrong_binomial(*term)
         window = (lambda n: (n + 10,)) if verify is verify_lemma_4_1 else (lambda n: ())
+        carry = {}
         failed = next(pair for pair in _sweep(14)
-                      if not verify(*pair, *window(pair[0])).passed)
+                      if not verify(*pair, *window(pair[0]), carry).passed)
         assert failed == first
 
 
@@ -413,18 +420,22 @@ class TestSweep:
     def test_stops_at_the_first_failure(self, monkeypatch, identity):
         # no call past the failing pair (2, 2), yet cases counts every pair;
         # a windowed verifier gets the default window k <= n+10
-        name, calls = _verifier_name(identity), []
+        name, calls, carries = _verifier_name(identity), [], []
         verify = getattr(identities, name)
 
-        def failing_at_2_2(n, d, *window):
+        def failing_at_2_2(n, d, *window_and_carry):
+            *window, carry = window_and_carry
             calls.append((n, d, *window))
+            carries.append(carry)
             if (n, d) != (2, 2):
-                return verify(n, d, *window)
+                return verify(n, d, *window, carry)
             return VerificationResult("tag", "n=2 d=2", Counterexample(("x",), 1, 2))
         monkeypatch.setattr(identities, name, failing_at_2_2)
         row = sweep(identity, 4)
         windows = [(n + 10,) if identity in WINDOWED else () for n in (1, 2, 2)]
         assert calls == [(n, d, *w) for (n, d), w in zip([(1, 1), (2, 1), (2, 2)], windows)]
+        # one carry, the sweep's own, passed to every call
+        assert isinstance(carries[0], dict) and all(c is carries[0] for c in carries)
         assert (row["cases"], row["passed"]) == (10, False)
         assert row["counterexample"] == {"at": "n=2 d=2", "point": ["x"], "lhs": 1, "rhs": 2}
 
@@ -470,16 +481,34 @@ class TestSweep:
     def test_pairs_run_in_the_order_the_carries_step(self, monkeypatch):
         # n outer and d inner: A's rows are built once per n, and B gains
         # one term per pair.  d outer would build A's rows 77 times, and n
-        # descending would sum B from its base, 364 binomials
-        _clear_carries()
-        assert sweep("prop-2.3", 12)["passed"]
-        assert identities._prop_2_3_rows.cache_info().misses == 12
-        _clear_carries()
+        # descending would sum B from its base, 364 binomials.  Each sweep
+        # builds its own rows: none survive from one sweep to the next
+        builds = []
+        rows = identities._prop_2_3_rows
+        monkeypatch.setattr(identities, "_prop_2_3_rows", lambda n: builds.append(n) or rows(n))
+        for _ in range(2):
+            builds.clear()
+            assert sweep("prop-2.3", 12)["passed"]
+            assert builds == list(range(1, 13))
         calls = []
         true = identities.comb
         monkeypatch.setattr(identities, "comb", lambda a, b: calls.append((a, b)) or true(a, b))
         assert sweep("theorem-1.4", 12)["passed"]
         assert len(calls) == 78
+
+    @pytest.mark.parametrize("identity, term, call", [
+        ("theorem-1.4", (9, 2), lambda: verify_theorem_1_4(11, 3)),
+        ("lemma-4.1", (9, 0), lambda: verify_lemma_4_1(11, 1, 21)),
+    ])
+    def test_no_rows_outlive_a_sweep(self, monkeypatch, identity, term, call):
+        # a sweep run with one wrong binomial fails, and once the binomial
+        # is right again a direct call sums its rows afresh: it does not
+        # step from the wrong B(10, 3) or R(10, 1) that the sweep built
+        true = identities.comb
+        monkeypatch.setattr(identities, "comb", lambda x, y: true(x, y) + ((x, y) == term))
+        assert not sweep(identity, 14)["passed"]
+        monkeypatch.undo()
+        assert call().passed
 
 
 class TestParameterValidation:
